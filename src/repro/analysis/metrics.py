@@ -142,6 +142,5 @@ def path_utilization(activity: ActivityLog, path: str,
     if session_duration <= 0:
         raise ValueError(
             f"session_duration must be positive: {session_duration!r}")
-    _times, values = activity.series(path, until=session_duration)
-    busy = sum(1 for v in values if v > 0)
+    busy = len(activity.bursts(path, session_duration))
     return busy * activity.bin_width / session_duration

@@ -11,7 +11,7 @@ chunk by its *actual* size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +61,9 @@ class VideoAsset:
                 raise ValueError("level bitrates must be strictly increasing")
         self.name = name
         self.chunk_duration = chunk_duration
-        self.levels: List[QualityLevel] = ordered
-        self._sizes = [list(row) for row in chunk_sizes]
+        # Tuples throughout: one asset may be shared by many sessions.
+        self.levels: Tuple[QualityLevel, ...] = tuple(ordered)
+        self._sizes = tuple(tuple(row) for row in chunk_sizes)
 
     # ------------------------------------------------------------------
     @classmethod

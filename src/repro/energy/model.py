@@ -57,16 +57,13 @@ def interface_energy(activity: ActivityLog, path: str,
     """Energy of one interface over [0, session_end]."""
     if session_end <= 0:
         raise ValueError(f"session_end must be positive: {session_end!r}")
-    times, values = activity.series(path, until=session_end)
     width = activity.bin_width
     breakdown = EnergyBreakdown()
 
     #: End of the current high-power window (active burst + its tail).
     promoted_until = 0.0
     last_burst_end = None
-    for start, num_bytes in zip(times, values):
-        if num_bytes <= 0:
-            continue
+    for start, num_bytes in activity.bursts(path, session_end):
         end = start + width
         if last_burst_end is None or start > promoted_until:
             # Entering active from idle: promotion, and close the previous
@@ -107,13 +104,10 @@ def radio_state_events(activity: ActivityLog, path: str,
     """
     if session_end <= 0:
         raise ValueError(f"session_end must be positive: {session_end!r}")
-    times, values = activity.series(path, until=session_end)
     width = activity.bin_width
     events: List[RadioStateChange] = []
     last_burst_end = None
-    for start, num_bytes in zip(times, values):
-        if num_bytes <= 0:
-            continue
+    for start, _num_bytes in activity.bursts(path, session_end):
         if last_burst_end is None:
             events.append(RadioStateChange(start, path, RADIO_ACTIVE))
         elif start > last_burst_end:

@@ -45,8 +45,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..analysis.metrics import SessionMetrics
 from ..energy.devices import DEVICES
-from ..net.trace import BandwidthTrace
-from ..net.units import mbps
 from ..obs.bus import EventBus
 from ..obs.events import (FleetCheckpointSaved, FleetCompleted,
                           FleetSessionCaptured, FleetShardCompleted,
@@ -178,31 +176,21 @@ def _location(name: str) -> Location:
 def session_config(config: FleetConfig, draw: SessionDraw) -> SessionConfig:
     """Materialize one drawn session as a runnable :class:`SessionConfig`.
 
-    The channel mirrors :meth:`~repro.workloads.locations.Location`'s
-    trace construction (same means, sigmas, and dropout windows) but is
-    seeded by the draw's private ``trace_seed``, so co-located sessions
-    see different realizations of the same measured conditions.
+    The channel is the drawn :class:`~repro.workloads.locations.Location`'s
+    own traces (same means, sigmas, and dropout windows), reseeded by the
+    draw's private ``trace_seed``, so co-located sessions see different
+    realizations of the same measured conditions.
     """
-    location = _location(draw.location)
+    site = replace(_location(draw.location), seed=draw.trace_seed)
     # Long enough for the sim_deadline cap plus startup slack.
     horizon = 2.0 * config.video_duration + 180.0
-    wifi = BandwidthTrace.random_walk(
-        mbps(location.wifi_mbps), location.wifi_sigma, horizon,
-        interval=0.5, seed=draw.trace_seed)
-    if location.dropouts:
-        wifi = BandwidthTrace.with_dropouts(
-            wifi, list(location.dropouts),
-            floor_bytes_per_s=mbps(0.1 * location.wifi_mbps))
-    lte = None
-    if not draw.wifi_only:
-        lte = BandwidthTrace.random_walk(
-            mbps(location.lte_mbps), 0.15, horizon,
-            interval=0.5, seed=draw.trace_seed + 50_000)
+    wifi = site.wifi_trace(horizon)
+    lte = None if draw.wifi_only else site.lte_trace(horizon)
     base = SessionConfig(
         video=config.video, abr=config.abr,
         wifi_mbps=None, lte_mbps=None,
         wifi_trace=wifi, lte_trace=lte,
-        wifi_rtt_ms=location.wifi_rtt_ms, lte_rtt_ms=location.lte_rtt_ms,
+        wifi_rtt_ms=site.wifi_rtt_ms, lte_rtt_ms=site.lte_rtt_ms,
         wifi_only=draw.wifi_only,
         video_duration=config.video_duration,
         kernel=config.kernel, device=draw.device)

@@ -88,6 +88,22 @@ class ActivityLog:
         values = [per_path.get(i, 0.0) for i in range(last + 1)]
         return times, values
 
+    def bursts(self, path: str, until: float) -> List[Tuple[float, float]]:
+        """Sorted ``(bin_start, bytes)`` of the bins up to ``until`` that
+        carried bytes.
+
+        The sparse counterpart of :meth:`series`: the same bins and start
+        times without the empty ones, for walks that skip empty bins.
+        """
+        per_path = self._bins.get(path)
+        if not per_path:
+            return []
+        last = int(until / self.bin_width)
+        width = self.bin_width
+        return [(i * width, num_bytes)
+                for i, num_bytes in sorted(per_path.items())
+                if 0 <= i <= last and num_bytes > 0]
+
     def throughput_series(self, path: str, until: float = None
                           ) -> Tuple[List[float], List[float]]:
         """Like :meth:`series` but in bytes/second."""

@@ -14,11 +14,21 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .units import mbps
+
+
+@lru_cache(maxsize=16)
+def _sample_times(count: int, interval: float) -> tuple:
+    """``(0, interval, 2*interval, ...)``: the sample grid of ``count``
+    equally spaced samples.  Sessions of one campaign share a handful of
+    grids, so they are built once."""
+    return tuple(i * interval for i in range(count))
 
 
 class BandwidthTrace:
@@ -33,19 +43,24 @@ class BandwidthTrace:
 
     def __init__(self, times: Sequence[float], rates: Sequence[float],
                  loop: bool = True):
+        times = list(times)
+        rates = list(rates)
         if len(times) != len(rates):
             raise ValueError("times and rates must have equal length")
         if not times:
             raise ValueError("trace must have at least one segment")
         if times[0] != 0:
             raise ValueError("first segment must start at time 0")
-        for earlier, later in zip(times, times[1:]):
+        for earlier, later in zip(times, islice(times, 1, None)):
             if later <= earlier:
                 raise ValueError("times must be strictly increasing")
-        if any(r < 0 for r in rates):
+        # min() keeps a leading NaN as its result, hiding any negative
+        # after it; only then is the full scan needed.
+        lowest = min(rates)
+        if lowest < 0 or (lowest != lowest and any(r < 0 for r in rates)):
             raise ValueError("bandwidth cannot be negative")
-        self._times = list(times)
-        self._rates = list(rates)
+        self._times = times
+        self._rates = rates
         self.loop = loop
         # Offsets (within one period) where the rate actually changes;
         # computed lazily because constructors mutate ``duration`` afterwards.
@@ -74,8 +89,7 @@ class BandwidthTrace:
         rates = list(rates)
         if interval <= 0:
             raise ValueError("interval must be positive")
-        times = [i * interval for i in range(len(rates))]
-        trace = cls(times, rates, loop=loop)
+        trace = cls(_sample_times(len(rates), interval), rates, loop=loop)
         trace.duration = len(rates) * interval
         return trace
 
@@ -113,14 +127,22 @@ class BandwidthTrace:
         count = max(1, int(math.ceil(duration / interval)))
         sigma = sigma_fraction * mean_bytes_per_s
         innovation = sigma * math.sqrt(max(1e-9, 2 * reversion - reversion ** 2))
+        # One batched draw yields the same stream as ``count`` scalar
+        # draws; the recursion below keeps the scalar operation order.
+        steps = rng.normal(0.0, innovation, count).tolist()
+        low = 0.05 * mean_bytes_per_s
+        high = 2.5 * mean_bytes_per_s
         samples = []
+        append = samples.append
         level = mean_bytes_per_s
-        for _ in range(count):
+        for step in steps:
             level += reversion * (mean_bytes_per_s - level)
-            level += rng.normal(0.0, innovation)
-            level = min(max(level, 0.05 * mean_bytes_per_s),
-                        2.5 * mean_bytes_per_s)
-            samples.append(level)
+            level += step
+            if level < low:
+                level = low
+            if level > high:
+                level = high
+            append(level)
         return cls.from_samples(samples, interval)
 
     @classmethod
@@ -132,20 +154,45 @@ class BandwidthTrace:
         ``dropouts`` is a sequence of ``(start, end)`` intervals during which
         the bandwidth collapses to ``floor_bytes_per_s``.  Used for the
         scenario-2 field locations where open WiFi intermittently stalls.
+        A window without ``start < end`` (empty, reversed or NaN) raises
+        ``ValueError`` rather than silently overlaying nothing.
         """
+        windows = list(dropouts)
+        for start, end in windows:
+            if not start < end:
+                raise ValueError(
+                    f"dropout window needs start < end: {(start, end)!r}")
         interval = 0.1
         horizon = base.duration if math.isfinite(base.duration) else (
-            max(end for _, end in dropouts) + 1.0 if dropouts else 1.0)
-        count = max(1, int(math.ceil(horizon / interval)))
+            max(end for _, end in windows) + 1.0 if windows else 1.0)
+        grid = _sample_times(max(1, int(math.ceil(horizon / interval))),
+                             interval)
+        # Walk the base's segments with a cursor instead of one
+        # ``bandwidth_at`` lookup per sample: sample times only grow, so
+        # the cursor only moves forward, back to segment 0 on a wrap.
+        times = base._times
+        rates = base._rates
+        period = base.duration
+        looping = base.loop and math.isfinite(period) and period > 0
+        last = len(times) - 1
+        index = 0
+        previous = 0.0
         samples = []
-        for i in range(count):
-            t = i * interval
-            rate = base.bandwidth_at(t)
-            for start, end in dropouts:
-                if start <= t < end:
-                    rate = floor_bytes_per_s
-                    break
-            samples.append(rate)
+        append = samples.append
+        for t in grid:
+            offset = t % period if looping else t
+            if offset < previous:
+                index = 0
+            previous = offset
+            while index < last and times[index + 1] <= offset:
+                index += 1
+            append(rates[index])
+        # The grid is ascending, so the samples with start <= t < end are
+        # one slice of it.
+        for start, end in windows:
+            low = bisect.bisect_left(grid, start)
+            high = bisect.bisect_left(grid, end)
+            samples[low:high] = [floor_bytes_per_s] * (high - low)
         return cls.from_samples(samples, interval)
 
     @classmethod
@@ -161,14 +208,18 @@ class BandwidthTrace:
         """
         rng = np.random.default_rng(seed)
         count = max(1, int(math.ceil(duration / interval)))
+        jitter = rng.normal(0.0, jitter_fraction * peak_bytes_per_s,
+                            count).tolist()
         samples = []
         amplitude = (peak_bytes_per_s - floor_bytes_per_s) / 2.0
         midpoint = (peak_bytes_per_s + floor_bytes_per_s) / 2.0
-        for i in range(count):
+        for i, noise in enumerate(jitter):
             t = i * interval
             level = midpoint + amplitude * math.cos(2 * math.pi * t / period)
-            level += rng.normal(0.0, jitter_fraction * peak_bytes_per_s)
-            samples.append(max(level, 0.0))
+            level += noise
+            if level < 0.0:
+                level = 0.0
+            samples.append(level)
         return cls.from_samples(samples, interval)
 
     # ------------------------------------------------------------------

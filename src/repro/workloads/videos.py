@@ -8,6 +8,7 @@ reproduced verbatim from Table 3.  Chunk durations default to 4 seconds
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from ..dash.media import VideoAsset
@@ -29,6 +30,7 @@ def video_names() -> List[str]:
     return sorted(VIDEO_LADDERS)
 
 
+@lru_cache(maxsize=32)
 def video_asset(name: str, chunk_duration: float = DEFAULT_CHUNK_DURATION,
                 duration: float = DEFAULT_DURATION, seed: int = None,
                 vbr_sigma: float = 0.12) -> VideoAsset:
@@ -36,7 +38,8 @@ def video_asset(name: str, chunk_duration: float = DEFAULT_CHUNK_DURATION,
 
     The per-chunk VBR size pattern is synthesized deterministically from
     the video's name (override with ``seed``), so every session streaming
-    "Big Buck Bunny" sees identical chunk sizes.
+    "Big Buck Bunny" sees identical chunk sizes.  Assets are immutable,
+    so calls with the same arguments share one cached instance.
     """
     try:
         ladder = VIDEO_LADDERS[name]

@@ -1,5 +1,6 @@
 """Tests for the fleet engine: workload, sharding, checkpoints, reports."""
 
+import hashlib
 import json
 import os
 import signal
@@ -174,6 +175,22 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         assert run_fleet(small_fleet()).registry_json() != \
             run_fleet(small_fleet(seed=8)).registry_json()
+
+    def test_registry_bytes_are_pinned(self):
+        # Every other determinism check compares two runs of the same
+        # code; this one fixes the output itself, so a change that moves
+        # every session the same way (trace synthesis, energy, assets)
+        # cannot pass unnoticed.
+        config = FleetConfig(sessions=48, seed=2016, video_duration=20.0,
+                             shard_size=16)
+        dropout_sites = {loc.name for loc in field_study_locations()
+                         if loc.dropouts}
+        draws = list(config.workload().draws())
+        assert any(draw.wifi_only for draw in draws)
+        assert any(draw.location in dropout_sites for draw in draws)
+        registry = run_fleet(config).registry_json()
+        assert hashlib.sha256(registry.encode()).hexdigest() == (
+            "8c3bfe79e4c093a0474a1896b3da3cb0da33bb2cbbb55e001663b5773bc1d055")
 
     def test_shard_size_does_not_change_the_population_counts(self):
         # Float-merge order differs across shardings, so only the

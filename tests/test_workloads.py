@@ -31,8 +31,20 @@ class TestVideos:
 
     def test_asset_deterministic(self):
         a = video_asset("tears_of_steel")
-        b = video_asset("tears_of_steel")
-        assert a.chunk_size(2, 10) == b.chunk_size(2, 10)
+        # A fresh build, past the cache, must match the shared one.
+        b = video_asset.__wrapped__("tears_of_steel")
+        assert a is not b
+        assert all(a.chunk_size(level, index) == b.chunk_size(level, index)
+                   for level in range(a.num_levels)
+                   for index in range(a.num_chunks))
+
+    def test_asset_is_shared_and_immutable(self):
+        a = video_asset("big_buck_bunny", chunk_duration=4.0, duration=20.0)
+        assert video_asset("big_buck_bunny", chunk_duration=4.0,
+                           duration=20.0) is a
+        assert isinstance(a.levels, tuple)
+        with pytest.raises(TypeError):
+            a.levels[0] = a.levels[1]
 
     def test_unknown_video_rejected(self):
         with pytest.raises(KeyError):
