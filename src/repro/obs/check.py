@@ -26,7 +26,7 @@ deadline-miss / stall thresholds), ``INFO`` is advisory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple, Type)
 
@@ -170,6 +170,12 @@ class CheckReport:
                 "counts": self.by_severity(),
                 "violations": [v.to_dict() for v in self.violations]}
 
+    def copy(self) -> "CheckReport":
+        """A copy that shares nothing mutable with this report."""
+        return CheckReport(
+            [replace(v, details=dict(v.details)) for v in self.violations],
+            self.events, list(self.checkers))
+
     def render(self) -> str:
         """Human-readable verdict summary (the ``repro check`` view)."""
         counts = self.by_severity()
@@ -273,7 +279,15 @@ def check_trace(trace, checkers: Optional[Iterable[Checker]] = None
     overhead, which matters to the flight recorder's per-session check —
     and runs ``finish`` at the stream's ``SessionClosed`` (or the last
     event time for truncated traces), exactly as the live monitor would.
+    The stock verdicts are computed once per trace; calls get a copy.
     """
+    if checkers is not None:
+        return _judge(trace, checkers)
+    return trace.view(_judge).copy()
+
+
+def _judge(trace, checkers: Optional[Iterable[Checker]] = None
+           ) -> CheckReport:
     monitor = InvariantMonitor(checkers)
     observe = monitor.observe
     for event in trace.events:

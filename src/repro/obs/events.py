@@ -30,8 +30,8 @@ energy         :class:`RadioStateChange`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -483,26 +483,72 @@ def event_from_dict(record: Mapping[str, Any]) -> TraceEvent:
 
 
 def fast_ctor(cls: type) -> Any:
-    """Positional-only constructor for a frozen slots event class.
+    """Constructor for a frozen slots event class, without the frozen guard.
 
     Frozen dataclasses route every ``__init__`` field assignment through
-    ``object.__setattr__``, roughly tripling construction cost.  That is
-    irrelevant everywhere except the per-subflow-per-tick transport events
-    (thousands per simulated session), where it dominates the bus's
-    overhead.  Assigning through the slot descriptors directly skips the
+    ``object.__setattr__``, roughly tripling construction cost.  That
+    dominates wherever events are built in bulk: the per-subflow-per-tick
+    transport events (thousands per simulated session) and the JSONL
+    loader.  Assigning through the slot descriptors directly skips the
     frozen guard during construction only — instances are as immutable as
-    ones built normally.  All fields are required, in declaration order.
+    ones built normally.  Parameters are the fields in declaration order,
+    with their defaults, so positional and keyword calls bind exactly as
+    ``cls(...)`` does.
     """
-    names = [spec.name for spec in fields(cls)]
+    specs = fields(cls)
     namespace: Dict[str, Any] = {
-        f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    namespace["_new"] = cls.__new__
-    namespace["_cls"] = cls
-    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
-    source = (f"def ctor({', '.join(names)}):\n"
+        f"_set_{spec.name}": getattr(cls, spec.name).__set__
+        for spec in specs}
+    namespace.update(_new=cls.__new__, _cls=cls)
+    params = []
+    for spec in specs:
+        if spec.default is MISSING:
+            params.append(spec.name)
+        else:
+            namespace[f"_default_{spec.name}"] = spec.default
+            params.append(f"{spec.name}=_default_{spec.name}")
+    body = "".join(f"    _set_{spec.name}(self, {spec.name})\n"
+                   for spec in specs)
+    source = (f"def ctor({', '.join(params)}):\n"
               f"    self = _new(_cls)\n{body}    return self\n")
     exec(source, namespace)
     return namespace["ctor"]
+
+
+#: Generated constructors for the JSONL loader, keyed like EVENT_TYPES.
+_LOAD_CTORS: Dict[str, Any] = {
+    name: fast_ctor(cls) for name, cls in EVENT_TYPES.items()}
+#: Marks a record whose ``type`` key was never popped.
+_NO_TYPE = object()
+
+
+def events_from_dicts(records: Iterable[Any]) -> List[TraceEvent]:
+    """Bulk :func:`event_from_dict` for freshly parsed records.
+
+    Equal events and the same ``ValueError`` messages, through the
+    generated constructors; a record that is not an object raises
+    ``ValueError`` too.  Consumes ``records``: each dict's ``type`` key
+    is popped.
+    """
+    ctors = _LOAD_CTORS
+    events: List[TraceEvent] = []
+    append = events.append
+    for record in records:
+        name = _NO_TYPE
+        try:
+            name = record.pop("type")
+            append(ctors[name](**record))
+        except (AttributeError, KeyError, TypeError):
+            # Off the fast path (unknown type, bad fields, not an
+            # object): event_from_dict decides, with its own messages.
+            if name is not _NO_TYPE:
+                record["type"] = name
+            try:
+                append(event_from_dict(record))
+            except TypeError as exc:
+                raise ValueError(f"malformed trace record {record!r}: "
+                                 f"{exc}") from None
+    return events
 
 
 #: Fast constructor for the hottest event on the bus (one per subflow per

@@ -41,16 +41,14 @@ import platform
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from .recorder import qoe_proxy
+
 #: Schema version stamped into every entry; loads skip (with a warning)
 #: entries written by a future schema.
 LEDGER_SCHEMA = 1
 
 #: The entry kinds the schema knows, one per entry point.
 ENTRY_KINDS = ("session", "sweep", "fleet", "bench")
-
-#: Stall-ratio weight of the ledger's ladder-free QoE headline (same
-#: spirit and value as the flight recorder's proxy).
-_QOE_REBUFFER_WEIGHT = 8.0
 
 
 def canonical_json(payload: Any) -> str:
@@ -218,13 +216,6 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # Entry builders, one per entry point
 # ----------------------------------------------------------------------
-def _qoe_proxy(metrics: Any, session_duration: float) -> float:
-    """Bitrate minus a stall-ratio penalty (the recorder's ordering
-    proxy): ladder-free, computable from ``SessionMetrics`` alone."""
-    ratio = metrics.total_stall_time / max(session_duration, 1e-9)
-    return metrics.mean_bitrate_mbps - _QOE_REBUFFER_WEIGHT * ratio
-
-
 def _perf_metrics(wall_clock: Optional[float],
                   sim_seconds: Optional[float]) -> Dict[str, float]:
     out: Dict[str, float] = {}
@@ -250,7 +241,7 @@ def session_entry(result: Any, label: str = "",
     m = result.metrics
     stats = result.scheduler_stats
     metrics: Dict[str, float] = {
-        "qoe": _qoe_proxy(m, result.session_duration),
+        "qoe": qoe_proxy(m, result.session_duration),
         "bitrate_mbps": m.mean_bitrate_mbps,
         "stall_seconds": m.total_stall_time,
         "stall_count": float(m.stall_count),
@@ -295,7 +286,7 @@ def sweep_entry(result: Any, label: str = "") -> LedgerEntry:
     if sessions:
         count = float(len(sessions))
         metrics["qoe"] = sum(
-            _qoe_proxy(s.metrics, s.session_duration)
+            qoe_proxy(s.metrics, s.session_duration)
             for s in sessions) / count
         metrics["bitrate_mbps"] = sum(
             s.metrics.mean_bitrate_mbps for s in sessions) / count

@@ -23,6 +23,7 @@ The registry renders either as a Prometheus-style text exposition
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -407,6 +408,16 @@ class MetricsRegistry:
                 self._metrics[key] = mine
             mine.merge(metric)
 
+    def copy(self) -> "MetricsRegistry":
+        """A copy that shares nothing mutable with this registry."""
+        clone = MetricsRegistry()
+        for key, metric in self._metrics.items():
+            twin = clone._metrics[key] = copy.copy(metric)
+            for name, value in vars(metric).items():
+                if isinstance(value, list):
+                    setattr(twin, name, list(value))
+        return clone
+
     # -- exposition ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """One JSON document: every metric in canonical order."""
@@ -425,10 +436,6 @@ class MetricsRegistry:
             metric = metric_from_dict(record)
             registry._metrics[(metric.name, metric.labels)] = metric
         return registry
-
-    def histograms_to_dict(self) -> List[Dict[str, Any]]:
-        """Just the histograms — what a sweep summary carries."""
-        return [h.to_dict() for h in self.histograms()]
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition (version 0.0.4 style).
@@ -798,7 +805,8 @@ def collector_from_trace(trace) -> SessionMetricsCollector:
     """Rebuild the session registry offline from a loaded JSONL trace.
 
     Identical to the live collector's registry for the same stream — the
-    metrics half of the capture-then-analyze workflow.
+    metrics half of the capture-then-analyze workflow.  Each call builds
+    a fresh collector; ``trace.view(collector_from_trace)`` is shared.
     """
     from .trace_export import replay
 
@@ -810,5 +818,5 @@ def collector_from_trace(trace) -> SessionMetricsCollector:
 
 
 def registry_from_trace(trace) -> MetricsRegistry:
-    """Shorthand: the offline registry itself."""
-    return collector_from_trace(trace).registry
+    """A copy of the trace's registry, which is built once per trace."""
+    return trace.view(collector_from_trace).registry.copy()

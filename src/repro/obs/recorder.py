@@ -113,12 +113,13 @@ def artifact_name(index: int) -> str:
     return f"session-{index:08d}.jsonl.gz"
 
 
-def _qoe_proxy(metrics: Any, session_duration: float) -> float:
+def qoe_proxy(metrics: Any, session_duration: float) -> float:
     """Bitrate minus a stall-ratio penalty: higher is better.
 
     A deliberately simple, ladder-free stand-in for the composite QoE in
     :mod:`repro.analysis.qoe` — it only has to *order* sessions within a
-    shard, deterministically, from SessionMetrics alone.
+    shard, deterministically, from SessionMetrics alone.  The run
+    ledger's ``qoe`` headline is this same proxy.
     """
     ratio = metrics.total_stall_time / max(session_duration, 1e-9)
     return metrics.mean_bitrate_mbps - QOE_REBUFFER_WEIGHT * ratio
@@ -186,7 +187,7 @@ class ShardRecorder:
         misses = int(dict(result.scheduler_stats).get(
             "deadline_misses", 0))
         stalls = int(metrics.stall_count)
-        qoe = _qoe_proxy(metrics, result.session_duration)
+        qoe = qoe_proxy(metrics, result.session_duration)
         violations: Optional[Dict[str, int]] = None
         attributions: List[Any] = []
         reasons: List[str] = []

@@ -434,11 +434,11 @@ def _violations_panel(report: CheckReport) -> str:
     return _panel("Invariant verdicts", summary, table)
 
 
-def _attribution_panel(trace: Trace, report: CheckReport) -> str:
+def _attribution_panel(trace: Trace) -> str:
     """Root-cause verdicts for the session's anomalies (repro why)."""
     from .why import attributions_from_trace, summarize_attributions
 
-    attributions = attributions_from_trace(trace, report=report)
+    attributions = attributions_from_trace(trace)
     if not attributions:
         return _panel(
             "Root-cause attribution",
@@ -516,7 +516,7 @@ def session_report_html(trace: Trace) -> str:
         # the analyzer needs a positive horizon.
         trace = Trace(meta=replace(trace.meta, session_duration=1.0),
                       events=trace.events)
-    analyzer = analyzer_from_trace(trace)
+    analyzer = trace.view(analyzer_from_trace)
     metrics = analyzer.metrics(trace.meta.steady_state_fraction)
     registry = registry_from_trace(trace)
     verdicts = check_trace(trace)
@@ -533,7 +533,7 @@ def session_report_html(trace: Trace) -> str:
         _slack_panel(registry),
         _radio_panel(analyzer, metrics, duration),
         _violations_panel(verdicts),
-        _attribution_panel(trace, verdicts),
+        _attribution_panel(trace),
         _spans_panel(spans, duration),
     ])
 

@@ -329,8 +329,15 @@ def spans_from_trace(trace) -> List[Span]:
     """Rebuild the span tree offline from a loaded JSONL trace.
 
     Identical to the live builder's ``spans`` for the same stream — the
-    spans half of the capture-then-analyze workflow.
+    spans half of the capture-then-analyze workflow.  The tree is built
+    once per trace; calls get a copy.
     """
+    return [Span(span.span_id, span.name, span.kind, span.start,
+                 span.parent, span.end, span.status, dict(span.attrs))
+            for span in trace.view(_replay_spans)]
+
+
+def _replay_spans(trace) -> List[Span]:
     from .trace_export import replay
 
     bus = EventBus()

@@ -24,11 +24,12 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import zlib
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterable, List, Union
+from typing import IO, Any, Callable, Iterable, List, Tuple, Union
 
 from .bus import EventBus
-from .events import TraceEvent, event_from_dict, event_to_dict
+from .events import TraceEvent, event_to_dict, events_from_dicts
 
 #: Current trace format version.
 TRACE_VERSION = 1
@@ -47,10 +48,16 @@ class TraceMeta:
 
 @dataclass
 class Trace:
-    """A loaded trace: header plus the event stream in causal order."""
+    """A loaded trace: header plus the event stream in causal order.
+
+    Its views are dropped when ``events`` is rebound or changes length;
+    the events of a trace are not otherwise edited in place.
+    """
 
     meta: TraceMeta
     events: List[TraceEvent] = field(default_factory=list)
+    _index: Tuple[Any, int, Any] = field(
+        default=(None, -1, None), init=False, repr=False, compare=False)
 
     def count_by_type(self) -> dict:
         counts: dict = {}
@@ -58,6 +65,16 @@ class Trace:
             name = type(event).__name__
             counts[name] = counts.get(name, 0) + 1
         return counts
+
+    def view(self, build: Callable[["Trace"], Any]) -> Any:
+        """``build(self)``, computed once per trace and shared read-only."""
+        owner, length, views = self._index
+        if owner is not self.events or length != len(self.events):
+            views = {}
+            self._index = (self.events, len(self.events), views)
+        if build not in views:
+            views[build] = build(self)
+        return views[build]
 
 
 class TraceRecorder:
@@ -111,31 +128,51 @@ def dump_jsonl(path_or_file: Union[str, IO[str]],
 
 def loads_jsonl(text: str) -> Trace:
     """Parse the canonical JSONL text back into a :class:`Trace`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty trace")
-    header = json.loads(lines[0])
-    if "meta" not in header:
+    lines = text.splitlines()
+    try:
+        # One parse for the body; a line that is not one JSON value fails
+        # it or the count, and the per-line parse below names it.
+        header = json.loads(lines[0])
+        records = json.loads("[" + ",".join(lines[1:]) + "]")
+        if len(records) != len(lines) - 1:
+            raise ValueError("record count")
+    except (IndexError, ValueError):
+        parsed = []
+        for number, line in enumerate(lines, 1):
+            if line.strip():
+                try:
+                    parsed.append(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
+        if not parsed:
+            raise ValueError("empty trace")
+        header, records = parsed[0], parsed[1:]
+    if not isinstance(header, dict) or not isinstance(header.get("meta"),
+                                                      dict):
         raise ValueError("trace missing meta header line")
-    meta_fields = dict(header["meta"])
-    version = meta_fields.get("version", TRACE_VERSION)
+    version = header["meta"].get("version", TRACE_VERSION)
     if version != TRACE_VERSION:
         raise ValueError(f"unsupported trace version {version!r} "
                          f"(expected {TRACE_VERSION})")
-    meta = TraceMeta(**meta_fields)
-    events = [event_from_dict(json.loads(line)) for line in lines[1:]]
-    return Trace(meta=meta, events=events)
+    try:
+        meta = TraceMeta(**header["meta"])
+    except TypeError as exc:
+        raise ValueError(f"malformed meta header: {exc}") from None
+    return Trace(meta=meta, events=events_from_dicts(records))
 
 
 def load_jsonl(path_or_file: Union[str, IO[str]]) -> Trace:
     """Read a JSONL trace from ``path_or_file`` (gunzipped for ``.gz``)."""
     if hasattr(path_or_file, "read"):
         return loads_jsonl(path_or_file.read())
-    if _is_gzip_path(path_or_file):
-        with gzip.open(path_or_file, "rt", encoding="utf-8") as handle:
-            return loads_jsonl(handle.read())
-    with open(path_or_file, "r", encoding="utf-8") as handle:
-        return loads_jsonl(handle.read())
+    try:
+        opener = gzip.open if _is_gzip_path(path_or_file) else open
+        with opener(path_or_file, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except (EOFError, zlib.error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path_or_file}: corrupt trace "
+                         f"({type(exc).__name__}: {exc})") from None
+    return loads_jsonl(text)
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +190,8 @@ def analyzer_from_trace(trace: Trace, device=None):
     Replays the stream into fresh bus-subscribed ``ActivityLog`` /
     ``PlayerEventLog`` views and wraps them in a
     :class:`~repro.analysis.analyzer.MultipathVideoAnalyzer` — the offline
-    half of the paper's capture-then-analyze workflow.
+    half of the paper's capture-then-analyze workflow.  Each call builds
+    a fresh analyzer; ``trace.view(analyzer_from_trace)`` is shared.
     """
     from ..analysis.analyzer import MultipathVideoAnalyzer
     from ..dash.events import PlayerEventLog
@@ -175,5 +213,6 @@ def analyzer_from_trace(trace: Trace, device=None):
 def metrics_from_trace(trace: Trace, device=None):
     """Offline :class:`~repro.analysis.metrics.SessionMetrics` — identical
     to the live run's when the trace came from ``SessionResult``."""
-    analyzer = analyzer_from_trace(trace, device)
+    analyzer = (trace.view(analyzer_from_trace) if device is None
+                else analyzer_from_trace(trace, device))
     return analyzer.metrics(trace.meta.steady_state_fraction)

@@ -730,8 +730,15 @@ def attributions_from_trace(trace: Trace,
     Pass a precomputed ``report`` (from :func:`check_trace` on the same
     trace) to skip re-judging; anomaly-free traces return ``[]`` after
     a cheap probe, which is what keeps the fleet recorder path within
-    its overhead budget.
+    its overhead budget.  Without ``report``, computed once per trace.
     """
+    if report is None:
+        return list(trace.view(_attribute))
+    return _attribute(trace, report)
+
+
+def _attribute(trace: Trace, report: Optional[CheckReport] = None
+               ) -> List[Attribution]:
     if report is None:
         report = check_trace(trace)
     if not report.errors() and not _has_anomaly_events(trace.events):

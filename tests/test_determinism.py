@@ -436,7 +436,7 @@ class TestAttributionDeterminism:
         import gc
         from time import perf_counter
 
-        from repro.obs import (attributions_from_trace, check_trace,
+        from repro.obs import (Trace, attributions_from_trace, check_trace,
                                dumps_jsonl, loads_jsonl)
 
         TestObservabilityOverhead._skip_under_tracer()
@@ -446,13 +446,16 @@ class TestAttributionDeterminism:
         assert attributions_from_trace(trace) == []  # warm + sanity
 
         def timed(with_attribution):
+            # A fresh Trace per timing, as the flight recorder makes per
+            # session: a trace computes its check report only once.
+            fresh = Trace(meta=trace.meta, events=trace.events)
             gc.collect()
             gc.disable()
             try:
                 started = perf_counter()
-                report = check_trace(trace)
+                report = check_trace(fresh)
                 if with_attribution:
-                    attributions_from_trace(trace, report)
+                    attributions_from_trace(fresh, report)
                 return perf_counter() - started
             finally:
                 gc.enable()
