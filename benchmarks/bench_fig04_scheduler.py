@@ -2,10 +2,12 @@
 
 §7.2.1's workload: WiFi 3.8 Mbps, LTE 3.0 Mbps (Dummynet-pinned), 5 MB
 file.  WiFi alone needs ~10.5 s, MPTCP ~6 s; deadlines of 8, 9, and 10 s
-are evaluated against vanilla MPTCP for both the default (minRTT) and
-round-robin schedulers.  The paper reports large LTE-byte and radio-energy
-savings that grow with the deadline (68% data / 44% energy at D=10 s), and
-an α=0.8 sensitivity point (28% / 15%).
+are evaluated against vanilla MPTCP.  The paper repeats the grid under the
+minRTT and round-robin packet schedulers; in the fluid transport model
+every enabled subflow runs at its full potential, so the packet scheduler
+cannot change the outcome and one grid stands for both.  The paper reports
+large LTE-byte and radio-energy savings that grow with the deadline (68%
+data / 44% energy at D=10 s), and an α=0.8 sensitivity point (28% / 15%).
 """
 
 import pytest
@@ -18,19 +20,14 @@ SIZE = megabytes(5)
 
 
 def run_grid():
-    results = {}
-    for scheduler in ("minrtt", "roundrobin"):
-        baseline = run_file_download(FileDownloadConfig(
-            size=SIZE, deadline=10.0, mpdash=False, wifi_mbps=3.8,
-            lte_mbps=3.0, mptcp_scheduler=scheduler))
-        results[(scheduler, "baseline")] = baseline
-        for deadline in (8.0, 9.0, 10.0):
-            results[(scheduler, deadline)] = run_file_download(
-                FileDownloadConfig(size=SIZE, deadline=deadline,
-                                   wifi_mbps=3.8, lte_mbps=3.0,
-                                   mptcp_scheduler=scheduler))
+    results = {"baseline": run_file_download(FileDownloadConfig(
+        size=SIZE, deadline=10.0, mpdash=False, wifi_mbps=3.8,
+        lte_mbps=3.0))}
+    for deadline in (8.0, 9.0, 10.0):
+        results[deadline] = run_file_download(FileDownloadConfig(
+            size=SIZE, deadline=deadline, wifi_mbps=3.8, lte_mbps=3.0))
     # The alpha sensitivity point at D=10.
-    results[("minrtt", "alpha0.8")] = run_file_download(FileDownloadConfig(
+    results["alpha0.8"] = run_file_download(FileDownloadConfig(
         size=SIZE, deadline=10.0, alpha=0.8, wifi_mbps=3.8, lte_mbps=3.0))
     return results
 
@@ -39,19 +36,19 @@ def run_grid():
 def test_fig04_file_download_grid(benchmark, emit):
     results = benchmark.pedantic(run_grid, rounds=1, iterations=1)
     rows = []
-    for (scheduler, case), result in results.items():
-        rows.append([scheduler, str(case),
+    for case, result in results.items():
+        rows.append([str(case),
                      result.cellular_bytes / 1e6,
                      result.radio_energy,
                      result.duration,
                      "MISS" if result.missed_deadline else "ok"])
     table = format_table(
-        ["scheduler", "deadline", "LTE MB", "energy J", "finish s", "met?"],
+        ["deadline", "LTE MB", "energy J", "finish s", "met?"],
         rows, title="Figure 4: 5MB download, WiFi 3.8 / LTE 3.0 Mbps")
 
-    base = results[("minrtt", "baseline")]
-    d10 = results[("minrtt", 10.0)]
-    alpha = results[("minrtt", "alpha0.8")]
+    base = results["baseline"]
+    d10 = results[10.0]
+    alpha = results["alpha0.8"]
     data_saving = 1 - d10.cellular_bytes / base.cellular_bytes
     energy_saving = 1 - d10.radio_energy / base.radio_energy
     alpha_saving = 1 - alpha.cellular_bytes / base.cellular_bytes
@@ -62,16 +59,14 @@ def test_fig04_file_download_grid(benchmark, emit):
     emit("fig04_scheduler", table + summary)
 
     # Shape assertions.
-    for scheduler in ("minrtt", "roundrobin"):
-        previous = None
-        for deadline in (8.0, 9.0, 10.0):
-            result = results[(scheduler, deadline)]
-            assert not result.missed_deadline
-            assert result.cellular_bytes < \
-                results[(scheduler, "baseline")].cellular_bytes
-            if previous is not None:
-                assert result.cellular_bytes <= previous.cellular_bytes + 1e4
-            previous = result
+    previous = None
+    for deadline in (8.0, 9.0, 10.0):
+        result = results[deadline]
+        assert not result.missed_deadline
+        assert result.cellular_bytes < base.cellular_bytes
+        if previous is not None:
+            assert result.cellular_bytes <= previous.cellular_bytes + 1e4
+        previous = result
     assert data_saving > 0.5
     assert energy_saving > 0.15
     # Smaller alpha is more conservative: more cellular than alpha=1 but

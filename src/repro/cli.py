@@ -322,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--shard-size", type=int, default=50, metavar="N",
                        help="sessions per shard (memory/progress "
                             "granularity)")
-    fleet.add_argument("--kernel", default="fast",
-                       choices=("fast", "tick"),
-                       help="simulation kernel for every session")
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = in-process)")
     fleet.add_argument("--retries", type=int, default=1,
@@ -490,11 +487,6 @@ def _add_session_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", default="fast",
-                        choices=("fast", "tick"),
-                        help="simulation kernel: event-driven analytic "
-                             "(fast, default) or the fixed-interval "
-                             "reference (tick)")
     parser.add_argument("--wifi", type=float, default=3.8,
                         help="WiFi bandwidth, Mbps")
     parser.add_argument("--lte", type=float, default=3.0,
@@ -514,7 +506,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         deadline_mode=args.deadline_mode, alpha=args.alpha,
         wifi_mbps=args.wifi, lte_mbps=args.lte,
         wifi_rtt_ms=args.wifi_rtt, lte_rtt_ms=args.lte_rtt,
-        video_duration=args.duration, kernel=args.kernel)
+        video_duration=args.duration)
     result = run_session(config, ledger=args.ledger)
     metrics = result.metrics
     # Human-oriented tables go to stderr (the stats/spans/profile
@@ -543,8 +535,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
-        lte_rtt_ms=args.lte_rtt, video_duration=args.duration,
-        kernel=args.kernel)
+        lte_rtt_ms=args.lte_rtt, video_duration=args.duration)
     comparison = run_schemes(base, jobs=args.jobs,
                              cache_dir=args.cache_dir)
     rows = []
@@ -621,8 +612,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
-        lte_rtt_ms=args.lte_rtt, video_duration=args.duration,
-        kernel=args.kernel)
+        lte_rtt_ms=args.lte_rtt, video_duration=args.duration)
     try:
         grid = parse_grid(args.grid)
         if args.schemes is not None:
@@ -688,8 +678,7 @@ def cmd_download(args: argparse.Namespace) -> int:
         size=args.size_mb * 1e6, deadline=args.deadline,
         mpdash=not args.no_mpdash, alpha=args.alpha,
         wifi_mbps=args.wifi, lte_mbps=args.lte,
-        wifi_rtt_ms=args.wifi_rtt, lte_rtt_ms=args.lte_rtt,
-        kernel=args.kernel))
+        wifi_rtt_ms=args.wifi_rtt, lte_rtt_ms=args.lte_rtt))
     print(format_table(
         ["metric", "value"],
         [["finished at s", f"{result.duration:.2f}"],
@@ -700,6 +689,30 @@ def cmd_download(args: argparse.Namespace) -> int:
         title=f"{args.size_mb:.0f}MB download, D={args.deadline:.0f}s "
               f"({'vanilla' if args.no_mpdash else 'MP-DASH'})"))
     return 0
+
+
+class _LoadFailed(Exception):
+    """A trace named on the command line could not be loaded."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
+def _load_trace(command: str, path: str, status: int,
+                what: Optional[str] = None) -> Trace:
+    """Load a ``--load``/``--diff`` trace, or report why not and bail out.
+
+    A failure prints ``repro <command>: cannot load <what>: <reason>``
+    (``what`` defaults to the path) and makes :func:`main` return
+    ``status``.
+    """
+    try:
+        return load_jsonl(path)
+    except (OSError, ValueError) as exc:
+        print(f"repro {command}: cannot load {what or path}: {exc}",
+              file=sys.stderr)
+        raise _LoadFailed(status) from None
 
 
 def _trace_summary(source: str, trace: Trace,
@@ -738,12 +751,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--diff`` to compare a second trace's metrics against the first.
     """
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro trace: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
-            return 1
+        trace = _load_trace("trace", args.load, 1)
         if args.out is not None:
             dump_jsonl(args.out, trace.events, trace.meta)
         summary = _trace_summary(args.load, trace, metrics_from_trace(trace))
@@ -753,8 +761,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             deadline_mode=args.deadline_mode, alpha=args.alpha,
             wifi_mbps=args.wifi, lte_mbps=args.lte,
             wifi_rtt_ms=args.wifi_rtt, lte_rtt_ms=args.lte_rtt,
-            video_duration=args.duration, record_trace=True,
-            kernel=args.kernel)
+            video_duration=args.duration, record_trace=True)
         result = run_session(config)
         if args.out is not None:
             result.export_trace(args.out)
@@ -762,12 +769,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         summary = _trace_summary("live", trace, result.metrics)
 
     if args.diff is not None:
-        try:
-            other = load_jsonl(args.diff)
-        except (OSError, ValueError) as exc:
-            print(f"repro trace: cannot load {args.diff}: {exc}",
-                  file=sys.stderr)
-            return 1
+        other = _load_trace("trace", args.diff, 1)
         other_summary = _trace_summary(args.diff, other,
                                        metrics_from_trace(other))
         scalars = ("energy_total", "stall_count", "total_stall_time",
@@ -805,18 +807,13 @@ def _session_config(args: argparse.Namespace, **overrides) -> SessionConfig:
         deadline_mode=args.deadline_mode, alpha=args.alpha,
         wifi_mbps=args.wifi, lte_mbps=args.lte,
         wifi_rtt_ms=args.wifi_rtt, lte_rtt_ms=args.lte_rtt,
-        video_duration=args.duration, kernel=args.kernel, **overrides)
+        video_duration=args.duration, **overrides)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """The standard metrics registry, live or rebuilt from a trace."""
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro stats: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
-            return 1
+        trace = _load_trace("stats", args.load, 1)
         registry = registry_from_trace(trace)
         print(f"registry rebuilt from {args.load} "
               f"({len(trace.events)} events)", file=sys.stderr)
@@ -833,12 +830,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_spans(args: argparse.Namespace) -> int:
     """The causal span tree, live or rebuilt from a trace."""
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro spans: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
-            return 1
+        trace = _load_trace("spans", args.load, 1)
         spans = spans_from_trace(trace)
         print(f"spans rebuilt from {args.load} "
               f"({len(trace.events)} events)", file=sys.stderr)
@@ -877,12 +869,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     checkers = stock_checkers(max_miss_rate=args.max_miss_rate,
                               max_stall_ratio=args.max_stall_ratio)
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro check: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
-            return 2
+        trace = _load_trace("check", args.load, 2)
         report = check_trace(trace, checkers)
         print(f"checked {args.load} offline", file=sys.stderr)
     else:
@@ -971,12 +958,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     trace, the metrics registry, and spans) and rendered directly.
     """
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro report: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
-            return 1
+        trace = _load_trace("report", args.load, 1)
         write_report(args.out, session_report_html(trace))
         print(f"session report written to {args.out} "
               f"(from {args.load}, {len(trace.events)} events)",
@@ -1003,7 +985,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             abr=args.abr, scheme=args.scheme,
             video_duration=args.duration,
             wifi_only_fraction=args.wifi_only_fraction,
-            shard_size=args.shard_size, kernel=args.kernel,
+            shard_size=args.shard_size,
             fault_session=args.fault_session)
         recorder = None
         if args.record_dir is not None:
@@ -1304,13 +1286,8 @@ def cmd_why(args: argparse.Namespace) -> int:
     """
     if args.diff is not None:
         path_a, path_b = args.diff
-        try:
-            trace_a = load_jsonl(path_a)
-            trace_b = load_jsonl(path_b)
-        except (OSError, ValueError) as exc:
-            print(f"repro why: cannot load trace: {exc}",
-                  file=sys.stderr)
-            return 2
+        trace_a = _load_trace("why", path_a, 2, what="trace")
+        trace_b = _load_trace("why", path_b, 2, what="trace")
         diff = diff_traces(trace_a, trace_b)
         if args.json:
             print(json.dumps(diff.to_dict(), sort_keys=True))
@@ -1353,12 +1330,7 @@ def cmd_why(args: argparse.Namespace) -> int:
         return 0
 
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro why: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
-            return 2
+        trace = _load_trace("why", args.load, 2)
         print(f"attributing {args.load} offline", file=sys.stderr)
     else:
         # The sampler rides along so the network rules (bandwidth-drop,
@@ -1422,7 +1394,10 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _LoadFailed as failure:
+        return failure.status
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ class DeadlineAwareScheduler(PathController):
         remaining = activation.size - min(transfer.bytes_done,
                                           activation.size)
         # A decision made now reaches the server one signaling delay (plus
-        # up to two scheduling ticks) later; budget for it, otherwise a
+        # up to two decision intervals) later; budget for it, otherwise a
         # just-in-time cellular enable lands after the deadline.
         guard = connection.signaling_delay + 2.0 * connection.tick_interval
         time_left = (self.alpha * activation.window
@@ -164,7 +164,7 @@ class DeadlineAwareScheduler(PathController):
 
     def next_decision(self, now: float, transfer: Optional[Transfer],
                       connection: MptcpConnection) -> Optional[float]:
-        """Predict when the Algorithm 1 condition next flips (fast kernel).
+        """Predict when the Algorithm 1 condition next flips.
 
         Between kernel wakeups every quantity in the enable/disable test
         moves linearly: the time budget shrinks at rate 1 and the
@@ -220,8 +220,8 @@ class DeadlineAwareScheduler(PathController):
             # with its instantaneous capacity, check whether the *decision*
             # would differ under ground-truth capacities: if so a flip is
             # imminent as samples arrive, so poll at sample cadence (the
-            # estimator cannot converge faster, so no decision the tick
-            # kernel would have made is missed).  If the decisions agree,
+            # estimator cannot converge faster, so no decision a dense
+            # poll would have made is missed).  If the decisions agree,
             # the drift is cosmetic — a coarse safety poll suffices, which
             # is what keeps wandering-trace (mobility) workloads from
             # waking at 20 Hz through every download.

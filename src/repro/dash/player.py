@@ -29,7 +29,7 @@ from .manifest import Manifest
 
 
 class _LazyDrainBuffer(PlaybackBuffer):
-    """A playback buffer whose occupancy commits lazily (event playout).
+    """A playback buffer whose occupancy commits lazily.
 
     Between syncs the true occupancy is ``_level - (now - synced_at)``;
     every public read routes through the owning player's
@@ -95,42 +95,29 @@ class DashPlayer:
                  addon: Optional[PlayerAddon] = None,
                  buffer_capacity: float = 40.0,
                  startup_threshold: Optional[float] = None,
-                 resume_threshold: Optional[float] = None,
-                 tick_interval: float = 0.1,
-                 playout: str = "tick"):
-        """``playout`` selects the playout clock: ``"tick"`` drains the
-        buffer on a fixed ``tick_interval`` grid (the reference), while
-        ``"event"`` drains it lazily against the simulated clock and
-        schedules exact wakeups for the only autonomous transitions a
-        draining buffer has — running empty (stall or playback end) and
-        draining far enough for the next chunk to fit.  Event playout
-        pairs with the connection's ``kernel="fast"``; both modes publish
-        the same event sequence up to tick-grid rounding.
+                 resume_threshold: Optional[float] = None):
+        """The playout clock drains the buffer lazily against the
+        simulated clock and schedules exact wakeups for the only
+        autonomous transitions a draining buffer has — running empty
+        (stall or playback end) and draining far enough for the next
+        chunk to fit.
         """
         if buffer_capacity < 2 * manifest.chunk_duration:
             raise ValueError(
                 f"buffer capacity {buffer_capacity}s too small for "
                 f"{manifest.chunk_duration}s chunks")
-        if playout not in ("tick", "event"):
-            raise ValueError(f"unknown playout {playout!r} "
-                             f"(known: tick, event)")
         self.sim = sim
         self.client = client
         self.manifest = manifest
         self.abr = abr
         self.addon = addon if addon is not None else PlayerAddon()
-        self.playout = playout
-        if playout == "event":
-            self.buffer = _LazyDrainBuffer(buffer_capacity, self)
-        else:
-            self.buffer = PlaybackBuffer(buffer_capacity)
+        self.buffer = _LazyDrainBuffer(buffer_capacity, self)
         default_threshold = min(2 * manifest.chunk_duration,
                                 buffer_capacity / 2)
         self.startup_threshold = (startup_threshold if startup_threshold
                                   is not None else default_threshold)
         self.resume_threshold = (resume_threshold if resume_threshold
                                  is not None else default_threshold)
-        self.tick_interval = tick_interval
         # The player narrates the session onto the bus; its event log is
         # just the first subscriber (the analyzer-facing view).
         self.bus = sim.bus
@@ -145,10 +132,9 @@ class DashPlayer:
         self._stalled = False
         self._downloads_done = False
         self.finished = False
-        self._ticker = None
-        # Event playout state: the single wakeup timer, the instant the
-        # buffer occupancy was last committed, and a reentrancy guard (a
-        # sync may publish events whose subscribers read the buffer back).
+        # Playout state: the single wakeup timer, the instant the buffer
+        # occupancy was last committed, and a reentrancy guard (a sync may
+        # publish events whose subscribers read the buffer back).
         self._timer: Optional[Timer] = None
         self._synced_at = 0.0
         self._syncing = False
@@ -158,14 +144,10 @@ class DashPlayer:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin the session: request chunk 0 and start the playout clock."""
-        if self._ticker is not None or self._timer is not None:
+        if self._timer is not None:
             raise RuntimeError("player already started")
-        if self.playout == "event":
-            self._timer = Timer(self.sim, self._on_wake)
-            self._synced_at = self.sim.now
-        else:
-            self._ticker = self.sim.call_every(self.tick_interval,
-                                               self._on_tick)
+        self._timer = Timer(self.sim, self._on_wake)
+        self._synced_at = self.sim.now
         self._maybe_request()
 
     @property
@@ -188,7 +170,7 @@ class DashPlayer:
                 or self._next_index >= self.manifest.num_chunks):
             return
         if not self.buffer.fits(self.manifest.chunk_duration):
-            return  # wait for playback to drain; the tick loop re-checks
+            return  # wait for playback to drain; the wakeup re-checks
         level = self._choose_level()
         index = self._next_index
         self._outstanding = True
@@ -279,12 +261,11 @@ class DashPlayer:
         if self._downloads_done and not self._playing:
             # Very short videos: everything buffered before startup fired.
             self._begin_playback()
-        if (self._timer is not None and self._stalled
-                and (self.buffer.level >= self.resume_threshold
-                     or (self._downloads_done and self.buffer.level > 0))):
-            # Chunk arrivals are the only refills, so under event playout
-            # the stall ends exactly here (the tick loop re-checks this on
-            # its own grid instead).
+        if self._stalled and (self.buffer.level >= self.resume_threshold
+                              or (self._downloads_done
+                                  and self.buffer.level > 0)):
+            # Chunk arrivals are the only refills, so the stall ends
+            # exactly here.
             self._stalled = False
             self.bus.publish(StallEnd(now))
         self._maybe_request()
@@ -294,39 +275,13 @@ class DashPlayer:
         self._playing = True
         self.bus.publish(PlaybackStarted(self.sim.now))
 
-    # ------------------------------------------------------------------
-    # Playout clock
-    # ------------------------------------------------------------------
-    def _on_tick(self) -> None:
-        now = self.sim.now
-        self.buffer_samples.append((now, self.buffer.level))
-        if self.finished:
-            return
-        if self._playing and not self._stalled:
-            played = self.buffer.drain(self.tick_interval)
-            if self.buffer.empty:
-                if self._downloads_done:
-                    self._end_playback()
-                elif played < self.tick_interval - 1e-9:
-                    self._stalled = True
-                    self.bus.publish(StallStart(now))
-        elif self._stalled:
-            if (self.buffer.level >= self.resume_threshold
-                    or (self._downloads_done and self.buffer.level > 0)):
-                self._stalled = False
-                self.bus.publish(StallEnd(now))
-        self._maybe_request()
-
     def _end_playback(self) -> None:
         self.finished = True
         self.bus.publish(PlaybackEnded(self.sim.now))
-        if self._ticker is not None:
-            self._ticker.stop()
-        if self._timer is not None:
-            self._timer.cancel()
+        self._timer.cancel()
 
     # ------------------------------------------------------------------
-    # Event playout clock (playout="event")
+    # Playout clock
     # ------------------------------------------------------------------
     # While playing, buffer occupancy is a known linear function of time
     # (drain rate exactly 1); between chunk arrivals the only autonomous
@@ -335,7 +290,7 @@ class DashPlayer:
     # single :class:`Timer`; everything else happens at chunk arrivals.
 
     def _sync_playout(self) -> None:
-        """Commit the continuous drain since the last sync (event mode)."""
+        """Commit the continuous drain since the last sync."""
         if self._timer is None or self._syncing:
             return
         now = self.sim.now

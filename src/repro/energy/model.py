@@ -23,7 +23,7 @@ plus tails and idles at ~31 mW in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..mptcp.activity import ActivityLog
 from ..obs.events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
@@ -91,10 +91,10 @@ def interface_energy(activity: ActivityLog, path: str,
     return breakdown
 
 
-def radio_state_events(activity: ActivityLog, path: str,
-                       profile: InterfacePowerProfile,
-                       session_end: float) -> List[RadioStateChange]:
-    """The radio's idle/active/tail transitions as typed bus events.
+def radio_transitions(activity: ActivityLog, path: str,
+                      profile: InterfacePowerProfile,
+                      session_end: float) -> List[Tuple[float, str]]:
+    """The radio's idle/active/tail transitions as ``(time, state)``.
 
     Walks the same binned timeline :func:`interface_energy` charges:
     ``active → tail`` at each burst end, ``tail → idle`` when the tail
@@ -105,25 +105,32 @@ def radio_state_events(activity: ActivityLog, path: str,
     if session_end <= 0:
         raise ValueError(f"session_end must be positive: {session_end!r}")
     width = activity.bin_width
-    events: List[RadioStateChange] = []
+    changes: List[Tuple[float, str]] = []
     last_burst_end = None
     for start, _num_bytes in activity.bursts(path, session_end):
         if last_burst_end is None:
-            events.append(RadioStateChange(start, path, RADIO_ACTIVE))
+            changes.append((start, RADIO_ACTIVE))
         elif start > last_burst_end:
-            events.append(RadioStateChange(last_burst_end, path,
-                                           RADIO_TAIL))
+            changes.append((last_burst_end, RADIO_TAIL))
             tail_end = last_burst_end + profile.tail_time
             if start > tail_end:
-                events.append(RadioStateChange(tail_end, path, RADIO_IDLE))
-            events.append(RadioStateChange(start, path, RADIO_ACTIVE))
+                changes.append((tail_end, RADIO_IDLE))
+            changes.append((start, RADIO_ACTIVE))
         last_burst_end = start + width
     if last_burst_end is not None:
-        events.append(RadioStateChange(last_burst_end, path, RADIO_TAIL))
+        changes.append((last_burst_end, RADIO_TAIL))
         tail_end = last_burst_end + profile.tail_time
         if session_end > tail_end:
-            events.append(RadioStateChange(tail_end, path, RADIO_IDLE))
-    return events
+            changes.append((tail_end, RADIO_IDLE))
+    return changes
+
+
+def radio_state_events(activity: ActivityLog, path: str,
+                       profile: InterfacePowerProfile,
+                       session_end: float) -> List[RadioStateChange]:
+    """:func:`radio_transitions` as typed bus events."""
+    return [RadioStateChange(time, path, state) for time, state
+            in radio_transitions(activity, path, profile, session_end)]
 
 
 def session_radio_events(activity: ActivityLog, device: DevicePowerProfile,

@@ -48,7 +48,6 @@ class SessionConfig:
     #: throttling baseline.  None = unthrottled.
     lte_throttle: Optional[float] = None
     wifi_only: bool = False
-    mptcp_scheduler: str = "minrtt"
     #: None = one primary RTT (the DSS-bit delay); 0 disables the model.
     signaling_delay: Optional[float] = None
     #: Tear down / re-establish disabled subflows instead of MP-DASH's
@@ -62,10 +61,9 @@ class SessionConfig:
     video_duration: float = 600.0
 
     # --- simulation ---
-    #: Simulation kernel: ``"fast"`` (event-driven analytic, the default)
-    #: or ``"tick"`` (the fixed-interval reference implementation).  The
-    #: choice also selects the matching player playout clock.
-    kernel: str = "fast"
+    #: The MP-DASH scheduler's decision resolution, seconds: its earliest
+    #: wakeup and, doubled, its pre-deadline safety margin (see
+    #: :class:`~repro.mptcp.connection.MptcpConnection`).
     tick_interval: float = 0.02
     device: str = "galaxy_note"
     steady_state_fraction: float = 0.2
@@ -80,9 +78,6 @@ class SessionConfig:
     collect_spans: bool = False
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("fast", "tick"):
-            raise ValueError(f"unknown kernel {self.kernel!r} "
-                             f"(known: fast, tick)")
         if self.deadline_mode not in DEADLINE_MODES:
             raise ValueError(f"unknown deadline mode {self.deadline_mode!r} "
                              f"(known: {DEADLINE_MODES})")
@@ -124,18 +119,14 @@ class FileDownloadConfig:
     lte_trace: Optional[BandwidthTrace] = None
     wifi_rtt_ms: float = 50.0
     lte_rtt_ms: float = 55.0
-    mptcp_scheduler: str = "minrtt"
     signaling_delay: Optional[float] = None
     subflow_reestablish: bool = False
-    #: Simulation kernel: ``"fast"`` (event-driven analytic) or ``"tick"``.
-    kernel: str = "fast"
+    #: The MP-DASH scheduler's decision resolution, seconds (as on
+    #: :class:`SessionConfig`).
     tick_interval: float = 0.01
     device: str = "galaxy_note"
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("fast", "tick"):
-            raise ValueError(f"unknown kernel {self.kernel!r} "
-                             f"(known: fast, tick)")
         if self.size <= 0:
             raise ValueError(f"size must be positive: {self.size!r}")
         if self.deadline <= 0:

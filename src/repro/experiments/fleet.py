@@ -106,7 +106,6 @@ class FleetConfig:
         default_factory=lambda: dict(DEFAULT_DEVICE_MIX))
     #: Sessions per shard: the memory/progress granularity.
     shard_size: int = 50
-    kernel: str = "fast"
     #: Inject the seeded §3.1 scheduler fault into this session index —
     #: the deterministic anomaly used by capture tests and CI smokes.
     #: Part of the campaign identity (it changes the simulation), so it
@@ -192,8 +191,7 @@ def session_config(config: FleetConfig, draw: SessionDraw) -> SessionConfig:
         wifi_trace=wifi, lte_trace=lte,
         wifi_rtt_ms=site.wifi_rtt_ms, lte_rtt_ms=site.lte_rtt_ms,
         wifi_only=draw.wifi_only,
-        video_duration=config.video_duration,
-        kernel=config.kernel, device=draw.device)
+        video_duration=config.video_duration, device=draw.device)
     return base.with_scheme(config.scheme)
 
 

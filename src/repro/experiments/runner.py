@@ -155,11 +155,9 @@ def run_session(config: SessionConfig, profile: bool = False,
     span_builder = SpanBuilder(sim.bus) if config.collect_spans else None
     paths = _build_paths(config)
     connection = MptcpConnection(
-        sim, paths, scheduler=config.mptcp_scheduler,
-        tick_interval=config.tick_interval,
+        sim, paths, tick_interval=config.tick_interval,
         signaling_delay=config.signaling_delay,
-        subflow_reestablish=config.subflow_reestablish,
-        kernel=config.kernel)
+        subflow_reestablish=config.subflow_reestablish)
     if config.collect_metrics:
         PathSampler(sim, connection)
 
@@ -181,9 +179,7 @@ def run_session(config: SessionConfig, profile: bool = False,
                                 phi_fraction=config.phi_fraction)
 
     player = DashPlayer(sim, client, manifest, abr, addon=adapter,
-                        buffer_capacity=config.buffer_capacity,
-                        playout=("event" if config.kernel == "fast"
-                                 else "tick"))
+                        buffer_capacity=config.buffer_capacity)
     player.start()
 
     cap = config.sim_deadline
@@ -262,11 +258,9 @@ def run_file_download(config: FileDownloadConfig) -> FileDownloadResult:
     sim = Simulator()
     paths = _build_paths(config)
     connection = MptcpConnection(
-        sim, paths, scheduler=config.mptcp_scheduler,
-        tick_interval=config.tick_interval,
+        sim, paths, tick_interval=config.tick_interval,
         signaling_delay=config.signaling_delay,
-        subflow_reestablish=config.subflow_reestablish,
-        kernel=config.kernel)
+        subflow_reestablish=config.subflow_reestablish)
 
     socket = None
     if config.mpdash:

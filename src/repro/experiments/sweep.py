@@ -86,6 +86,16 @@ def _encode(value: Any) -> Any:
         f"cannot canonicalize {type(value).__name__!r} for a config key")
 
 
+#: Config fields since retired, encoded at the one value they could
+#: still take so that keys (cache files, fleet checkpoints, ledger
+#: series, capture directories) stay what they were.
+_RETIRED_FIELDS: Dict[str, Dict[str, str]] = {
+    "SessionConfig": {"kernel": "fast", "mptcp_scheduler": "minrtt"},
+    "FileDownloadConfig": {"kernel": "fast", "mptcp_scheduler": "minrtt"},
+    "FleetConfig": {"kernel": "fast"},
+}
+
+
 def config_key(config: SweepConfig) -> str:
     """Deterministic hash naming one run: equal configs ⇒ equal keys.
 
@@ -93,7 +103,10 @@ def config_key(config: SweepConfig) -> str:
     type — a :class:`SessionConfig` and a :class:`FileDownloadConfig` can
     never collide.
     """
-    payload = {"kind": type(config).__name__, "config": _encode(config)}
+    kind = type(config).__name__
+    encoded = _encode(config)
+    encoded.update(_RETIRED_FIELDS.get(kind, {}))
+    payload = {"kind": kind, "config": encoded}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 

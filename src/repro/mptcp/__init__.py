@@ -1,4 +1,4 @@
-"""MPTCP transport: subflows, packet schedulers, DSS signaling, connection."""
+"""MPTCP transport: subflows, DSS signaling, connection."""
 
 from .activity import ActivityLog
 from .connection import MptcpConnection, PathController, Transfer
@@ -6,14 +6,10 @@ from .options import SignalChannel
 from .proxy import SplittingProxy
 from .packet_level import (PacketDownloadResult, PacketLevelDownload,
                            run_packet_download)
-from .schedulers import (MinRttScheduler, MptcpScheduler, RoundRobinScheduler,
-                         make_scheduler, scheduler_names)
 from .subflow import Subflow
 
 __all__ = [
-    "ActivityLog", "MinRttScheduler", "MptcpConnection", "MptcpScheduler",
-    "PacketDownloadResult", "PacketLevelDownload", "PathController",
-    "RoundRobinScheduler", "SignalChannel", "Subflow", "Transfer",
-    "SplittingProxy", "make_scheduler", "run_packet_download",
-    "scheduler_names",
+    "ActivityLog", "MptcpConnection", "PacketDownloadResult",
+    "PacketLevelDownload", "PathController", "SignalChannel", "Subflow",
+    "Transfer", "SplittingProxy", "run_packet_download",
 ]

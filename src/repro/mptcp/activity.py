@@ -2,7 +2,7 @@
 
 Both the radio energy model and the analysis tool consume the transport's
 traffic pattern: *when* each interface carried bytes and how many.  The log
-aggregates per-tick deliveries into fixed-width bins so a ten-minute session
+aggregates deliveries into fixed-width bins so a ten-minute session
 stays small while still resolving the bursts and idle gaps that drive radio
 state (the paper's Figure 6 contrasts exactly these patterns).
 """

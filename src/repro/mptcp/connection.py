@@ -2,12 +2,13 @@
 
 This module plays the role of the paper's patched MPTCP stack.  A
 :class:`MptcpConnection` owns one :class:`~repro.mptcp.subflow.Subflow` per
-path, distributes an active transfer's bytes across them each tick using the
-configured packet scheduler, and exposes the two cross-layer interfaces §3.2
-describes:
+path, advances them in closed form between predicted decision points
+(the event-driven kernel below), and exposes the two cross-layer interfaces
+§3.2 describes:
 
 * *downward*: a pluggable :class:`PathController` (the MP-DASH deadline-aware
-  scheduler) that may enable/disable paths per tick.  Decisions travel to the
+  scheduler) that may enable/disable paths at every kernel wakeup.
+  Decisions travel to the
   server over a delayed :class:`~repro.mptcp.options.SignalChannel`, modeling
   the reserved DSS-option bit.
 * *upward*: ``aggregate_throughput_estimate()``, the throughput the MP-DASH
@@ -31,7 +32,6 @@ from ..obs.events import (PathStateRequested, SubflowStateChange,
                           new_packet_sent)
 from .activity import ActivityLog
 from .options import SignalChannel
-from .schedulers import MptcpScheduler, make_scheduler
 from .subflow import Subflow
 
 #: Completion slack for float byte accounting.
@@ -124,7 +124,7 @@ class Transfer:
 
 
 class PathController(ABC):
-    """Per-tick hook deciding path enablement (the MP-DASH control point)."""
+    """Per-wakeup hook deciding path enablement (the MP-DASH control point)."""
 
     @abstractmethod
     def on_tick(self, now: float, transfer: Optional[Transfer],
@@ -143,13 +143,13 @@ class PathController(ABC):
                       connection: "MptcpConnection") -> Optional[float]:
         """Absolute time of this controller's next scheduled evaluation.
 
-        Under the event-driven kernel :meth:`on_tick` runs at every kernel
-        wakeup (transfer start/completion, trace breakpoints, signal
-        arrivals) rather than on a fixed clock.  A controller whose
-        decision can flip *between* those points — e.g. a deadline
-        crossing — returns the time it wants to be woken; ``None`` means
-        the natural wakeups suffice.  Controllers that genuinely need
-        dense polling should run under ``kernel="tick"``.
+        :meth:`on_tick` runs at every kernel wakeup (transfer
+        start/completion, trace breakpoints, signal arrivals) rather than
+        on a fixed clock.  A controller whose decision can flip *between*
+        those points — e.g. a deadline crossing — returns the time it
+        wants to be woken; ``None`` means the natural wakeups suffice.  A
+        controller that needs dense polling returns ``now`` plus its
+        polling interval.
         """
         return None
 
@@ -158,31 +158,25 @@ class MptcpConnection:
     """A multipath TCP connection over simulated paths."""
 
     def __init__(self, sim: Simulator, paths: Sequence[Path],
-                 scheduler: str = "minrtt",
                  tick_interval: float = 0.01,
                  estimator_factory: Optional[Callable[[], ThroughputEstimator]] = None,
                  signaling_delay: Optional[float] = None,
                  activity_bin: float = 0.1,
-                 subflow_reestablish: bool = False,
-                 kernel: str = "fast"):
-        """``subflow_reestablish`` switches from MP-DASH's skip-in-scheduler
+                 subflow_reestablish: bool = False):
+        """The connection predicts its next decision point (transfer
+        completion, trace breakpoint, signal arrival, controller wakeup),
+        schedules exactly one event there, and advances each subflow in
+        closed form across the quiescent interval.
+
+        ``tick_interval`` is the controllers' time resolution: the MP-DASH
+        scheduler never asks for a wakeup sooner than one interval ahead,
+        and keeps two intervals plus the signaling delay as a safety
+        margin before a deadline.
+
+        ``subflow_reestablish`` switches from MP-DASH's skip-in-scheduler
         semantics to the add/remove-subflow alternative: disabled paths are
         torn down and pay a 1.5-RTT handshake plus a congestion restart
         when re-enabled (the §6 design-choice ablation).
-
-        ``kernel`` selects the simulation strategy:
-
-        * ``"fast"`` (default) — event-driven analytic kernel: the
-          connection predicts its next decision point (transfer
-          completion, trace breakpoint, signal arrival, controller
-          wakeup), schedules exactly one event there, and advances each
-          subflow in closed form across the quiescent interval.
-        * ``"tick"`` — the reference implementation: a fixed
-          ``tick_interval`` clock advancing every subflow each firing.
-
-        Both kernels produce the same QoE/deadline/energy results up to a
-        small O(tick_interval) discretization difference; the parity suite
-        pins the tolerance.
         """
         if not paths:
             raise ValueError("an MPTCP connection needs at least one path")
@@ -201,7 +195,6 @@ class MptcpConnection:
             for p in paths
         ]
         self._by_name = {sf.name: sf for sf in self.subflows}
-        self.scheduler: MptcpScheduler = make_scheduler(scheduler)
         self.controller: Optional[PathController] = None
         self.activity = ActivityLog(activity_bin)
         self.activity.attach(self.bus, conn=self.id)
@@ -228,27 +221,18 @@ class MptcpConnection:
         self._transfer_count = 0
         self._active: Optional[Transfer] = None
         self._activating = False
-        if kernel not in ("fast", "tick"):
-            raise ValueError(f"unknown kernel {kernel!r} "
-                             f"(known: fast, tick)")
-        self.kernel = kernel
         self._closed = False
         # True while inside a kernel callback (controller step, predict)
         # where the watermark is known current: readers skip re-syncing.
         self._stepping = False
-        if kernel == "tick":
-            self._ticker = sim.call_every(tick_interval, self._on_tick)
-            self._timer = None
-        else:
-            self._ticker = None
-            self._timer = Timer(sim, self._wake)
-            # Watermark: subflow state is exact as of this instant; spans
-            # up to ``sim.now`` are advanced lazily on demand.
-            self._advanced_to = sim.now
-            self._advancing = False
-            # Cached completion prediction (absolute time), invalidated by
-            # any event that changes delivery rates or the byte goal.
-            self._completion: Optional[float] = None
+        self._timer = Timer(sim, self._wake)
+        # Watermark: subflow state is exact as of this instant; spans up
+        # to ``sim.now`` are advanced lazily on demand.
+        self._advanced_to = sim.now
+        self._advancing = False
+        # Cached completion prediction (absolute time), invalidated by any
+        # event that changes delivery rates or the byte goal.
+        self._completion: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Transfers
@@ -280,8 +264,7 @@ class MptcpConnection:
         self._activating = False
         if self._closed:
             return
-        if self._timer is not None:
-            self._advance_to(self.sim.now)
+        self._advance_to(self.sim.now)
         transfer.started_at = self.sim.now
         self._active = transfer
         self.bus.publish(TransferStarted(
@@ -289,11 +272,10 @@ class MptcpConnection:
             self.id))
         if self.controller is not None:
             self.controller.on_transfer_start(self.sim.now, transfer, self)
-        if self._timer is not None:
-            transfer._on_available_change = self._on_available_bump
-            self._completion = None
-            self._controller_step()
-            self._predict()
+        transfer._on_available_change = self._on_available_bump
+        self._completion = None
+        self._controller_step()
+        self._predict()
 
     @property
     def active_transfer(self) -> Optional[Transfer]:
@@ -321,8 +303,7 @@ class MptcpConnection:
         # controller step the wake's trailing predict covers every signal
         # sent in the batch; re-predicting per call would triple the
         # prediction work for nothing.
-        if (self._timer is not None and not self._closed
-                and not self._advancing and not self._stepping):
+        if not (self._closed or self._advancing or self._stepping):
             self._advance_to(self.sim.now)
             self._predict()
 
@@ -373,76 +354,15 @@ class MptcpConnection:
             return None
         return sum(known)
 
-    # ------------------------------------------------------------------
-    # Tick loop
-    # ------------------------------------------------------------------
-    def _on_tick(self) -> None:
-        now = self.sim.now
-        dt = self.tick_interval
-        # 1. Apply in-flight enable/disable decisions at the server.
-        for subflow in self.subflows:
-            enabled = self._signals[subflow.name].current(now)
-            subflow.path.enabled = enabled
-            if enabled != self._effective[subflow.name]:
-                self._effective[subflow.name] = enabled
-                self.bus.publish(SubflowStateChange(now, subflow.name,
-                                                    enabled, self.id))
-            subflow.notice_state(now)
-
-        transfer = self._active
-        sending = transfer is not None
-
-        # 2. Advance TCP state, collecting this tick's byte budgets.
-        budgets: Dict[str, float] = {}
-        for subflow in self.subflows:
-            budgets[subflow.name] = subflow.advance(now, dt, sending)
-
-        # 3. Move bytes.
-        if sending:
-            enabled = [sf for sf in self.subflows if sf.path.enabled]
-            allocation = self.scheduler.allocate(transfer.sendable, enabled,
-                                                 budgets)
-            bin_index = int(now / self._bin_width)
-            open_bins = self._open_bins
-            for subflow in enabled:
-                delivered = allocation.get(subflow.name, 0.0)
-                if delivered <= 0:
-                    continue
-                subflow.account(delivered, dt,
-                                budget=budgets.get(subflow.name))
-                transfer.add(subflow.name, delivered)
-                pending = open_bins.get(subflow.name)
-                if pending is None:
-                    open_bins[subflow.name] = [bin_index, now, delivered]
-                elif pending[0] == bin_index:
-                    pending[2] += delivered
-                else:
-                    self.bus.publish(new_packet_sent(
-                        pending[1], subflow.name, pending[2], self.id))
-                    pending[0] = bin_index
-                    pending[1] = now
-                    pending[2] = delivered
-            if transfer.complete:
-                self._finish(transfer)
-                transfer = self._active  # may be None now
-
-        # 4. Let the controller steer paths for the (possibly new) state.
-        if self.controller is not None:
-            desired = self.controller.on_tick(now, self._active, self)
-            if desired:
-                for name, enabled in desired.items():
-                    self.request_path_state(name, enabled)
-
     def _finish(self, transfer: Transfer) -> None:
-        # Under the fast kernel the last byte lands at the watermark (the
-        # solved completion instant), which normally coincides with
-        # ``sim.now`` because the wakeup was scheduled there.
-        now = self._advanced_to if self._timer is not None else self.sim.now
+        # The last byte lands at the watermark (the solved completion
+        # instant), which normally coincides with ``sim.now`` because the
+        # wakeup was scheduled there.
+        now = self._advanced_to
         transfer.finished_at = now
         transfer._on_available_change = None
         self._active = None
-        if self._timer is not None:
-            self._completion = None
+        self._completion = None
         self.bus.publish(TransferCompleted(
             now, transfer.id, transfer.tag, transfer.total_bytes,
             transfer.duration() or 0.0, self.id))
@@ -453,7 +373,7 @@ class MptcpConnection:
         self._activate_next()
 
     # ------------------------------------------------------------------
-    # Event-driven analytic kernel (kernel="fast")
+    # Event-driven analytic kernel
     # ------------------------------------------------------------------
     # The connection keeps a watermark ``_advanced_to``: every subflow's
     # TCP window, estimator, and byte counters are exact as of that
@@ -467,14 +387,14 @@ class MptcpConnection:
     def sync(self) -> None:
         """Advance lazy subflow state to ``sim.now`` and re-predict.
 
-        A no-op under the tick kernel; external readers (e.g. the 1 Hz
-        ``PathSampler``) call this before inspecting cwnd or estimates.
+        External readers (e.g. the 1 Hz ``PathSampler``) call this before
+        inspecting cwnd or estimates.
         """
         self._sync_state()
         self._predict()
 
     def _sync_state(self) -> None:
-        if self._timer is not None and not self._closed:
+        if not self._closed:
             self._advance_to(self.sim.now)
 
     def _wake(self) -> None:
@@ -695,7 +615,7 @@ class MptcpConnection:
 
     def _predict(self) -> None:
         """Schedule the single wakeup at the next decision point."""
-        if self._timer is None or self._closed or self._advancing:
+        if self._closed or self._advancing:
             return
         now = self._advanced_to
         t_next = self._next_signal_arrival()
@@ -771,14 +691,11 @@ class MptcpConnection:
 
     def close(self) -> None:
         """Stop the kernel (ends the connection's simulation activity)."""
-        if self._timer is not None:
-            self._sync_state()
-            self._timer.cancel()
-        else:
-            self._ticker.stop()
+        self._sync_state()
+        self._timer.cancel()
         self.flush_activity()
         self._closed = True
 
     def __repr__(self) -> str:
         return (f"<MptcpConnection paths={self.path_names()} "
-                f"scheduler={self.scheduler.name} busy={self.busy}>")
+                f"busy={self.busy}>")

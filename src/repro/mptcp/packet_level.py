@@ -1,7 +1,7 @@
 """Packet-granularity MPTCP download model (cross-validation).
 
-The main transport (``repro.mptcp.connection``) is a fluid model: per tick,
-each subflow moves ``rate x dt`` bytes.  That is fast enough for the
+The main transport (``repro.mptcp.connection``) is a fluid model: each
+subflow's delivery is the closed-form integral of its window over time.  That is fast enough for the
 33-location field study, but it abstracts packet effects — ACK clocking,
 queue build-up, drops, retransmissions.  This module implements the same
 download at *packet* granularity:

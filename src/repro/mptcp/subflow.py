@@ -84,25 +84,9 @@ class Subflow:
     def _usable(self, now: float) -> bool:
         return self.path.enabled and now >= self._usable_after
 
-    def deliverable(self, now: float, dt: float) -> float:
-        """Bytes this subflow could carry in the next ``dt`` seconds."""
-        if not self._usable(now):
-            return 0.0
-        return self.tcp.rate(self.path.bandwidth_at(now)) * dt
-
-    def advance(self, now: float, dt: float, sending: bool) -> float:
-        """Advance TCP state; return the byte budget for this tick."""
-        if not self._usable(now):
-            return 0.0
-        return self.tcp.advance(now, dt, self.path.bandwidth_at(now), sending)
-
     # ------------------------------------------------------------------
     # Analytic span interface (event-driven kernel)
     # ------------------------------------------------------------------
-    def usable(self, now: float) -> bool:
-        """Whether the scheduler may place bytes here right now."""
-        return self._usable(now)
-
     @property
     def usable_after(self) -> float:
         """Earliest time a re-established subflow becomes usable again."""
@@ -112,10 +96,8 @@ class Subflow:
         """Pure closed-form bytes this subflow could carry in ``dt`` seconds.
 
         Assumes the bandwidth holding at ``now`` stays constant — callers
-        bound ``dt`` by the next trace breakpoint.  Unlike
-        :meth:`deliverable` (one tick at the instantaneous rate) this
-        integrates the full window trajectory, so it is exact over long
-        quiescent spans.
+        bound ``dt`` by the next trace breakpoint.  It integrates the full
+        window trajectory, so it is exact over long quiescent spans.
         """
         if dt <= 0 or not self._usable(now):
             return 0.0
@@ -144,9 +126,8 @@ class Subflow:
         """Commit continuous network-limited sending over ``[start, end]``.
 
         Advances the TCP window in closed form, feeds the throughput
-        estimator one sample per ``_sample_interval`` of busy time (the
-        same cadence :meth:`account` produces under the tick kernel), and
-        reports per-activity-bin byte totals through
+        estimator one sample per ``_sample_interval`` of busy time (about
+        one per RTT, as ACK clocking would), and reports per-activity-bin byte totals through
         ``emit(name, bin_index, bin_start_time, bytes)``.  Returns the
         total bytes delivered.  Bandwidth is read once at ``start``;
         callers bound the span by the next trace breakpoint.
@@ -221,36 +202,16 @@ class Subflow:
     def grow_analytic(self, start: float, end: float) -> None:
         """Advance the window over an application-limited span.
 
-        Matches the tick kernel's behaviour when a transfer is active but
-        has nothing sendable: the window keeps evolving and the send clock
-        stays warm, yet no bytes are delivered and no samples are formed.
+        A transfer is active but has nothing sendable (a proxy still
+        fetching, the last sub-epsilon residue): the window keeps evolving
+        and the send clock stays warm, yet no bytes are delivered and no
+        samples are formed — an application-limited span says nothing
+        about path capacity.
         """
         if end <= start or not self._usable(start):
             return
         self.tcp.advance_analytic(start, end - start,
                                   self.path.bandwidth_at(start))
-
-    def account(self, delivered: float, dt: float,
-                budget: Optional[float] = None) -> None:
-        """Record ``delivered`` bytes carried during a tick of ``dt``.
-
-        ``budget`` is what the subflow *could* have carried this tick.  A
-        delivery well below the budget is application-limited (e.g. the
-        last sliver of a chunk) and says nothing about path capacity, so —
-        like kernel rate samplers — it is excluded from the throughput
-        estimate.  Only network-limited ticks produce samples.
-        """
-        self.total_bytes += delivered
-        if delivered <= 0:
-            return
-        network_limited = budget is None or delivered >= 0.7 * budget
-        if network_limited:
-            self._sample_bytes += delivered
-            self._sample_busy += dt
-            if self._sample_busy >= self._sample_interval:
-                self.estimator.update(self._sample_bytes / self._sample_busy)
-                self._sample_bytes = 0.0
-                self._sample_busy = 0.0
 
     def throughput_estimate(self) -> Optional[float]:
         """Predicted throughput (bytes/second); None before any sample."""

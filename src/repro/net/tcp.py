@@ -63,9 +63,10 @@ def integrate_window(cwnd: float, ssthresh: float, rtt: float, bw: float,
     4. *Pinned* at the ceiling: ``F(t) = bw * t`` forever.
 
     A window above the ceiling (the trace dropped) collapses immediately:
-    the tick kernel halves it toward the ceiling over a few ticks, but the
-    delivered bytes are identical either way because the rate is already
-    clipped to ``bw``, so the continuous limit is an instant drop.
+    :meth:`TcpState.advance` halves it toward the ceiling over a few
+    steps, but the delivered bytes are identical either way because the
+    rate is already clipped to ``bw``, so the continuous limit is an
+    instant drop.
 
     ``elapsed`` is ``math.inf`` when ``bytes_limit`` can never be reached
     (zero bandwidth).  The function is pure; callers apply idle-restart
@@ -166,7 +167,8 @@ class TcpState:
 
         ``sending`` is True when the application has data queued for this
         subflow.  When idle, the window decays via the restart rule instead
-        of growing.
+        of growing.  The splitting proxy's origin leg steps its TCP this
+        way on its own fixed clock.
         """
         if not sending:
             return 0.0

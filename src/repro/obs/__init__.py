@@ -1,8 +1,8 @@
 """Cross-layer observability: one typed event stream for the whole stack.
 
 Every layer of the reproduction — the simulation kernel, TCP, MPTCP
-subflows and their schedulers, the MP-DASH control plane, HTTP, the DASH
-player, and the energy model — publishes typed events onto a single
+subflows, the MP-DASH control plane, HTTP, the DASH player, and the
+energy model — publishes typed events onto a single
 :class:`~repro.obs.bus.EventBus` owned by the
 :class:`~repro.net.simulator.Simulator`.  The legacy per-layer records
 (:class:`~repro.mptcp.activity.ActivityLog`,
@@ -45,105 +45,52 @@ inputs — live and offline rendering are byte-identical), and
 :mod:`repro.obs.live` draws a live terminal dashboard during sweeps.
 """
 
-from .bench import (BenchReport, BenchResult, MetaMismatch, compare_meta,
-                    compare_reports, run_bench, run_scenario)
+from .bench import BenchReport, compare_meta, compare_reports, run_bench
 from .bus import EventBus
-from .drift import (DriftFinding, control_track, detect_drift,
-                    drift_table, gate_ok, metric_direction, metric_series,
-                    trend_document)
-from .check import (ERROR, INFO, SEVERITIES, WARNING, Checker, CheckReport,
-                    InvariantMonitor, Violation, check_trace,
-                    stock_checkers)
-from .events import (EVENT_TYPES, RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
-                     ChunkDownloaded, ChunkRequested,
-                     CwndRestarted, DeadlineArmed, DeadlineDisarmed,
-                     DeadlineExtended, DeadlineMissed, FleetCheckpointSaved,
-                     FleetCompleted, FleetSessionCaptured,
-                     FleetShardCompleted, FleetStarted,
-                     FleetWorkerHeartbeat, HttpRequestSent,
-                     HttpResponseReceived, MpDashArmed, MpDashSkipped,
-                     PacketSent, PathSampled, PathStateRequested,
-                     PlaybackEnded, PlaybackStarted, QualitySwitched,
-                     RadioStateChange, SchedulerActivated, SessionClosed,
-                     StallEnd, StallStart, SubflowReconnected,
-                     SubflowStateChange, SweepCompleted, SweepRunFailed,
+from .drift import detect_drift, drift_table, gate_ok, trend_document
+from .check import ERROR, INFO, WARNING, check_trace, stock_checkers
+from .events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
+                     FleetCheckpointSaved, FleetCompleted,
+                     FleetSessionCaptured, FleetShardCompleted, FleetStarted,
+                     FleetWorkerHeartbeat, SweepCompleted, SweepRunFailed,
                      SweepRunFinished, SweepRunStarted, SweepRunSummarized,
-                     SweepStarted, TraceEvent, TransferCompleted,
-                     TransferStarted, event_from_dict, event_to_dict)
-from .ledger import (ENTRY_KINDS, LEDGER_SCHEMA, LedgerEntry, LedgerLoad,
-                     RunLedger, bench_entry, environment_fingerprint,
-                     fleet_entry, registry_digest, session_entry,
-                     sweep_entry)
+                     SweepStarted)
 from .live import FleetDashboard, SweepDashboard
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      PathSampler, SessionMetricsCollector, Timeseries,
-                      collector_from_trace, exponential_buckets,
-                      linear_buckets, metric_from_dict, registry_from_trace)
+from .metrics import (MetricsRegistry, SessionMetricsCollector,
+                      collector_from_trace, registry_from_trace)
 from .profile import ProfiledBus, Profiler
-from .recorder import (REASON_ORDER, RecorderConfig, ShardRecorder,
-                       find_manifests, load_manifest, rank_anomalies,
-                       render_anomaly_reports, replay_anomaly,
-                       save_manifest, triage_table)
-from .report import (bench_report_html, fleet_report_html,
-                     history_report_html, session_report_html,
-                     sweep_report_html, triage_report_html, write_report)
-from .spans import (Span, SpanBuilder, dump_chrome_trace, render_span_tree,
-                    spans_from_trace, to_chrome_trace, transfer_chunk_map)
+from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
+                       load_manifest, rank_anomalies, render_anomaly_reports,
+                       replay_anomaly, save_manifest, triage_table)
+from .report import (bench_report_html, fleet_report_html, history_report_html,
+                     session_report_html, sweep_report_html,
+                     triage_report_html, write_report)
+from .spans import dump_chrome_trace, render_span_tree, spans_from_trace
 from .trace_export import (Trace, TraceMeta, TraceRecorder,
                            analyzer_from_trace, dump_jsonl, dumps_jsonl,
                            gzip_bytes, load_jsonl, loads_jsonl,
                            metrics_from_trace, replay)
-from .why import (Attribution, TraceDiff, attribute_anomaly,
-                  attributions_from_trace, diff_traces,
-                  fold_attributions, render_attributions,
-                  summarize_attributions)
+from .why import (attribute_anomaly, attributions_from_trace, diff_traces,
+                  render_attributions, summarize_attributions)
 
 __all__ = [
-    "ENTRY_KINDS", "ERROR", "EVENT_TYPES", "INFO", "LEDGER_SCHEMA",
-    "RADIO_ACTIVE", "RADIO_IDLE",
-    "RADIO_TAIL", "SEVERITIES", "WARNING",
-    "Attribution", "BenchReport", "BenchResult", "CheckReport", "Checker",
-    "ChunkDownloaded", "ChunkRequested", "Counter", "CwndRestarted",
-    "DeadlineArmed", "DeadlineDisarmed", "DeadlineExtended",
-    "DeadlineMissed", "DriftFinding", "EventBus", "FleetCheckpointSaved",
-    "FleetCompleted",
+    "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL", "WARNING",
+    "BenchReport", "EventBus", "FleetCheckpointSaved", "FleetCompleted",
     "FleetDashboard", "FleetSessionCaptured", "FleetShardCompleted",
-    "FleetStarted", "FleetWorkerHeartbeat", "Gauge", "Histogram",
-    "HttpRequestSent", "LedgerEntry", "LedgerLoad", "MetaMismatch",
-    "HttpResponseReceived", "InvariantMonitor", "MetricsRegistry",
-    "MpDashArmed", "MpDashSkipped", "PacketSent", "PathSampled",
-    "PathSampler", "PathStateRequested", "PlaybackEnded",
-    "PlaybackStarted", "ProfiledBus", "Profiler", "QualitySwitched",
-    "REASON_ORDER", "RadioStateChange", "RecorderConfig", "RunLedger",
-    "SchedulerActivated", "SessionClosed", "ShardRecorder",
-    "SessionMetricsCollector", "Span", "SpanBuilder", "StallEnd",
-    "StallStart", "SubflowReconnected", "SubflowStateChange",
-    "SweepCompleted", "SweepDashboard", "SweepRunFailed",
-    "SweepRunFinished", "SweepRunStarted", "SweepRunSummarized",
-    "SweepStarted", "Timeseries", "Trace",
-    "TraceDiff", "TraceEvent", "TraceMeta", "TraceRecorder",
-    "TransferCompleted",
-    "TransferStarted", "Violation", "analyzer_from_trace",
-    "attribute_anomaly", "attributions_from_trace",
-    "bench_entry", "bench_report_html", "check_trace",
-    "collector_from_trace",
-    "compare_meta", "compare_reports", "control_track", "detect_drift",
+    "FleetStarted", "FleetWorkerHeartbeat", "MetricsRegistry", "ProfiledBus",
+    "Profiler", "RecorderConfig", "SessionMetricsCollector", "ShardRecorder",
+    "SweepCompleted", "SweepDashboard", "SweepRunFailed", "SweepRunFinished",
+    "SweepRunStarted", "SweepRunSummarized", "SweepStarted", "Trace",
+    "TraceMeta", "TraceRecorder", "analyzer_from_trace", "attribute_anomaly",
+    "attributions_from_trace", "bench_report_html", "check_trace",
+    "collector_from_trace", "compare_meta", "compare_reports", "detect_drift",
     "diff_traces", "drift_table", "dump_chrome_trace", "dump_jsonl",
-    "dumps_jsonl", "environment_fingerprint",
-    "event_from_dict", "event_to_dict", "exponential_buckets",
-    "find_manifests", "fleet_entry", "fleet_report_html",
-    "fold_attributions", "gate_ok", "gzip_bytes", "history_report_html",
-    "linear_buckets", "load_jsonl", "load_manifest", "loads_jsonl",
-    "metric_direction", "metric_from_dict", "metric_series",
-    "metrics_from_trace", "rank_anomalies",
-    "registry_digest", "registry_from_trace", "render_anomaly_reports",
-    "render_attributions", "render_span_tree",
-    "replay", "replay_anomaly", "run_bench",
-    "run_scenario", "save_manifest", "session_entry",
-    "session_report_html",
-    "spans_from_trace", "stock_checkers", "summarize_attributions",
-    "sweep_entry", "sweep_report_html",
-    "to_chrome_trace", "transfer_chunk_map", "trend_document",
-    "triage_report_html",
-    "triage_table", "write_report",
+    "dumps_jsonl", "find_manifests", "fleet_report_html", "gate_ok",
+    "gzip_bytes", "history_report_html", "load_jsonl", "load_manifest",
+    "loads_jsonl", "metrics_from_trace", "rank_anomalies",
+    "registry_from_trace", "render_anomaly_reports", "render_attributions",
+    "render_span_tree", "replay", "replay_anomaly", "run_bench",
+    "save_manifest", "session_report_html", "spans_from_trace",
+    "stock_checkers", "summarize_attributions", "sweep_report_html",
+    "trend_document", "triage_report_html", "triage_table", "write_report"
 ]

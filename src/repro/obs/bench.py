@@ -163,21 +163,6 @@ def _run_single() -> Dict[str, Any]:
             "events": result.connection.bus.published}
 
 
-def _run_single_tick() -> Dict[str, Any]:
-    """The ``single`` workload under the reference tick kernel.
-
-    Same config as ``single`` apart from ``kernel="tick"``, so the
-    report reads as a direct fast-vs-tick speedup on identical work —
-    and CI exercising the default scenario list smoke-tests both
-    kernels on every run.
-    """
-    from ..experiments.runner import run_session
-
-    result = run_session(_bench_config(kernel="tick"))
-    return {"sim_seconds": result.session_duration,
-            "events": result.connection.bus.published}
-
-
 def _run_mobility() -> Dict[str, Any]:
     from ..experiments.runner import run_session
     from ..workloads.mobility import MobilityScenario
@@ -254,7 +239,6 @@ def _run_fleet_rec() -> Dict[str, Any]:
 #: "events": Optional[int]}.  Measured order is the listed order.
 SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "single": _run_single,
-    "single_tick": _run_single_tick,
     "mobility": _run_mobility,
     "sweep16": _run_sweep16,
     "fleet": _run_fleet,

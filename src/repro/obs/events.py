@@ -51,8 +51,8 @@ class PacketSent(TraceEvent):
     The fluid transport model has no literal packets; its finest delivery
     record is the activity bin (see
     :class:`~repro.mptcp.activity.ActivityLog`), so the connection
-    aggregates each path's per-tick deliveries and publishes one event per
-    (path, bin) — per-tick events would be pure bus overhead that every
+    aggregates each path's deliveries and publishes one event per
+    (path, bin) — finer events would be pure bus overhead that every
     subscriber immediately re-bins.  ``time`` is the bin's first delivery
     instant (strictly increasing per path).  An event is published when
     the path's next delivery lands in a later bin, and any open bins are
@@ -71,7 +71,7 @@ class PathSampled(TraceEvent):
 
     Published by the metrics :class:`~repro.obs.metrics.PathSampler` (not
     by the transport itself) so cwnd/RTT/throughput timeseries exist
-    without a per-tick event flood.  Sampling never mutates the subflow,
+    without a per-delivery event flood.  Sampling never mutates the subflow,
     so attaching a sampler cannot perturb simulation physics.
     """
 
@@ -487,7 +487,7 @@ def fast_ctor(cls: type) -> Any:
 
     Frozen dataclasses route every ``__init__`` field assignment through
     ``object.__setattr__``, roughly tripling construction cost.  That
-    dominates wherever events are built in bulk: the per-subflow-per-tick
+    dominates wherever events are built in bulk: the per-subflow-per-bin
     transport events (thousands per simulated session) and the JSONL
     loader.  Assigning through the slot descriptors directly skips the
     frozen guard during construction only — instances are as immutable as
@@ -552,5 +552,5 @@ def events_from_dicts(records: Iterable[Any]) -> List[TraceEvent]:
 
 
 #: Fast constructor for the hottest event on the bus (one per subflow per
-#: simulator tick while a transfer is active).
+#: activity bin while a transfer is active).
 new_packet_sent = fast_ctor(PacketSent)

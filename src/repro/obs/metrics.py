@@ -516,9 +516,10 @@ class SessionMetricsCollector:
                                             Dict[int, float]]] = {}
         self._sample_state: Dict[str, Tuple[Timeseries, Timeseries,
                                             Timeseries]] = {}
-        # Cache for labeled counters keyed by their event field values
-        # (same rationale: skip label construction on repeat events).
-        self._counters: Dict[Tuple[Any, ...], Counter] = {}
+        # Counter cache: unlabeled ones by name, labeled ones by their
+        # event field values (same rationale: skip label construction on
+        # repeat events).
+        self._counters: Dict[Any, Counter] = {}
         # transfer id -> absolute deadline (armed via SchedulerActivated).
         self._deadlines: Dict[int, float] = {}
         # transfer id -> start time (for duration cross-checks).
@@ -549,8 +550,9 @@ class SessionMetricsCollector:
             lambda e: self._count("repro_quality_switches_total"))
         sub(StallStart, self._on_stall_start)
         sub(StallEnd, self._on_stall_end)
-        sub(CwndRestarted, lambda e: self._count(
-            "repro_cwnd_restarts_total", {"path": e.path}))
+        sub(CwndRestarted, lambda e: self._cached_counter(
+            ("cwnd", e.path), "repro_cwnd_restarts_total",
+            {"path": e.path}).inc())
         sub(SubflowStateChange, self._on_subflow_state)
         sub(PathStateRequested, self._on_path_state_requested)
         sub(MpDashArmed, lambda e: self._count("repro_mpdash_armed_total"))
@@ -566,9 +568,11 @@ class SessionMetricsCollector:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _count(self, name: str,
-               labels: Optional[Mapping[str, str]] = None) -> None:
-        self.registry.counter(name, labels).inc()
+    def _count(self, name: str) -> None:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(name)
+        counter.inc()
 
     def _cached_counter(self, key: Tuple[Any, ...], name: str,
                         labels: Mapping[str, str]) -> Counter:
@@ -728,7 +732,7 @@ class SessionMetricsCollector:
         if session_end <= 0 or not self._activity:
             return
         from ..energy.devices import DEVICES
-        from ..energy.model import radio_state_events
+        from ..energy.model import radio_transitions
         from ..mptcp.activity import ActivityLog
 
         device = DEVICES.get(self.device)
@@ -742,18 +746,22 @@ class SessionMetricsCollector:
                           for path, bins in self._activity.items()}
         from .events import RADIO_IDLE
         for path in activity.paths():
-            events = radio_state_events(activity, path,
+            changes = radio_transitions(activity, path,
                                         device.for_interface(path),
                                         session_end)
+            # Sum per state first (the same additions, in the same order,
+            # as adding to each gauge directly), then look gauges up once.
+            residency: Dict[str, float] = {}
             state, since = RADIO_IDLE, 0.0
-            for change in events:
+            for time, next_state in changes:
+                residency[state] = residency.get(state, 0.0) + (time - since)
+                state, since = next_state, time
+            residency[state] = residency.get(state, 0.0) + (
+                session_end - since)
+            for state, seconds in residency.items():
                 self.registry.gauge(
                     "repro_radio_residency_seconds",
-                    {"path": path, "state": state}).add(change.time - since)
-                state, since = change.state, change.time
-            self.registry.gauge(
-                "repro_radio_residency_seconds",
-                {"path": path, "state": state}).add(session_end - since)
+                    {"path": path, "state": state}).add(seconds)
 
 
 #: Sampling at 1 Hz per subflow makes PathSampled warm enough to bypass
@@ -765,8 +773,8 @@ class PathSampler:
     """Publishes a 1 Hz :class:`~repro.obs.events.PathSampled` snapshot
     per subflow.
 
-    No existing transport event carries cwnd or RTT (per-tick events were
-    deliberately traded away for bin-aggregated ``PacketSent``), so the
+    No existing transport event carries cwnd or RTT (fine-grained events
+    were deliberately traded away for bin-aggregated ``PacketSent``), so the
     cwnd/RTT/throughput timeseries need a source.  The sampler only
     *reads* subflow state and publishes, so attaching it cannot change
     simulation physics; it does add events to a recorded trace, which is

@@ -134,15 +134,9 @@ class TestRunScenario:
         assert measured.sim_seconds > 0
         assert measured.events and measured.events > 0
 
-    def test_single_tick_scenario_measures(self):
-        measured = run_scenario("single_tick")
-        assert measured.scenario == "single_tick"
-        assert measured.sim_seconds > 0
-        assert measured.events and measured.events > 0
-
     def test_scenario_registry_names(self):
-        assert set(SCENARIOS) == {"single", "single_tick", "mobility",
-                                  "sweep16", "fleet", "fleet_rec"}
+        assert set(SCENARIOS) == {"single", "mobility", "sweep16", "fleet",
+                                  "fleet_rec"}
 
     def test_fleet_scenario_measures(self):
         measured = run_scenario("fleet")

@@ -497,7 +497,6 @@ class TestLiveSessions:
         dict(mpdash=False),
         dict(deadline_mode="duration"),
         dict(abr="bba"),
-        dict(mptcp_scheduler="roundrobin"),
     ])
     def test_default_runs_have_zero_violations(self, kwargs):
         result = run_session(short_config(**kwargs), check=True)

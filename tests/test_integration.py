@@ -147,12 +147,6 @@ class TestFileDownload:
         assert mpdash.cellular_bytes < baseline.cellular_bytes
         assert mpdash.radio_energy < baseline.radio_energy
 
-    def test_round_robin_scheduler_works_too(self):
-        result = run_file_download(FileDownloadConfig(
-            size=megabytes(5), deadline=10.0, wifi_mbps=3.8, lte_mbps=3.0,
-            mptcp_scheduler="roundrobin"))
-        assert not result.missed_deadline
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FileDownloadConfig(size=0, deadline=10.0)

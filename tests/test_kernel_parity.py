@@ -1,37 +1,40 @@
-"""Tick-vs-fast kernel parity: same story, different clocks.
+"""Kernel parity: the event-driven kernel against pinned tick outcomes.
 
-The event-driven kernel replaces the 10 ms tick loop with predicted
-decision points and closed-form span advancement.  Both kernels
-integrate the same fluid TCP model, so every outcome the paper's
-figures are built from must agree.  The tolerance contract:
+The simulator once carried two clocks for the same fluid TCP model: a
+10 ms tick loop (the reference) and the event-driven kernel, which
+predicts decision points and advances spans in closed form.  The tick
+loop is gone; its outcomes on this grid were recorded at full float
+precision at commit cab8e3af43e9cac659221c01a4c2f7b7368af785 and live
+below as literal reference data.  The event-driven kernel is held to
+them under the contract the two kernels were compared with:
 
 * **Exact** — discrete outcomes: chunk count, per-chunk quality levels
   (and therefore mean bitrate and switch count), stall count, deadline
   misses, and invariant verdicts.  A kernel that changed any of these
   would change the paper's conclusions.
 * **O(tick_interval)** — continuous quantities: the tick kernel
-  quantizes completions to 10 ms grid points while the fast kernel
-  resolves them exactly, so event timestamps differ by a few ticks and
-  anything integrated from them inherits that error.  Startup delay
-  and stall time agree within 50 ms, byte split (cellular fraction)
-  within 0.05 absolute, energy within 5 % relative.
+  quantized completions to 10 ms grid points while the event-driven
+  kernel resolves them exactly, so event timestamps differ by a few
+  ticks and anything integrated from them inherits that error.  Startup
+  delay and stall time agree within 50 ms, byte split (cellular
+  fraction) within 0.05 absolute, energy within 5 % relative.
 
-The grid below deliberately sits away from ABR/scheduler decision
+The grid deliberately sits away from ABR/scheduler decision
 boundaries: at a knife edge a few milliseconds of completion-time
 difference can legitimately flip a discrete decision, after which the
 two runs tell different (both valid) stories.  That is a property of
 the feedback loop, not a kernel bug.
 
 Scheduler *flip counts* (enable/disable events) are intentionally not
-compared: the tick kernel re-evaluates Algorithm 1 every 10 ms and
-may oscillate around the threshold, while the fast kernel evaluates
-only at predicted crossings.  The resulting byte split and deadline
-outcomes — the quantities the paper reports — are asserted instead.
+compared: the tick kernel re-evaluated Algorithm 1 every 10 ms and
+could oscillate around the threshold, while the event-driven kernel
+evaluates only at predicted crossings.  The resulting byte split and
+deadline outcomes — the quantities the paper reports — are asserted
+instead.  ``repro.mptcp.packet_level`` remains the independent,
+different-fidelity cross-check of the transport model.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -72,64 +75,130 @@ def _grid():
     ]
 
 
-def _run(kernel: str, **overrides):
+_LADDER = (2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4)
+
+#: The tick kernel's outcome per grid config.  Every tick run passed
+#: the invariant battery with no violation.
+TICK = {
+    "vanilla-mptcp": dict(
+        chunk_count=16, levels=_LADDER, quality_switches=2,
+        mean_bitrate=412928.421875, stall_count=0, total_stall_time=0,
+        startup_delay=0.9600000000000005, session_duration=85.0,
+        cellular_fraction=0.44039220487268954,
+        energy_total=83.70746746645897, deadline_misses=None),
+    "mpdash-rate": dict(
+        chunk_count=16, levels=_LADDER, quality_switches=2,
+        mean_bitrate=412928.421875, stall_count=0, total_stall_time=0,
+        startup_delay=0.9600000000000005, session_duration=85.0,
+        cellular_fraction=0.06101385668259945,
+        energy_total=70.08969448497193, deadline_misses=0),
+    "mpdash-duration": dict(
+        chunk_count=16, levels=_LADDER, quality_switches=2,
+        mean_bitrate=412928.421875, stall_count=0, total_stall_time=0,
+        startup_delay=0.9600000000000005, session_duration=85.0,
+        cellular_fraction=0.07869153354513748,
+        energy_total=70.53649060445765, deadline_misses=0),
+    "bba-abr": dict(
+        chunk_count=16,
+        levels=(4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 4),
+        quality_switches=2, mean_bitrate=491607.390625, stall_count=0,
+        total_stall_time=0, startup_delay=0.9600000000000005,
+        session_duration=85.0, cellular_fraction=0.3840174020685079,
+        energy_total=88.16625016360034, deadline_misses=0),
+    "wandering-wifi": dict(
+        chunk_count=16,
+        levels=(2, 2, 3, 3, 3, 3, 4, 3, 3, 3, 3, 3, 3, 3, 3, 4),
+        quality_switches=4, mean_bitrate=315843.78125, stall_count=0,
+        total_stall_time=0, startup_delay=0.9400000000000005,
+        session_duration=85.0, cellular_fraction=0.1933983976719452,
+        energy_total=72.02034258848118, deadline_misses=0),
+    "scarce-bandwidth": dict(
+        chunk_count=16, levels=(2,) * 16, quality_switches=0,
+        mean_bitrate=187849.875, stall_count=0, total_stall_time=0,
+        startup_delay=2.780000000000002, session_duration=85.0,
+        cellular_fraction=0.2732493666817718,
+        energy_total=99.57873696000033, deadline_misses=0),
+    "subflow-reestablish": dict(
+        chunk_count=16, levels=_LADDER, quality_switches=2,
+        mean_bitrate=412928.421875, stall_count=0, total_stall_time=0,
+        startup_delay=0.9600000000000005, session_duration=85.0,
+        cellular_fraction=0.060446264364938766,
+        energy_total=70.00609448497192, deadline_misses=0),
+    "mpc-wifi-only": dict(
+        chunk_count=16,
+        levels=(3, 3, 4, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3, 3, 4, 4),
+        quality_switches=5, mean_bitrate=380208.921875, stall_count=0,
+        total_stall_time=0, startup_delay=2.1800000000000015,
+        session_duration=85.0, cellular_fraction=0.0,
+        energy_total=38.34271616000015, deadline_misses=None),
+}
+
+#: The tick kernel's file downloads, keyed by (size, deadline).
+TICK_DOWNLOADS = {
+    (8e6, 30.0): dict(missed_deadline=False, duration=16.859999999999836,
+                      cellular_fraction=0.0017342216601037928),
+    (20e6, 10.0): dict(missed_deadline=True, duration=23.61000000000089,
+                       cellular_fraction=0.4405686886640415),
+}
+
+
+def _run(**overrides):
     base = dict(video="big_buck_bunny", abr="festive", video_duration=80.0)
     base.update(overrides)
-    return run_session(SessionConfig(kernel=kernel, **base), check=True)
+    return run_session(SessionConfig(**base), check=True)
 
 
-def _pair(**overrides):
-    return _run("tick", **overrides), _run("fast", **overrides)
+def test_pins_cover_the_grid():
+    assert set(TICK) == {name for name, _ in _grid()}
 
 
 class TestSessionParity:
     @pytest.mark.parametrize("name,overrides",
                              _grid(), ids=[n for n, _ in _grid()])
     def test_qoe_and_energy_agree(self, name, overrides):
-        tick, fast = _pair(**overrides)
-        mt, mf = tick.metrics, fast.metrics
+        tick, fast = TICK[name], _run(**overrides)
+        mf = fast.metrics
 
         # Exact discrete outcomes.
-        assert mf.chunk_count == mt.chunk_count
-        assert mf.levels == mt.levels
-        assert mf.quality_switches == mt.quality_switches
-        assert mf.mean_bitrate == pytest.approx(mt.mean_bitrate)
-        assert mf.stall_count == mt.stall_count
+        assert mf.chunk_count == tick["chunk_count"]
+        assert mf.levels == list(tick["levels"])
+        assert mf.quality_switches == tick["quality_switches"]
+        assert mf.mean_bitrate == pytest.approx(tick["mean_bitrate"])
+        assert mf.stall_count == tick["stall_count"]
 
         # O(tick_interval) continuous quantities.
         assert mf.total_stall_time == pytest.approx(
-            mt.total_stall_time, abs=STALL_TIME_TOL)
+            tick["total_stall_time"], abs=STALL_TIME_TOL)
         assert mf.startup_delay == pytest.approx(
-            mt.startup_delay, abs=STARTUP_TOL)
+            tick["startup_delay"], abs=STARTUP_TOL)
         assert fast.session_duration == pytest.approx(
-            tick.session_duration, abs=DURATION_TOL)
+            tick["session_duration"], abs=DURATION_TOL)
         assert mf.cellular_fraction == pytest.approx(
-            mt.cellular_fraction, abs=CELLULAR_FRAC_TOL)
+            tick["cellular_fraction"], abs=CELLULAR_FRAC_TOL)
         assert mf.energy_total == pytest.approx(
-            mt.energy_total, rel=ENERGY_REL_TOL)
+            tick["energy_total"], rel=ENERGY_REL_TOL)
 
     @pytest.mark.parametrize("name,overrides",
                              _grid(), ids=[n for n, _ in _grid()])
     def test_deadline_misses_agree(self, name, overrides):
-        tick, fast = _pair(**overrides)
-        st, sf = tick.scheduler_stats, fast.scheduler_stats
-        assert sf.get("deadline_misses") == st.get("deadline_misses")
+        fast = _run(**overrides)
+        assert fast.scheduler_stats.get("deadline_misses") == \
+            TICK[name]["deadline_misses"]
 
     @pytest.mark.parametrize("name,overrides",
                              _grid(), ids=[n for n, _ in _grid()])
     def test_invariant_verdicts_agree(self, name, overrides):
-        tick, fast = _pair(**overrides)
-        assert tick.check_report.ok
+        fast = _run(**overrides)
         assert fast.check_report.ok
-        assert set(fast.check_report.by_checker()) == \
-            set(tick.check_report.by_checker())
+        assert set(fast.check_report.by_checker()) == set()
 
 
 class TestSeededFaultParity:
-    """The monitor must flag a broken scheduler identically under both
-    kernels — same fault pattern as test_determinism's seeded trace."""
+    """The monitor must flag a broken scheduler as it did under the tick
+    kernel (only ``path-control``) — same fault pattern as
+    test_determinism's seeded trace."""
 
-    def _faulty_run(self, kernel: str):
+    def test_both_kernels_flag_path_control(self):
         from repro.core.scheduler import DeadlineAwareScheduler
 
         orig = DeadlineAwareScheduler.on_transfer_start
@@ -142,17 +211,11 @@ class TestSeededFaultParity:
 
         DeadlineAwareScheduler.on_transfer_start = faulty
         try:
-            return _run(kernel, mpdash=True, deadline_mode="rate",
+            fast = _run(mpdash=True, deadline_mode="rate",
                         wifi_mbps=3.8, lte_mbps=3.0)
         finally:
             DeadlineAwareScheduler.on_transfer_start = orig
-
-    def test_both_kernels_flag_path_control(self):
-        tick = self._faulty_run("tick")
-        fast = self._faulty_run("fast")
-        assert not tick.check_report.ok
         assert not fast.check_report.ok
-        assert set(tick.check_report.by_checker()) == {"path-control"}
         assert set(fast.check_report.by_checker()) == {"path-control"}
 
 
@@ -162,39 +225,10 @@ class TestFileDownloadParity:
         (20e6, 10.0),  # impossible: both paths flat out, still missed
     ])
     def test_download_outcomes_agree(self, size, deadline):
-        results = {}
-        for kernel in ("tick", "fast"):
-            results[kernel] = run_file_download(
-                FileDownloadConfig(size=size, deadline=deadline,
-                                   kernel=kernel))
-        tick, fast = results["tick"], results["fast"]
-        assert fast.missed_deadline == tick.missed_deadline
-        assert fast.duration == pytest.approx(tick.duration, abs=0.1)
+        tick = TICK_DOWNLOADS[(size, deadline)]
+        fast = run_file_download(FileDownloadConfig(size=size,
+                                                     deadline=deadline))
+        assert fast.missed_deadline == tick["missed_deadline"]
+        assert fast.duration == pytest.approx(tick["duration"], abs=0.1)
         assert fast.cellular_fraction == pytest.approx(
-            tick.cellular_fraction, abs=CELLULAR_FRAC_TOL)
-
-
-class TestFastIsDefault:
-    """Acceptance: the parity suite passes with ``kernel="fast"`` as the
-    default — so the default had better be "fast"."""
-
-    def test_session_config_default(self):
-        config = SessionConfig(video="big_buck_bunny", abr="festive",
-                               wifi_mbps=3.8, lte_mbps=3.0)
-        assert config.kernel == "fast"
-
-    def test_file_download_config_default(self):
-        config = FileDownloadConfig(size=1e6, deadline=10.0)
-        assert config.kernel == "fast"
-
-    def test_explicit_kernel_matches_default(self):
-        overrides = dict(mpdash=True, deadline_mode="rate",
-                         wifi_mbps=3.8, lte_mbps=3.0)
-        default = _run("fast", **overrides)
-        base = dict(video="big_buck_bunny", abr="festive",
-                    video_duration=80.0)
-        base.update(overrides)
-        implicit = run_session(SessionConfig(**base), check=True)
-        assert implicit.metrics.levels == default.metrics.levels
-        assert dataclasses.asdict(implicit.metrics) == \
-            dataclasses.asdict(default.metrics)
+            tick["cellular_fraction"], abs=CELLULAR_FRAC_TOL)

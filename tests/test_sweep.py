@@ -68,6 +68,23 @@ class TestConfigKey:
         assert one != config_key(short_config(wifi_mbps=None,
                                               wifi_trace=other))
 
+    def test_keys_are_pinned(self):
+        """Keys name cache files, fleet checkpoints, ledger series and
+        capture directories, so they must not drift when a config loses
+        a field (the values were recorded before ``kernel`` and
+        ``mptcp_scheduler`` were retired)."""
+        from repro.experiments.fleet import FleetConfig, fleet_key
+
+        assert config_key(SessionConfig()) == "4877416a5cf13ce8cf115560"
+        assert config_key(FileDownloadConfig(size=5e6, deadline=10.0)) == \
+            "6f0554bcfef641d68635758e"
+        # The perfbench fleet shape, recorder off and with a fault.
+        fleet = FleetConfig(sessions=64, shard_size=16,
+                            video_duration=20.0, seed=2016)
+        assert fleet_key(fleet) == "e36906bae8dfa26ada605b08"
+        fleet.fault_session = 5
+        assert fleet_key(fleet) == "726e2403573c27d0c71f3736"
+
 
 class TestExpandGrid:
     def test_cartesian_product(self):

@@ -49,34 +49,48 @@ class TestSendable:
 
 
 class TestAppLimitedSampling:
+    """Only network-limited spans feed the estimator.  The connection
+    commits a span with ``deliver_analytic`` when the path runs at full
+    potential, and with ``grow_analytic`` when the sender has nothing to
+    send (a proxy still fetching, a sub-epsilon residue)."""
+
+    BW = mbps(8.0)
+
     def make_subflow(self):
-        return Subflow(Path("wifi", BandwidthTrace.constant(mbps(8.0)),
-                            rtt=0.05))
+        sf = Subflow(Path("wifi", BandwidthTrace.constant(self.BW),
+                          rtt=0.05))
+        sf.grow_analytic(0.0, 5.0)  # window at the ceiling, no samples
+        return sf
+
+    @staticmethod
+    def deliver(sf, start, end):
+        return sf.deliver_analytic(start, end, 0.1, lambda *bin: None)
 
     def test_network_limited_samples_feed_estimator(self):
         sf = self.make_subflow()
-        for _ in range(10):
-            sf.account(10_000.0, 0.01, budget=10_000.0)
-        assert sf.throughput_estimate() == pytest.approx(1e6, rel=0.01)
+        self.deliver(sf, 5.0, 6.0)
+        assert sf.throughput_estimate() == pytest.approx(self.BW, rel=0.01)
 
     def test_app_limited_crumbs_excluded(self):
-        """A tiny delivery against a big budget is application-limited and
-        must not poison the estimate (the last sliver of a chunk)."""
+        """An application-limited span says nothing about path capacity
+        and must not poison the estimate (the last sliver of a chunk)."""
         sf = self.make_subflow()
-        for _ in range(10):
-            sf.account(10_000.0, 0.01, budget=10_000.0)
+        self.deliver(sf, 5.0, 6.0)
         before = sf.throughput_estimate()
-        for _ in range(20):
-            sf.account(50.0, 0.01, budget=10_000.0)  # 0.5% of budget
+        sf.grow_analytic(6.0, 8.0)
         assert sf.throughput_estimate() == before
 
     def test_no_budget_means_always_sampled(self):
+        """A committed span is network-limited by construction, so short
+        spans pool their busy time into samples like one long span."""
         sf = self.make_subflow()
-        for _ in range(10):
-            sf.account(5_000.0, 0.01)
-        assert sf.throughput_estimate() == pytest.approx(5e5, rel=0.01)
+        for step in range(100):
+            self.deliver(sf, 5.0 + step * 0.01, 5.0 + (step + 1) * 0.01)
+        assert sf.throughput_estimate() == pytest.approx(self.BW, rel=0.01)
 
     def test_total_bytes_counted_regardless(self):
         sf = self.make_subflow()
-        sf.account(50.0, 0.01, budget=10_000.0)
-        assert sf.total_bytes == 50.0
+        delivered = self.deliver(sf, 5.0, 5.01)  # under one sample
+        assert sf.throughput_estimate() is None
+        assert sf.total_bytes == pytest.approx(delivered)
+        assert delivered == pytest.approx(self.BW * 0.01)
