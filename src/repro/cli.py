@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = in-process)")
     fleet.add_argument("--retries", type=int, default=1,
-                       help="retries per shard after a worker crash")
+                       help="retries per failing shard before giving up")
     fleet.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="directory for atomic progress checkpoints")
     fleet.add_argument("--checkpoint-every", type=int, default=10,

@@ -11,8 +11,9 @@ grid.  This module closes that gap with three pieces:
   path-capability mix) and materializes per-session
   :class:`~repro.experiments.configs.SessionConfig` values lazily;
 * **sharded execution**: sessions are grouped into fixed-size shards,
-  each shard simulated by :func:`_run_shard` (in-process or on the sweep
-  module's process-pool machinery), which folds its sessions into one
+  each shard simulated by :func:`_run_shard` (in-process or on a process
+  pool, through :func:`~repro.experiments.pool.run_units` in ordered
+  mode), which folds its sessions into one
   :class:`~repro.obs.metrics.MetricsRegistry` and ships *only the folded
   registry* back — the parent never holds per-session artifacts, so peak
   memory is a function of shard size and worker count, not fleet size;
@@ -35,16 +36,15 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..analysis.metrics import SessionMetrics
 from ..energy.devices import DEVICES
+from ..obs.bench import _peak_rss_kb
 from ..obs.bus import EventBus
 from ..obs.events import (FleetCheckpointSaved, FleetCompleted,
                           FleetSessionCaptured, FleetShardCompleted,
@@ -58,8 +58,9 @@ from ..workloads.arrivals import (ARRIVAL_MODELS, DEFAULT_DEVICE_MIX,
                                   SessionArrivals, SessionDraw)
 from ..workloads.locations import Location, field_study_locations
 from .configs import SCHEMES, SessionConfig
+from .pool import run_units
 from .runner import run_session
-from .sweep import _pool_context, config_key
+from .sweep import config_key
 
 #: Scenario id -> exposition label (see repro.workloads.locations).
 SCENARIO_NAMES = {1: "never", 2: "sometimes", 3: "always"}
@@ -250,18 +251,6 @@ def fold_session(registry: MetricsRegistry, draw: SessionDraw,
                        ARRIVAL_HOUR_BOUNDS).observe(draw.arrival_hour)
 
 
-def _peak_rss_kb() -> int:
-    """This process's peak RSS in KiB (0 where unavailable)."""
-    try:
-        import resource
-    except ImportError:                                # pragma: no cover
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":                       # pragma: no cover
-        peak /= 1024  # ru_maxrss is bytes on macOS, KiB on Linux
-    return int(peak)
-
-
 @contextmanager
 def _scheduler_fault() -> Iterator[None]:
     """Break Algorithm 1 for the duration: every transfer start arms the
@@ -356,7 +345,7 @@ def _run_shard(config: FleetConfig, shard: int,
             "sim_seconds": sim_seconds,
             "registry": registry.to_dict(),
             "elapsed": time.perf_counter() - began,
-            "worker": os.getpid(), "peak_rss_kb": _peak_rss_kb(),
+            "worker": os.getpid(), "peak_rss_kb": _peak_rss_kb() or 0,
             "last_index": last_index,
             "recorder": rec.payload() if rec is not None else None}
 
@@ -552,94 +541,6 @@ class FleetResult:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-def _pool_run_shards(config: FleetConfig, start_shard: int, end_shard: int,
-                     jobs: int, retries: int,
-                     runner: Optional[Callable[[SessionConfig], Any]],
-                     commit: Callable[[Dict[str, Any]], None],
-                     recorder: Optional[RecorderConfig] = None) -> None:
-    """Fan shards out over a process pool, committing strictly in order.
-
-    At most ``jobs`` shards are in flight; results that finish out of
-    order wait in a small buffer until their predecessors commit, so the
-    commit sequence — and therefore the merged registry — is identical
-    to the serial path's.  The buffer holds at most one window of shard
-    payloads, keeping parent memory bounded regardless of fleet size.
-
-    A worker hard-crash (BrokenProcessPool) fails every in-flight
-    future; completed-exceptionally shards are charged an attempt and
-    retried on a fresh pool, in-flight ones are requeued uncharged.  A
-    shard that exhausts ``retries`` raises — skipping a shard would
-    silently bias the population — and the last checkpoint still covers
-    everything committed before it.
-    """
-    to_submit = list(range(start_shard, end_shard))
-    attempts: Dict[int, int] = {}
-    buffered: Dict[int, Dict[str, Any]] = {}
-    futures: Dict[Any, int] = {}
-    next_commit = start_shard
-    max_workers = min(jobs, end_shard - start_shard)
-    pool = ProcessPoolExecutor(max_workers=max_workers,
-                               mp_context=_pool_context())
-    try:
-        while next_commit < end_shard:
-            while next_commit in buffered:
-                commit(buffered.pop(next_commit))
-                next_commit += 1
-            if next_commit >= end_shard:
-                break
-            while to_submit and len(futures) < max_workers:
-                shard = to_submit[0]
-                attempts[shard] = attempts.get(shard, 0) + 1
-                try:
-                    future = pool.submit(_run_shard, config, shard,
-                                         runner, recorder)
-                except BrokenProcessPool:
-                    attempts[shard] -= 1
-                    pool.shutdown(wait=False)
-                    pool = ProcessPoolExecutor(max_workers=max_workers,
-                                               mp_context=_pool_context())
-                    continue
-                futures[future] = shard
-                to_submit.pop(0)
-            if not futures:
-                continue
-            done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                shard = futures.pop(future)
-                try:
-                    payload = future.result()
-                except BrokenProcessPool as exc:
-                    broken = True
-                    if attempts[shard] > retries:
-                        raise RuntimeError(
-                            f"fleet shard {shard} died with the worker "
-                            f"pool after {attempts[shard]} attempt(s): "
-                            f"{exc}") from exc
-                    to_submit.insert(0, shard)
-                    continue
-                except Exception as exc:
-                    if attempts[shard] > retries:
-                        raise RuntimeError(
-                            f"fleet shard {shard} failed after "
-                            f"{attempts[shard]} attempt(s): "
-                            f"{type(exc).__name__}: {exc}") from exc
-                    to_submit.insert(0, shard)
-                    continue
-                buffered[shard] = payload
-            if broken:
-                for future in list(futures):
-                    shard = futures.pop(future)
-                    attempts[shard] -= 1  # never completed: uncharged
-                    to_submit.insert(0, shard)
-                to_submit.sort()
-                pool.shutdown(wait=False)
-                pool = ProcessPoolExecutor(max_workers=max_workers,
-                                           mp_context=_pool_context())
-    finally:
-        pool.shutdown(wait=False)
-
-
 def run_fleet(config: FleetConfig, jobs: int = 1,
               checkpoint_dir: Optional[str] = None,
               checkpoint_every: int = 10, resume: bool = False,
@@ -652,7 +553,10 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
 
     ``jobs=1`` simulates shards in-process; ``jobs>1`` fans them out over
     a process pool with in-order merging, so the population registry is
-    byte-identical either way.  ``checkpoint_dir`` enables atomic
+    byte-identical either way.  A shard that raises or loses its worker
+    is retried up to ``retries`` times (see :mod:`repro.experiments.pool`
+    for the crash semantics), then raises ``RuntimeError`` rather than
+    silently biasing the population.  ``checkpoint_dir`` enables atomic
     progress checkpoints every ``checkpoint_every`` shards; ``resume``
     restores the matching checkpoint (an error if the directory holds a
     different campaign's).  ``stop_after`` bounds this invocation to that
@@ -737,7 +641,7 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
             return None
         return {"stats": rec_stats, "records": anomalies}
 
-    def commit(payload: Dict[str, Any]) -> None:
+    def commit(shard: int, payload: Dict[str, Any]) -> None:
         nonlocal sessions, failures, sim_seconds, shards_done
         nonlocal uncheckpointed, error_total
         registry.merge(MetricsRegistry.from_dict(payload["registry"]))
@@ -759,11 +663,11 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
             anomalies.extend(rec_payload["records"])
             captured = int(rec_payload["stats"].get("captured", 0))
         bus.publish(FleetShardCompleted(
-            clock(), payload["shard"], payload["sessions"],
+            clock(), shard, payload["sessions"],
             payload["failures"], payload["elapsed"]))
         bus.publish(FleetWorkerHeartbeat(
             clock(), worker=int(payload.get("worker", 0)),
-            shard=payload["shard"], sessions=payload["sessions"],
+            shard=shard, sessions=payload["sessions"],
             failures=payload["failures"],
             sim_seconds=payload["sim_seconds"],
             elapsed=payload["elapsed"],
@@ -790,13 +694,17 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
                 save_manifest(recorder.artifact_dir, key, rec_stats,
                               anomalies)
 
-    if shards_done < end_shard:
-        if jobs == 1:
-            for shard in range(shards_done, end_shard):
-                commit(_run_shard(config, shard, runner, recorder))
-        else:
-            _pool_run_shards(config, shards_done, end_shard, jobs,
-                             retries, runner, commit, recorder)
+    def give_up(shard: int, attempts: int, failure: str) -> None:
+        # Skipping a shard would silently bias the population; the last
+        # checkpoint still covers everything committed before it.
+        raise RuntimeError(f"fleet shard {shard} failed after {attempts} "
+                           f"attempt(s): {failure}")
+
+    # Ordered: shard registries must merge in shard order for the
+    # registry to be byte-identical across worker counts.
+    run_units(range(shards_done, end_shard),
+              partial(_run_shard, config, runner=runner, recorder=recorder),
+              jobs, retries, commit, give_up, ordered=True)
 
     if recorder is not None:
         save_manifest(recorder.artifact_dir, key, rec_stats, anomalies)

@@ -37,10 +37,8 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from multiprocessing import get_all_start_methods, get_context
+from functools import partial
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Union)
 
@@ -50,6 +48,7 @@ from ..obs.bus import EventBus
 from ..obs.events import (SweepCompleted, SweepRunFailed, SweepRunFinished,
                           SweepRunStarted, SweepRunSummarized, SweepStarted)
 from .configs import FileDownloadConfig, SessionConfig
+from .pool import run_units
 from .runner import (FileDownloadResult, SessionResult, run_file_download,
                      run_session)
 
@@ -334,8 +333,8 @@ def _call_with_timeout(runner: Callable[[Any], RunSummary], config: Any,
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute(runner: Optional[Callable[[Any], RunSummary]], config: Any,
-             timeout: Optional[float]) -> tuple:
+def _execute(runner: Optional[Callable[[Any], RunSummary]],
+             run: "SweepRun", timeout: Optional[float]) -> tuple:
     """Run one config and report ``(status, payload, elapsed)``.
 
     Never raises for run-level problems: exceptions become ``("error",
@@ -344,7 +343,7 @@ def _execute(runner: Optional[Callable[[Any], RunSummary]], config: Any,
     """
     start = time.perf_counter()
     try:
-        summary = _call_with_timeout(runner or default_runner, config,
+        summary = _call_with_timeout(runner or default_runner, run.config,
                                      timeout)
         return ("ok", summary, time.perf_counter() - start)
     except RunTimeout as exc:
@@ -522,12 +521,12 @@ def merged_histograms(result: SweepResult) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-def _publish_summarized(bus: EventBus, clock: Callable[[], float],
-                        run: SweepRun) -> None:
-    """Headline QoE telemetry for live consumers (the dashboard).
-
-    Only session summaries have one; download-only summaries are silent.
-    """
+def _publish_finished(bus: EventBus, clock: Callable[[], float],
+                      run: SweepRun, elapsed: float, cached: bool) -> None:
+    """Announce a finished run and, for a session summary, its headline
+    QoE telemetry for live consumers (the dashboard)."""
+    bus.publish(SweepRunFinished(clock(), run.config_key, run.index,
+                                 elapsed, cached))
     summary = run.summary
     metrics = getattr(summary, "metrics", None)
     if metrics is None:
@@ -541,134 +540,6 @@ def _publish_summarized(bus: EventBus, clock: Callable[[], float],
         sum(violations.values()) if violations else 0))
 
 
-def _settle(run: SweepRun, outcome: tuple, retries: int, cache:
-            Optional[ResultCache], bus: EventBus,
-            clock: Callable[[], float]) -> bool:
-    """Fold one attempt's outcome into ``run``; False means retry."""
-    status, payload, elapsed = outcome
-    run.elapsed += elapsed
-    if status == "ok":
-        run.summary = payload
-        if cache is not None:
-            try:
-                cache.store(run.config_key, payload)
-            except (OSError, TypeError, ValueError) as exc:
-                # A full disk or read-only cache dir must not void a
-                # finished simulation: keep the in-memory summary and
-                # record the write failure as a warning on the run.
-                run.cache_error = f"{type(exc).__name__}: {exc}"
-        bus.publish(SweepRunFinished(clock(), run.config_key, run.index,
-                                     elapsed, False))
-        _publish_summarized(bus, clock, run)
-        return True
-    if run.attempts <= retries:
-        return False
-    run.failure = RunFailure(config_key=run.config_key, index=run.index,
-                             kind=status, error=payload,
-                             attempts=run.attempts, elapsed=run.elapsed)
-    bus.publish(SweepRunFailed(clock(), run.config_key, run.index, status,
-                               payload, run.attempts))
-    return True
-
-
-def _run_serial(pending: List[SweepRun], runner, timeout, retries, cache,
-                bus, clock) -> None:
-    for run in pending:
-        while True:
-            run.attempts += 1
-            bus.publish(SweepRunStarted(clock(), run.config_key, run.index,
-                                        run.attempts))
-            outcome = _execute(runner, run.config, timeout)
-            if _settle(run, outcome, retries, cache, bus, clock):
-                break
-
-
-def _pool_context():
-    # Fork keeps module-level runners defined in caller scripts picklable
-    # by reference and inherits sys.path; fall back where absent.
-    if "fork" in get_all_start_methods():
-        return get_context("fork")
-    return get_context()
-
-
-def _fresh_pool(max_workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=max_workers,
-                               mp_context=_pool_context())
-
-
-def _run_pool(pending: List[SweepRun], runner, timeout, retries, cache, bus,
-              clock, jobs: int) -> None:
-    """Fan ``pending`` out over a process pool, surviving pool deaths.
-
-    A worker hard-crash (segfault, OOM kill) marks the whole
-    ``ProcessPoolExecutor`` broken and fails *every* in-flight future, not
-    just the culprit's.  The executor cannot attribute the crash, so the
-    futures that completed exceptionally in that round are each charged
-    one attempt — but their retries, and the still-queued runs, go to a
-    *fresh* pool instead of cascading into guaranteed failures on the
-    broken one.  In-flight runs that never reached a ``wait`` round are
-    requeued uncharged (their ``SweepRunStarted`` event is republished
-    with the same attempt number on resubmission).
-    """
-    max_workers = min(jobs, len(pending))
-    queue: List[SweepRun] = list(pending)
-    futures: Dict[Any, SweepRun] = {}
-    pool = _fresh_pool(max_workers)
-    try:
-        while queue or futures:
-            while queue:
-                run = queue[0]
-                run.attempts += 1
-                bus.publish(SweepRunStarted(clock(), run.config_key,
-                                            run.index, run.attempts))
-                try:
-                    future = pool.submit(_execute, runner, run.config,
-                                         timeout)
-                except BrokenProcessPool:
-                    # The pool died since the last round; this run never
-                    # reached a worker, so the attempt is uncharged and
-                    # goes to a replacement pool.
-                    run.attempts -= 1
-                    pool.shutdown(wait=False)
-                    pool = _fresh_pool(max_workers)
-                    continue
-                except Exception as exc:
-                    # Unpicklable config or shut-down executor: permanent.
-                    _settle(run, (FAILED_ERROR,
-                                  f"{type(exc).__name__}: {exc}", 0.0),
-                            -1, cache, bus, clock)
-                    queue.pop(0)
-                    continue
-                futures[future] = run
-                queue.pop(0)
-            if not futures:
-                continue
-            done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                run = futures.pop(future)
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool as exc:
-                    broken = True
-                    outcome = (FAILED_ERROR,
-                               f"worker process died: {exc}", 0.0)
-                except Exception as exc:
-                    outcome = (FAILED_ERROR,
-                               f"{type(exc).__name__}: {exc}", 0.0)
-                if not _settle(run, outcome, retries, cache, bus, clock):
-                    queue.append(run)
-            if broken:
-                for future in list(futures):
-                    run = futures.pop(future)
-                    run.attempts -= 1  # never completed; requeue uncharged
-                    queue.append(run)
-                pool.shutdown(wait=False)
-                pool = _fresh_pool(max_workers)
-    finally:
-        pool.shutdown(wait=False)
-
-
 def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
               cache_dir: Optional[str] = None,
               timeout: Optional[float] = None, retries: int = 0,
@@ -678,13 +549,14 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
     """Run every config, in parallel, reusing cached results.
 
     ``jobs=1`` runs in-process (no pickling, exact tracebacks in events);
-    ``jobs>1`` fans out over a process pool.  Identical configs within one
-    sweep are deduplicated by :func:`config_key` — simulated once, with
-    the outcome (summary or failure) shared by every duplicate.
-    ``cache_dir`` enables the
-    on-disk result cache; ``timeout`` bounds each run's wall-clock seconds;
-    failed runs are retried ``retries`` times before being recorded as
-    :class:`RunFailure` entries.  ``runner`` replaces
+    ``jobs>1`` fans out over a process pool (see
+    :mod:`repro.experiments.pool` for the crash semantics).  Identical
+    configs within one sweep are deduplicated by :func:`config_key` —
+    simulated once, with the outcome (summary or failure) shared by every
+    duplicate.  ``cache_dir`` enables the on-disk result cache;
+    ``timeout`` bounds each run's wall-clock seconds; a run that fails
+    (raises, times out, or loses its worker) is retried up to ``retries``
+    times, then recorded as a :class:`RunFailure`.  ``runner`` replaces
     :func:`default_runner` (it must be a picklable, module-level callable
     when ``jobs > 1``) — the hook the failure-injection tests and custom
     harnesses use.  Lifecycle telemetry is published on ``bus``.
@@ -724,18 +596,47 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         if hit is not None:
             run.summary = hit
             run.cached = True
-            bus.publish(SweepRunFinished(clock(), run.config_key, run.index,
-                                         0.0, True))
-            _publish_summarized(bus, clock, run)
+            _publish_finished(bus, clock, run, 0.0, True)
         else:
             pending.append(run)
 
-    if pending:
-        if jobs == 1:
-            _run_serial(pending, runner, timeout, retries, cache, bus, clock)
-        else:
-            _run_pool(pending, runner, timeout, retries, cache, bus, clock,
-                      jobs)
+    def started(run: SweepRun, attempt: int) -> None:
+        run.attempts = attempt
+        bus.publish(SweepRunStarted(clock(), run.config_key, run.index,
+                                    attempt))
+
+    def done(run: SweepRun, outcome: tuple) -> Optional[tuple]:
+        status, summary, elapsed = outcome
+        run.elapsed += elapsed
+        if status != "ok":
+            return outcome  # a failed attempt: retried or given up
+        run.summary = summary
+        if cache is not None:
+            try:
+                cache.store(run.config_key, summary)
+            except (OSError, TypeError, ValueError) as exc:
+                # A full disk or read-only cache dir must not void a
+                # finished simulation: keep the in-memory summary and
+                # record the write failure as a warning on the run.
+                run.cache_error = f"{type(exc).__name__}: {exc}"
+        _publish_finished(bus, clock, run, elapsed, False)
+        return None
+
+    def give_up(run: SweepRun, attempts: int, failure: Any) -> None:
+        # The last outcome tuple, or the executor's line for an attempt
+        # that returned none (a dead worker, an unpicklable runner).
+        kind, error = (failure[:2] if isinstance(failure, tuple)
+                       else (FAILED_ERROR, failure))
+        run.failure = RunFailure(config_key=run.config_key, index=run.index,
+                                 kind=kind, error=error, attempts=attempts,
+                                 elapsed=run.elapsed)
+        bus.publish(SweepRunFailed(clock(), run.config_key, run.index, kind,
+                                   error, attempts))
+
+    # Unordered: runs are indexed, and a slow head-of-line config must
+    # not idle the pool on a heterogeneous grid.
+    run_units(pending, partial(_execute, runner, timeout=timeout), jobs,
+              retries, done, give_up, started)
 
     for run in duplicates:
         primary = primaries[run.config_key]
@@ -744,9 +645,7 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         if primary.summary is not None:
             run.summary = primary.summary
             run.cached = True  # served without a fresh simulation
-            bus.publish(SweepRunFinished(clock(), run.config_key, run.index,
-                                         0.0, True))
-            _publish_summarized(bus, clock, run)
+            _publish_finished(bus, clock, run, 0.0, True)
         elif primary.failure is not None:
             run.failure = replace(primary.failure, index=run.index)
             bus.publish(SweepRunFailed(

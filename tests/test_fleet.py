@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import signal
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -12,6 +13,8 @@ from repro.experiments import run_session
 from repro.experiments.fleet import (FleetConfig, checkpoint_path,
                                      fleet_key, load_checkpoint, run_fleet,
                                      session_config)
+from repro.experiments.pool import REORDER_WINDOWS
+from repro.experiments.sweep import config_key
 from repro.experiments.tables import fleet_table
 from repro.obs import (EventBus, FleetCheckpointSaved, FleetCompleted,
                        FleetShardCompleted, FleetStarted, fleet_report_html)
@@ -46,6 +49,31 @@ def kill_once_shard_runner(config):
 
 def always_kill_shard_runner(config):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+#: Pickles by its name, ``<lambda>``, which no module attribute carries.
+unpicklable_runner = lambda config: run_session(config)  # noqa: E731
+
+
+def stall_first_session_runner(config):
+    """Mark each session's start; hold the stall session until no other
+    session has started for a second, then note how many had."""
+    marks = os.environ["REPRO_FLEET_MARK_DIR"]
+    key = config_key(config)
+    open(os.path.join(marks, key), "w").close()
+    if key == os.environ["REPRO_FLEET_STALL_KEY"]:
+        seen, quiet_since = 0, time.monotonic()
+        deadline = quiet_since + 10.0
+        while time.monotonic() < deadline:
+            count = len(os.listdir(marks))
+            if count != seen:
+                seen, quiet_since = count, time.monotonic()
+            elif time.monotonic() - quiet_since > 1.0:
+                break
+            time.sleep(0.02)
+        with open(os.environ["REPRO_FLEET_SEEN_FILE"], "w") as handle:
+            handle.write(str(seen))
+    return run_session(config)
 
 
 class TestSessionArrivals:
@@ -351,6 +379,36 @@ class TestBrokenPoolRecovery:
         with pytest.raises(RuntimeError):
             run_fleet(small_fleet(), jobs=2, retries=0,
                       runner=always_kill_shard_runner)
+
+
+class TestReorderBound:
+    def test_stalled_head_shard_bounds_the_shards_started_ahead(
+            self, tmp_path, monkeypatch):
+        config = small_fleet(sessions=12, shard_size=1)
+        first = session_config(config, config.workload().draw(0))
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        seen_file = tmp_path / "seen"
+        monkeypatch.setenv("REPRO_FLEET_MARK_DIR", str(marks))
+        monkeypatch.setenv("REPRO_FLEET_STALL_KEY", config_key(first))
+        monkeypatch.setenv("REPRO_FLEET_SEEN_FILE", str(seen_file))
+        jobs = 2
+        stalled = run_fleet(config, jobs=jobs,
+                            runner=stall_first_session_runner)
+        # While shard 0 held the commit point, only the shards within
+        # the reorder window (shard 0 included) may have been started.
+        assert int(seen_file.read_text()) <= REORDER_WINDOWS * jobs
+        assert len(os.listdir(marks)) == 12
+        assert stalled.registry_json() == run_fleet(config).registry_json()
+
+
+class TestUnpicklableRunner:
+    def test_charged_retried_then_raised(self):
+        with pytest.raises(RuntimeError, match="PicklingError") as info:
+            run_fleet(small_fleet(), jobs=2, retries=1,
+                      runner=unpicklable_runner)
+        assert "fleet shard 0" in str(info.value)
+        assert "after 2 attempt(s)" in str(info.value)
 
 
 class TestFleetEvents:

@@ -424,6 +424,10 @@ def always_kill_runner(config):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+#: Pickles by its name, ``<lambda>``, which no module attribute carries.
+unpicklable_runner = lambda config: default_runner(config)  # noqa: E731
+
+
 #: In-process invocation log for the dedup tests (jobs=1 only).
 counting_calls = []
 
@@ -544,6 +548,32 @@ class TestBrokenPoolRecovery:
         assert failure.kind == FAILED_ERROR
         assert "worker process died" in failure.error
         assert failure.attempts == 2
+
+    def test_one_worker_death_fails_at_most_jobs_runs(self, tmp_path,
+                                                      monkeypatch):
+        # Only the runs in flight when the worker dies can be charged;
+        # the queued rest must go to the fresh pool untouched.
+        marker = tmp_path / "killed"
+        monkeypatch.setenv("REPRO_TEST_KILL_MARKER", str(marker))
+        configs = [short_config(wifi_mbps=4.0 + 0.5 * i) for i in range(12)]
+        sweep = run_sweep(configs, jobs=2, retries=0,
+                          runner=kill_once_runner)
+        assert marker.exists()
+        assert len(sweep) == 12
+        assert len(sweep.failures) <= 2
+        for failure in sweep.failures:
+            assert "worker process died" in failure.error
+            assert failure.attempts == 1
+
+
+class TestUnpicklableRunner:
+    def test_charged_retried_then_recorded(self):
+        sweep = run_sweep([short_config()], jobs=2, retries=2,
+                          runner=unpicklable_runner)
+        failure = sweep.runs[0].failure
+        assert failure is not None and failure.kind == FAILED_ERROR
+        assert failure.attempts == 3
+        assert "PicklingError" in failure.error
 
 
 class TestMixedKeyEncode:
