@@ -26,7 +26,9 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 from ..estimators import ThroughputEstimator
 from ..net.link import Path
 from ..net.simulator import Simulator, Timer
-from ..net.tcp import integrate_window
+# ``integrate_window`` is unused here but stays importable from this
+# module: perfbench's tracer test looks the kernel up at this name.
+from ..net.tcp import WindowCurve, integrate_window  # noqa: F401
 from ..obs.events import (PathStateRequested, SubflowStateChange,
                           TransferCompleted, TransferStarted,
                           new_packet_sent)
@@ -36,6 +38,62 @@ from .subflow import Subflow
 
 #: Completion slack for float byte accounting.
 _EPSILON = 0.5
+
+
+#: Newton rounds before the completion solver gives up on a band.
+_NEWTON_ROUNDS = 50
+
+
+def _delivered(curves: Sequence[WindowCurve], t: float) -> float:
+    """Combined bytes by ``t``, summed in sender order."""
+    total = 0.0
+    for curve in curves:
+        total += curve.bytes_at(t)
+    return total
+
+
+def _certified_band(curves: Sequence[WindowCurve], span: float,
+                    sendable: float, tolerance: float) -> tuple:
+    """``(left, right)`` around the instant ``sendable`` bytes have landed.
+
+    Every time below ``left`` provably delivers less than ``sendable`` and
+    every time in ``(right, span]`` provably delivers at least that, so a
+    bisection over ``[0, span]`` needs exact evaluations only inside the
+    band and reaches the same bracket bit for bit.
+
+    Newton's method estimates the root from the right end.  The summed
+    curve is convex, so each tangent undershoots it and the iterates fall
+    toward the root without passing it.  Two exact evaluations then
+    certify the band's edges, with a margin far above the curves'
+    accumulated rounding error, so that the float evaluation's ulp-scale
+    non-monotonicity cannot flip a comparison outside the band.  Returns
+    ``(-inf, inf)``, exact evaluation everywhere, when either step fails.
+    """
+    guard = tolerance / 1000.0
+    # Thousands of ulps of the largest byte count the sums hold, yet far
+    # below the ~guard * rate bytes a converged estimate leaves.
+    margin = (sendable + sum(curve.cap for curve in curves)) * 2.0 ** -40
+    root = span
+    excess = _delivered(curves, span) - sendable
+    if excess > 0.0:
+        for _ in range(_NEWTON_ROUNDS):
+            rate = sum(curve.rate_at(root) for curve in curves)
+            if not rate > 0.0:
+                return -math.inf, math.inf
+            step = excess / rate
+            root -= step
+            if abs(step) <= guard / 4.0:
+                break
+            excess = _delivered(curves, root) - sendable
+        else:
+            return -math.inf, math.inf
+        root = max(root, 0.0)
+    left, right = root - guard, root + guard
+    if left > 0.0 and not _delivered(curves, left) < sendable - margin:
+        return -math.inf, math.inf
+    if right < span and not _delivered(curves, right) >= sendable + margin:
+        return -math.inf, math.inf
+    return left, right
 
 
 class Transfer:
@@ -585,27 +643,29 @@ class MptcpConnection:
             total_rate += rate
         if total_rate > 0.0:
             return min(sendable / total_rate, span)
-        # Bisection over the combined delivery integral.  Per-sender state
-        # is constant across iterations, so hoist the (idle-restarted)
-        # window and bandwidth once and call the pure integral directly;
-        # converge when the bracket is tighter than the completion slack
-        # in bytes (the same ``_EPSILON`` the byte accounting uses).
-        states = []
+        # Bisection over the combined delivery integral, converged when
+        # the bracket is tighter than the completion slack in bytes (the
+        # same ``_EPSILON`` the byte accounting uses).  Each sender's
+        # (idle-restarted) curve is hoisted once; a certified band around
+        # the root settles every midpoint outside it by one comparison.
+        curves = []
         floor_rate = 0.0
         for sf in senders:
             cwnd, ssthresh = sf.tcp.window_after_restart(t0)
-            bw = sf.path.bandwidth_at(t0)
-            states.append((cwnd, ssthresh, sf.tcp.rtt, bw))
-            floor_rate += min(cwnd / sf.tcp.rtt, bw)
+            curve = WindowCurve(cwnd, ssthresh, sf.tcp.rtt,
+                                sf.path.bandwidth_at(t0))
+            curves.append(curve)
+            floor_rate += curve.floor_rate
         tolerance = max(1e-12, _EPSILON / max(floor_rate, 1.0))
+        left, right = _certified_band(curves, span, sendable, tolerance)
         lo, hi = 0.0, span
         for _ in range(80):
             mid = (lo + hi) / 2.0
-            total = 0.0
-            for cwnd, ssthresh, rtt, bw in states:
-                total += integrate_window(cwnd, ssthresh, rtt, bw,
-                                          dt_limit=mid)[0]
-            if total >= sendable:
+            if mid < left:
+                lo = mid
+            elif mid > right:
+                hi = mid
+            elif _delivered(curves, mid) >= sendable:
                 hi = mid
             else:
                 lo = mid

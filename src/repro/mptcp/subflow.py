@@ -113,9 +113,9 @@ class Subflow:
     def steady_rate(self, now: float) -> Optional[float]:
         """Constant delivery rate while provably pinned, else None.
 
-        See :meth:`~repro.net.tcp.TcpState.pinned_rate`; the connection's
-        completion solver uses it to replace bisection with an exact
-        division when every sender is in steady state.
+        See :meth:`~repro.net.tcp.TcpState.pinned_rate`; when every
+        sender is in steady state, the connection's completion solver
+        divides by the summed rate instead of solving over window curves.
         """
         if not self._usable(now):
             return None

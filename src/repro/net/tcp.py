@@ -22,6 +22,7 @@ the retransmission timeout, per RFC 2861's congestion-window validation.
 from __future__ import annotations
 
 import math
+from typing import Optional, Tuple
 
 from .units import PACKET_SIZE
 
@@ -137,6 +138,119 @@ def integrate_window(cwnd: float, ssthresh: float, rtt: float, bw: float,
     return delivered, elapsed, c, ssthresh
 
 
+class WindowCurve:
+    """One sender's delivery curve under constant bandwidth, hoisted.
+
+    Built once from ``(cwnd, ssthresh, rtt, bw)``, it precomputes the end
+    time, delivered bytes and window of each growth phase that
+    :func:`integrate_window` would run in full (slow start, congestion
+    avoidance, queue fill).  :meth:`bytes_at` then repeats
+    ``integrate_window(cwnd, ssthresh, rtt, bw, dt_limit=t)[0]``'s
+    floating-point expressions in the same order, so it returns the same
+    bits; only the phase that ``t`` cuts short does any arithmetic.
+    ``t`` must be finite.
+
+    :meth:`rate_at` is the analytic delivery rate, the curve's slope.  It
+    never decreases with ``t`` (the window only grows, and the rate is
+    clipped at ``bw``), so the curve is convex.
+    """
+
+    __slots__ = ("rtt", "bw", "cap", "floor_rate", "_cwnd", "_limits",
+                 "_phases")
+
+    def __init__(self, cwnd: float, ssthresh: float, rtt: float,
+                 bw: float):
+        self.rtt = rtt
+        self.bw = bw
+        #: Delivery rate at ``t = 0`` before the above-ceiling collapse:
+        #: the completion solver's tolerance scale.
+        self.floor_rate = min(cwnd / rtt, bw)
+        bdp = bw * rtt
+        ceiling = bdp * (1.0 + QUEUE_ALLOWANCE)
+        #: The largest window the curve can reach, bytes.
+        self.cap = max(ceiling, INITIAL_CWND)
+        c = cwnd
+        if c > self.cap:
+            c = self.cap
+            ssthresh = max(c, INITIAL_CWND)
+        self._cwnd = c
+        self._limits = (min(ssthresh, bdp), bdp, ceiling)
+        # Each phase that runs, as run to its end with no time limit:
+        # (phase, duration, end time, bytes at end, window at end).
+        phases = []
+        elapsed = delivered = 0.0
+        for phase in range(3):
+            if c < self._limits[phase]:
+                tau = self._duration(phase, c)
+                delivered, c = self._grow(phase, tau, delivered, c)
+                elapsed += tau
+                phases.append((phase, tau, elapsed, delivered, c))
+        self._phases = tuple(phases)
+
+    def _duration(self, phase: int, c: float) -> float:
+        """Seconds phase ``phase`` takes to carry window ``c`` to its limit."""
+        if phase == 0:
+            return self.rtt * math.log2(self._limits[0] / c)
+        return (self._limits[phase] - c) * self.rtt / PACKET_SIZE
+
+    def _grow(self, phase: int, tau: float, delivered: float,
+              c: float) -> Tuple[float, float]:
+        """``(delivered, window)`` after ``tau`` more seconds of ``phase``."""
+        rtt = self.rtt
+        if phase == 0:
+            growth = 2.0 ** (tau / rtt)
+            delivered += c * (growth - 1.0) / _LN2
+            return delivered, min(c * growth, self._limits[0])
+        if phase == 1:
+            half_a = PACKET_SIZE / (2.0 * rtt)
+            delivered += (c * tau + half_a * tau * tau) / rtt
+        else:
+            delivered += self.bw * tau
+        return delivered, min(c + PACKET_SIZE * tau / rtt,
+                              self._limits[phase])
+
+    def bytes_at(self, t: float) -> float:
+        """Bytes delivered in the first ``t`` seconds, bit for bit
+        ``integrate_window(..., dt_limit=t)[0]``."""
+        elapsed = delivered = 0.0
+        c = self._cwnd
+        for phase, tau, end, total, window in self._phases:
+            if not elapsed < t:
+                return delivered
+            rest = t - elapsed
+            if tau <= rest:
+                elapsed, delivered, c = end, total, window
+                continue
+            delivered, c = self._grow(phase, rest, delivered, c)
+            elapsed += rest
+            # ``elapsed`` may land an ulp short of ``t``; the integral then
+            # runs the later phases for that sliver, and so must we.
+            for later in range(phase + 1, 3):
+                if elapsed < t and c < self._limits[later]:
+                    tau = min(self._duration(later, c), t - elapsed)
+                    delivered, c = self._grow(later, tau, delivered, c)
+                    elapsed += tau
+            break
+        if elapsed < t:
+            delivered += self.bw * (t - elapsed)
+        return delivered
+
+    def rate_at(self, t: float) -> float:
+        """Delivery rate at ``t`` seconds, bytes/second."""
+        rtt = self.rtt
+        elapsed = 0.0
+        c = self._cwnd
+        for phase, _, end, _, window in self._phases:
+            if t < end:
+                if phase == 0:
+                    return c * 2.0 ** ((t - elapsed) / rtt) / rtt
+                if phase == 1:
+                    return (c + PACKET_SIZE * (t - elapsed) / rtt) / rtt
+                return self.bw
+            elapsed, c = end, window
+        return self.bw
+
+
 class TcpState:
     """Congestion state of one subflow, advanced in fluid time steps."""
 
@@ -144,6 +258,8 @@ class TcpState:
         if rtt <= 0:
             raise ValueError(f"rtt must be positive: {rtt!r}")
         self.rtt = rtt
+        #: Idle longer than this restarts the window (RFC 2861).
+        self._rto = max(MIN_RTO, 2.0 * rtt)
         self.cwnd = float(INITIAL_CWND)
         self.ssthresh = float("inf")
         self.last_send_time: float = None  # type: ignore[assignment]
@@ -195,25 +311,20 @@ class TcpState:
     # ------------------------------------------------------------------
     # Analytic (event-driven kernel) interface
     # ------------------------------------------------------------------
-    def window_after_restart(self, now: float) -> tuple:
+    def window_after_restart(self, now: float) -> Tuple[float, float]:
         """Pure preview of ``(cwnd, ssthresh)`` if sending resumed at ``now``.
 
         Applies the RFC 2861 idle-restart rule without mutating state or
         firing the observability hook — the fast kernel uses it to predict
         delivery over a span before committing it.
         """
-        cwnd, ssthresh = self.cwnd, self.ssthresh
-        if self.last_send_time is not None:
-            idle = now - self.last_send_time
-            rto = max(MIN_RTO, 2.0 * self.rtt)
-            if idle > rto:
-                halvings = min(int(idle / rto), 64)
-                ssthresh = max(cwnd * 0.75, INITIAL_CWND)
-                cwnd = max(cwnd / (2.0 ** halvings), INITIAL_CWND)
-        return cwnd, ssthresh
+        restarted = self._restarted_window(now)
+        if restarted is None:
+            return self.cwnd, self.ssthresh
+        return restarted
 
     def pinned_rate(self, now: float,
-                    available_bw: float) -> "Optional[float]":
+                    available_bw: float) -> Optional[float]:
         """``available_bw`` when the window is provably pinned, else None.
 
         Pinned means the send clock is warm (no idle-restart pending) and
@@ -225,7 +336,8 @@ class TcpState:
         (and record ssthresh), which this fast path would skip.
         """
         last = self.last_send_time
-        if last is None or now - last > max(MIN_RTO, 2.0 * self.rtt):
+        if last is None or now - last > self._rto:
+            # Cold send clock, or an idle restart is pending.
             return None
         ceiling = available_bw * self.rtt * (1.0 + QUEUE_ALLOWANCE)
         if self.cwnd != max(ceiling, INITIAL_CWND):
@@ -277,21 +389,33 @@ class TcpState:
         self.last_send_time = now + dt
         return delivered
 
-    def _maybe_idle_restart(self, now: float) -> None:
-        """Apply RFC 2861 congestion-window validation after idle."""
+    def _restarted_window(self,
+                          now: float) -> Optional[Tuple[float, float]]:
+        """RFC 2861 congestion-window validation after idle.
+
+        ``(cwnd, ssthresh)`` once the send clock has idled past the
+        retransmission timeout, else None (no restart is due).
+        """
         if self.last_send_time is None:
-            return
+            return None
         idle = now - self.last_send_time
-        rto = max(MIN_RTO, 2.0 * self.rtt)
-        if idle > rto:
-            # Halve once per RTO elapsed, not below the initial window.  A
-            # few dozen halvings already reach the floor; cap the exponent
-            # so astronomically long idles cannot overflow.
-            halvings = min(int(idle / rto), 64)
-            self.ssthresh = max(self.cwnd * 0.75, INITIAL_CWND)
-            self.cwnd = max(self.cwnd / (2.0 ** halvings), INITIAL_CWND)
-            if self.on_idle_restart is not None:
-                self.on_idle_restart(now)
+        if not idle > self._rto:
+            return None
+        # Halve once per RTO elapsed, not below the initial window.  A few
+        # dozen halvings already reach the floor; cap the exponent so
+        # astronomically long idles cannot overflow.
+        halvings = min(int(idle / self._rto), 64)
+        return (max(self.cwnd / (2.0 ** halvings), INITIAL_CWND),
+                max(self.cwnd * 0.75, INITIAL_CWND))
+
+    def _maybe_idle_restart(self, now: float) -> None:
+        """Commit the idle restart, if one is due, and report it."""
+        restarted = self._restarted_window(now)
+        if restarted is None:
+            return
+        self.cwnd, self.ssthresh = restarted
+        if self.on_idle_restart is not None:
+            self.on_idle_restart(now)
 
     def reset(self) -> None:
         """Return to the initial (connection-start) state."""

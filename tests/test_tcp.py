@@ -89,6 +89,21 @@ class TestIdleRestart:
         tcp.advance(1e6, 0.01, BW, sending=True)
         assert tcp.cwnd >= INITIAL_CWND
 
+    def test_restart_preview_is_what_sending_commits(self):
+        # One rule: the pure preview, the committed window and the hook
+        # agree on whether (and how far) the window restarted.
+        restarts = []
+        for gap in (MIN_RTO / 2, MIN_RTO * 1.25, 10.0, 1e6):
+            tcp = TcpState(RTT)
+            tcp.cwnd = 40.0 * INITIAL_CWND
+            tcp.last_send_time = 1.0
+            tcp.on_idle_restart = restarts.append
+            preview = tcp.window_after_restart(1.0 + gap)
+            # A zero-length span on a wide link commits only the restart.
+            tcp.advance_analytic(1.0 + gap, 0.0, 1e9)
+            assert (tcp.cwnd, tcp.ssthresh) == preview
+        assert restarts == [1.0 + MIN_RTO * 1.25, 11.0, 1.0 + 1e6]
+
     def test_not_sending_delivers_nothing(self):
         tcp = TcpState(RTT)
         assert tcp.advance(0.0, 0.01, BW, sending=False) == 0.0
