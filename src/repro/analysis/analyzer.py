@@ -17,10 +17,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dash.events import PlayerEventLog
 from ..energy.devices import DevicePowerProfile, GALAXY_NOTE
-from ..energy.model import session_energy, session_radio_events
+from ..energy.model import session_energy
 from ..mptcp.activity import ActivityLog
 from ..net.link import CELLULAR
-from ..obs.events import RadioStateChange
 from .metrics import SessionMetrics, compute_metrics, path_utilization
 
 
@@ -115,12 +114,6 @@ class MultipathVideoAnalyzer:
         if self.session_duration - cursor >= min_duration:
             gaps.append(IdleGap(cursor, self.session_duration))
         return gaps
-
-    def radio_timeline(self) -> List[RadioStateChange]:
-        """Every interface's idle/active/tail transitions, time-ordered —
-        the energy model's view of the session as typed events."""
-        return session_radio_events(self.activity, self.device,
-                                    self.session_duration)
 
     def utilization(self) -> Dict[str, float]:
         """Per-path fraction of session time with data on the wire."""

@@ -133,18 +133,6 @@ def radio_state_events(activity: ActivityLog, path: str,
             in radio_transitions(activity, path, profile, session_end)]
 
 
-def session_radio_events(activity: ActivityLog, device: DevicePowerProfile,
-                         session_end: float) -> List[RadioStateChange]:
-    """Radio transitions for every interface, merged in time order."""
-    merged: List[RadioStateChange] = []
-    for path in activity.paths():
-        merged.extend(radio_state_events(activity, path,
-                                         device.for_interface(path),
-                                         session_end))
-    merged.sort(key=lambda e: (e.time, e.path))
-    return merged
-
-
 def session_energy(activity: ActivityLog, device: DevicePowerProfile,
                    session_end: float) -> Dict[str, EnergyBreakdown]:
     """Per-interface energy for a whole session; keys are path names plus

@@ -813,8 +813,10 @@ def collector_from_trace(trace) -> SessionMetricsCollector:
     """Rebuild the session registry offline from a loaded JSONL trace.
 
     Identical to the live collector's registry for the same stream — the
-    metrics half of the capture-then-analyze workflow.  Each call builds
-    a fresh collector; ``trace.view(collector_from_trace)`` is shared.
+    metrics half of the capture-then-analyze workflow.  Each call replays
+    the trace into a fresh collector the caller may edit;
+    :func:`registry_from_trace` and the session report read the one
+    collector of the trace's shared analysis replay instead.
     """
     from .trace_export import replay
 
@@ -826,5 +828,8 @@ def collector_from_trace(trace) -> SessionMetricsCollector:
 
 
 def registry_from_trace(trace) -> MetricsRegistry:
-    """A copy of the trace's registry, which is built once per trace."""
-    return trace.view(collector_from_trace).registry.copy()
+    """A copy of the trace's registry, which is built once per trace (in
+    the replay it shares with the analyzer's logs)."""
+    from .trace_export import _analysis
+
+    return _analysis(trace).collector.registry.copy()

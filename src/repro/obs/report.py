@@ -3,7 +3,7 @@
 One honest principle: a report is a **pure function of a trace**.
 :func:`session_report_html` consumes only a loaded
 :class:`~repro.obs.trace_export.Trace` and derives every panel through
-the same offline views the determinism tests pin (`analyzer_from_trace`,
+the same offline views the determinism tests pin (`metrics_from_trace`,
 `registry_from_trace`, `check_trace`, `spans_from_trace`) — so rendering
 live at the end of ``run_session(report=...)`` and rendering later from
 the exported JSONL produce byte-identical files.  No wall clock, no
@@ -30,6 +30,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
+from ..energy.model import radio_transitions
 from .bench import BenchReport, compare_reports
 from .check import ERROR, INFO, WARNING, CheckReport, check_trace
 from .events import StallEnd, StallStart
@@ -38,7 +39,7 @@ from .spans import STATUS_MISSED, Span, spans_from_trace
 from .svg import (LaneSegment, Series, StripCell, bar_chart, cdf_chart,
                   flame_lanes, histogram_chart, legend_html, line_chart,
                   series_class, strip_chart)
-from .trace_export import Trace, analyzer_from_trace
+from .trace_export import Trace, _analysis
 
 # ----------------------------------------------------------------------
 # Stylesheet (inline; light and dark from the same document)
@@ -201,9 +202,17 @@ def _downsample(points: Sequence[Tuple[float, float]],
         return list(points)
     stride = -(-len(points) // limit)  # ceil
     kept: List[Tuple[float, float]] = []
-    for start in range(0, len(points), stride):
-        group = points[start:start + stride]
-        kept.append(max(group, key=lambda p: p[1]))
+    best = peak = None
+    for index, point in enumerate(points):
+        if index % stride == 0:
+            if index:
+                kept.append(best)
+            best, peak = point, point[1]
+        elif point[1] > peak:
+            # Only a strictly greater value replaces the kept point:
+            # max()'s own rule, so ties keep the first peak.
+            best, peak = point, point[1]
+    kept.append(best)
     return kept
 
 
@@ -374,20 +383,26 @@ def _slack_panel(registry: MetricsRegistry) -> str:
 
 
 def _radio_panel(analyzer: Any, metrics: Any, duration: float) -> str:
-    changes = analyzer.radio_timeline()
-    by_path: Dict[str, List[Any]] = {}
-    for change in changes:
-        by_path.setdefault(change.path, []).append(change)
     lanes: List[Tuple[str, List[LaneSegment]]] = []
-    for path in sorted(by_path):
+    for path in analyzer.activity.paths():
+        # One path's transitions come from one walk over its bursts in
+        # bin order, so their times never decrease.  Merging every
+        # path's and stable-sorting by (time, path), then splitting by
+        # path again, would hand back this same list; a path with no
+        # bursts has no transitions and, as there, no lane.
+        changes = radio_transitions(analyzer.activity, path,
+                                    analyzer.device.for_interface(path),
+                                    duration)
+        if not changes:
+            continue
         segments: List[LaneSegment] = []
         state, since = "idle", 0.0
-        for change in by_path[path]:
-            if change.time > since:
+        for time, new_state in changes:
+            if time > since:
                 segments.append(LaneSegment(
-                    since, change.time, f"radio-{state}",
-                    f"{state} {since:.1f}-{change.time:.1f}s"))
-            state, since = change.state, change.time
+                    since, time, f"radio-{state}",
+                    f"{state} {since:.1f}-{time:.1f}s"))
+            state, since = new_state, time
         if duration > since:
             segments.append(LaneSegment(
                 since, duration, f"radio-{state}",
@@ -516,7 +531,7 @@ def session_report_html(trace: Trace) -> str:
         # the analyzer needs a positive horizon.
         trace = Trace(meta=replace(trace.meta, session_duration=1.0),
                       events=trace.events)
-    analyzer = trace.view(analyzer_from_trace)
+    analyzer = _analysis(trace).analyzer()
     metrics = analyzer.metrics(trace.meta.steady_state_fraction)
     registry = registry_from_trace(trace)
     verdicts = check_trace(trace)

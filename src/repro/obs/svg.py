@@ -23,8 +23,9 @@ lanes).  :func:`legend_html` renders the matching HTML legend row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 from xml.sax.saxutils import escape
 
 #: Categorical CSS classes in fixed assignment order (never cycled: a
@@ -106,8 +107,7 @@ class StripCell:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class LaneSegment:
+class LaneSegment(NamedTuple):
     """One interval on a flame lane."""
 
     start: float
@@ -116,45 +116,39 @@ class LaneSegment:
     label: str = ""
 
 
-@dataclass
 class _Frame:
-    """Pixel scales plus the shared axis/grid chrome."""
+    """Pixel scales plus the shared axis/grid chrome.
 
-    width: int
-    height: int
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    margins: Tuple[int, int, int, int] = _MARGINS
+    Each scale is computed once, as ``(origin pixel, data origin, data
+    span, pixel extent)``; :meth:`sx` and :meth:`sy` evaluate
+    ``origin ± (value - data origin) / span * extent`` in that order, so
+    code that inlines a scale gets the same bits.
+    """
 
-    @property
-    def left(self) -> float:
-        return float(self.margins[0])
-
-    @property
-    def top(self) -> float:
-        return float(self.margins[1])
-
-    @property
-    def right(self) -> float:
-        return float(self.width - self.margins[2])
-
-    @property
-    def bottom(self) -> float:
-        return float(self.height - self.margins[3])
+    def __init__(self, width: int, height: int, x0: float, x1: float,
+                 y0: float, y1: float,
+                 margins: Tuple[int, int, int, int] = _MARGINS):
+        self.width = width
+        self.height = height
+        self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
+        self.left = float(margins[0])
+        self.top = float(margins[1])
+        self.right = float(width - margins[2])
+        self.bottom = float(height - margins[3])
+        self.x_scale = (self.left, x0, x1 - x0, self.right - self.left)
+        self.y_scale = (self.bottom, y0, y1 - y0, self.bottom - self.top)
 
     def sx(self, x: float) -> float:
-        span = self.x1 - self.x0
+        left, x0, span, extent = self.x_scale
         if span <= 0:
-            return self.left
-        return self.left + (x - self.x0) / span * (self.right - self.left)
+            return left
+        return left + (x - x0) / span * extent
 
     def sy(self, y: float) -> float:
-        span = self.y1 - self.y0
+        bottom, y0, span, extent = self.y_scale
         if span <= 0:
-            return self.bottom
-        return self.bottom - (y - self.y0) / span * (self.bottom - self.top)
+            return bottom
+        return bottom - (y - y0) / span * extent
 
     def chrome(self, x_label: str = "", y_label: str = "",
                x_ticks: Optional[Sequence[Tuple[float, str]]] = None,
@@ -512,22 +506,40 @@ def flame_lanes(lanes: Sequence[Tuple[str, Sequence[LaneSegment]]], *,
     height = _MARGINS[1] + _MARGINS[3] + len(lanes) * (lane_height + gap)
     frame = _Frame(width, height, x0, x1, 0.0, 1.0)
     parts = frame.chrome(x_label, "", y_ticks=[])
+    # frame.sx inlined: same expression, same bits.
+    origin, data_origin, span, extent = frame.x_scale
+    flat = span <= 0
+    classes: Dict[str, str] = {}
     for row, (label, segs) in enumerate(lanes):
         top = frame.top + row * (lane_height + gap)
         parts.append(f'<text class="tick" text-anchor="end" '
                      f'x="{fmt(frame.left - 6)}" '
                      f'y="{fmt(top + lane_height / 2 + 3)}">'
                      f'{escape(label)}</text>')
-        for seg in segs:
-            left = frame.sx(max(seg.start, x0))
-            right = frame.sx(min(seg.end, x1))
-            seg_width = max(right - left, 1.0)
-            tooltip = (f"<title>{escape(seg.label)}</title>"
-                       if seg.label else "")
-            parts.append(f'<rect class="fill {escape(seg.css)}" rx="2" '
-                         f'x="{fmt(left)}" y="{fmt(top)}" '
-                         f'width="{fmt(seg_width)}" '
-                         f'height="{lane_height}">{tooltip}</rect>')
+        y_text = f'" y="{fmt(top)}" width="'
+        height_text = f'" height="{lane_height}">'
+        for start, end, css, tip in segs:
+            # The clamps are max(start, x0), min(end, x1) and
+            # max(width, 1.0) spelled out, with the same NaN and -0.0
+            # outcomes: each keeps its first argument unless the second
+            # compares strictly beyond it.
+            start = x0 if x0 > start else start
+            end = x1 if x1 < end else end
+            if flat:
+                left = right = origin
+            else:
+                left = origin + (start - data_origin) / span * extent
+                right = origin + (end - data_origin) / span * extent
+            seg_width = right - left
+            if 1.0 > seg_width:
+                seg_width = 1.0
+            css_text = classes.get(css)
+            if css_text is None:
+                css_text = classes[css] = (f'<rect class="fill '
+                                           f'{escape(css)}" rx="2" x="')
+            tooltip = f"<title>{escape(tip)}</title>" if tip else ""
+            parts.append(f'{css_text}{fmt(left)}{y_text}{fmt(seg_width)}'
+                         f'{height_text}{tooltip}</rect>')
     return _svg(width, height, parts, title=title)
 
 

@@ -184,35 +184,74 @@ def replay(events: Iterable[TraceEvent], bus: EventBus) -> None:
         bus.publish(event)
 
 
+class _Analysis:
+    """One replay of a trace into the analysis tool's logs and the metrics
+    collector, shared read-only by the views built on it.
+
+    The :class:`~repro.mptcp.activity.ActivityLog`, the
+    :class:`~repro.dash.events.PlayerEventLog` and (unless ``collect`` is
+    false) the :class:`~repro.obs.metrics.SessionMetricsCollector` listen
+    on one bus; none of them publishes, so each sees exactly the stream
+    it would see on a bus of its own.  The analyzer is built only when
+    asked for, because it rejects a non-positive session duration that
+    the logs and the registry accept.
+    """
+
+    def __init__(self, trace: Trace, collect: bool = True):
+        from ..dash.events import PlayerEventLog
+        from ..mptcp.activity import ActivityLog
+        from .metrics import SessionMetricsCollector
+
+        self.meta = trace.meta
+        bus = EventBus()
+        self.activity = ActivityLog(trace.meta.activity_bin)
+        self.activity.attach(bus)
+        self.log = PlayerEventLog()
+        self.log.attach(bus)
+        self.collector = (SessionMetricsCollector(
+            bus, activity_bin=trace.meta.activity_bin,
+            device=trace.meta.device) if collect else None)
+        replay(trace.events, bus)
+        self._analyzer = None
+
+    def analyzer(self, device=None):
+        """The §6 analyzer over the shared logs; the trace's own device's
+        is built once, another ``device``'s on every call."""
+        if device is None and self._analyzer is not None:
+            return self._analyzer
+        from ..analysis.analyzer import MultipathVideoAnalyzer
+        from ..energy.devices import DEVICES
+
+        analyzer = MultipathVideoAnalyzer(
+            self.activity, self.log, self.meta.session_duration,
+            DEVICES[self.meta.device] if device is None else device)
+        if device is None:
+            self._analyzer = analyzer
+        return analyzer
+
+
+def _analysis(trace: Trace) -> _Analysis:
+    """``trace``'s shared analysis replay, built once per trace."""
+    return trace.view(_Analysis)
+
+
 def analyzer_from_trace(trace: Trace, device=None):
     """Rebuild the §6 analysis tool from a trace, without a simulator.
 
     Replays the stream into fresh bus-subscribed ``ActivityLog`` /
     ``PlayerEventLog`` views and wraps them in a
     :class:`~repro.analysis.analyzer.MultipathVideoAnalyzer` — the offline
-    half of the paper's capture-then-analyze workflow.  Each call builds
-    a fresh analyzer; ``trace.view(analyzer_from_trace)`` is shared.
+    half of the paper's capture-then-analyze workflow.  Each call replays
+    the trace and returns a fresh analyzer the caller may edit; the
+    derived views (:func:`metrics_from_trace`, the session report) share
+    one replay per trace instead.
     """
-    from ..analysis.analyzer import MultipathVideoAnalyzer
-    from ..dash.events import PlayerEventLog
-    from ..energy.devices import DEVICES
-    from ..mptcp.activity import ActivityLog
-
-    if device is None:
-        device = DEVICES[trace.meta.device]
-    bus = EventBus()
-    activity = ActivityLog(trace.meta.activity_bin)
-    activity.attach(bus)
-    log = PlayerEventLog()
-    log.attach(bus)
-    replay(trace.events, bus)
-    return MultipathVideoAnalyzer(activity, log,
-                                  trace.meta.session_duration, device)
+    return _Analysis(trace, collect=False).analyzer(device)
 
 
 def metrics_from_trace(trace: Trace, device=None):
     """Offline :class:`~repro.analysis.metrics.SessionMetrics` — identical
-    to the live run's when the trace came from ``SessionResult``."""
-    analyzer = (trace.view(analyzer_from_trace) if device is None
-                else analyzer_from_trace(trace, device))
+    to the live run's when the trace came from ``SessionResult``.  Reads
+    the trace's shared analysis replay; each call returns fresh metrics."""
+    analyzer = _analysis(trace).analyzer(device)
     return analyzer.metrics(trace.meta.steady_state_fraction)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.analyzer import MultipathVideoAnalyzer
 from repro.energy.devices import GALAXY_NOTE
-from repro.energy.model import radio_state_events, session_radio_events
+from repro.energy.model import radio_state_events
 from repro.experiments import SessionConfig, run_session
 from repro.mptcp.activity import ActivityLog
 from repro.obs import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL, EventBus,
@@ -164,13 +164,3 @@ class TestRadioTimeline:
         assert RADIO_TAIL in states and RADIO_IDLE in states
         times = [e.time for e in events]
         assert times == sorted(times)
-
-    def test_session_timeline_merges_paths(self):
-        result = _short_session()
-        events = result.analyzer.radio_timeline()
-        assert events, "an active session has radio transitions"
-        assert [e.time for e in events] == sorted(e.time for e in events)
-        assert {e.path for e in events} <= {"wifi", "cellular"}
-        merged = session_radio_events(result.analyzer.activity, GALAXY_NOTE,
-                                      result.session_duration)
-        assert merged == events

@@ -85,17 +85,43 @@ def test_any_call_order_matches_a_fresh_copy(text, expected, order):
 
 def test_views_are_computed_once(text, monkeypatch):
     import repro.obs.check as check
+    import repro.obs.trace_export as trace_export
 
     built = []
     judge = check._judge
     monkeypatch.setattr(check, "_judge",
-                        lambda *args: built.append(1) or judge(*args))
+                        lambda *args: built.append("check") or judge(*args))
+    analysis = trace_export._Analysis
+    monkeypatch.setattr(
+        trace_export, "_Analysis",
+        lambda trace: built.append("analysis") or analysis(trace))
     trace = loads_jsonl(text)
     for _ in range(3):
         check_trace(trace)
         attributions_from_trace(trace)
+        registry_from_trace(trace)
+        metrics_from_trace(trace)
         session_report_html(trace)
-    assert len(built) == 1
+    assert sorted(built) == ["analysis", "check"]
+
+
+def test_report_shares_one_replay_with_the_registry(text, monkeypatch):
+    """Spans replay the trace once and the analyzer's logs and the
+    metrics collector once between them (three replays before)."""
+    from repro.obs.bus import EventBus
+
+    published = []
+    publish = EventBus.publish
+    monkeypatch.setattr(EventBus, "publish", lambda bus, event: (
+        published.append(1), publish(bus, event)))
+    trace = loads_jsonl(text)
+    report = check_trace(trace)
+    spans_from_trace(trace)
+    attributions_from_trace(trace, report=report)
+    registry_from_trace(trace)
+    session_report_html(trace)
+    assert len(trace.events) > 0
+    assert len(published) <= 2 * len(trace.events)
 
 
 def test_mutating_returned_views_changes_no_later_view(text, expected):
@@ -120,6 +146,12 @@ def test_mutating_returned_views_changes_no_later_view(text, expected):
     metrics = metrics_from_trace(trace)
     metrics.bytes_per_path.clear()
     metrics.levels.clear()
+    analyzer = analyzer_from_trace(trace)
+    analyzer.activity.record(1.0, "wifi", 1e9)
+    analyzer.activity.record(2.0, "extra", 1e9)
+    analyzer.log.record(0.5, "extra")
+    analyzer.log.chunks.clear()
+    analyzer.log.stalls.clear()
     assert digest(session_report_html(trace)) == expected["report"]
     for name, view in VIEWS.items():
         assert digest(view(trace)) == expected[name], name
@@ -236,7 +268,10 @@ def test_check_alone_builds_no_other_view(text, monkeypatch):
     monkeypatch.setattr(spans, "_replay_spans", forbidden)
     monkeypatch.setattr(metrics, "collector_from_trace", forbidden)
     monkeypatch.setattr(trace_export, "analyzer_from_trace", forbidden)
+    monkeypatch.setattr(trace_export, "_Analysis", forbidden)
     trace = loads_jsonl(text)
     assert not check_trace(trace).ok
     with pytest.raises(AssertionError, match="nobody asked"):
         spans_from_trace(trace)
+    with pytest.raises(AssertionError, match="nobody asked"):
+        registry_from_trace(trace)
