@@ -224,7 +224,7 @@ lanes_strategy = st.lists(
 # ----------------------------------------------------------------------
 @given(st.integers(60, 1000), st.integers(60, 400), any_float, any_float,
        any_float, any_float, st.lists(any_float, max_size=5))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_frame_scales_match_the_oracle(width, height, x0, x1, y0, y1,
                                        values):
     new = _Frame(width, height, x0, x1, y0, y1)
@@ -239,7 +239,7 @@ def test_frame_scales_match_the_oracle(width, height, x0, x1, y0, y1,
 @given(lanes_strategy, st.one_of(st.none(), chart_float),
        st.one_of(st.none(), chart_float), st.integers(100, 900),
        st.integers(4, 30))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_flame_lanes_match_the_oracle(lanes, x_min, x_max, width,
                                       lane_height):
     kwargs = dict(width=width, lane_height=lane_height, x_min=x_min,
@@ -249,7 +249,7 @@ def test_flame_lanes_match_the_oracle(lanes, x_min, x_max, width,
 
 @given(lanes_strategy.filter(lambda lanes: any(segs for _, segs in lanes)),
        chart_float)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_flame_lanes_with_an_empty_range_match_the_oracle(lanes, edge):
     """``x_min == x_max``: every segment collapses onto the left edge."""
     assert flame_lanes(lanes, x_min=edge, x_max=edge) == \
@@ -280,7 +280,7 @@ def test_flame_lanes_edge_cases_match_the_oracle():
                                     st.integers(-2, 2).map(float))),
                 max_size=80),
        st.integers(1, 25))
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_downsample_keeps_the_oracles_points(points, limit):
     """Few distinct values, so strides are full of ties."""
     new = _downsample(points, limit)
@@ -313,7 +313,7 @@ def activity_case(draw):
 
 
 @given(activity_case())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_radio_panel_matches_the_oracle(case):
     activity, duration, device = case
     metrics = SimpleNamespace(energy_per_path={"wifi": 1.25, "cellular": 3.5},
