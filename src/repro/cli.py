@@ -12,7 +12,6 @@ equivalent entry point, plus runners for the common experiments::
     python -m repro trace --load run.jsonl --diff other.jsonl
     python -m repro stats --mpdash --json
     python -m repro spans --mpdash --chrome spans.json
-    python -m repro profile --duration 60
     python -m repro check --mpdash --json
     python -m repro check --load run.jsonl
     python -m repro bench --label ci --compare BENCH_main.json
@@ -176,22 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace", help="capture, replay, and diff JSONL session traces")
-    _add_network_args(trace)
-    trace.add_argument("--video", default="big_buck_bunny",
-                       choices=video_names())
-    trace.add_argument("--abr", default="festive", choices=abr_names())
-    trace.add_argument("--mpdash", action="store_true",
-                       help="enable the MP-DASH scheduler")
-    trace.add_argument("--deadline-mode", default=RATE_BASED,
-                       choices=list(DEADLINE_MODES))
-    trace.add_argument("--alpha", type=float, default=1.0)
-    trace.add_argument("--duration", type=float, default=300.0,
-                       help="video length to stream, seconds")
+    _add_session_args(trace)
     trace.add_argument("--out", metavar="FILE",
                        help="export the captured trace as JSONL")
-    trace.add_argument("--load", metavar="FILE",
-                       help="analyze an existing trace offline instead of "
-                            "running a session")
     trace.add_argument("--diff", metavar="FILE",
                        help="second trace to compare metrics against")
     trace.add_argument("--json", action="store_true",
@@ -201,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="the standard metrics registry of one session "
                       "(Prometheus exposition or JSON)")
     _add_session_args(stats)
-    stats.add_argument("--load", metavar="FILE",
-                       help="rebuild the registry offline from a JSONL "
-                            "trace instead of running a session")
     stats.add_argument("--json", action="store_true",
                        help="JSON dump instead of the Prometheus text "
                             "exposition")
@@ -212,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spans", help="the causal span tree of one session (chunk → "
                       "request → transfer → deadline)")
     _add_session_args(spans)
-    spans.add_argument("--load", metavar="FILE",
-                       help="rebuild spans offline from a JSONL trace "
-                            "instead of running a session")
     spans.add_argument("--chrome", metavar="FILE",
                        help="also export Chrome trace-event JSON "
                             "(loadable in Perfetto)")
@@ -223,22 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     spans.add_argument("--limit", type=int, default=None, metavar="N",
                        help="print at most N spans in the tree view")
 
-    profile = commands.add_parser(
-        "profile", help="wall-clock hot-path report of one session "
-                        "(bus events, handlers, simulator callbacks)")
-    _add_session_args(profile)
-    profile.add_argument("--top", type=int, default=15, metavar="N",
-                         help="rows per profile section")
-    profile.add_argument("--json", action="store_true",
-                         help="raw timings as JSON instead of the report")
-
     check = commands.add_parser(
         "check", help="judge one session (live or from a trace) against "
                       "the stock cross-layer invariants")
     _add_session_args(check)
-    check.add_argument("--load", metavar="FILE",
-                       help="check an exported JSONL trace offline "
-                            "instead of running a session")
     check.add_argument("--max-miss-rate", type=float, default=0.25,
                        metavar="R",
                        help="deadline-miss-rate budget (fraction) for "
@@ -287,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="self-contained HTML session report (live run or "
                        "an exported JSONL trace)")
     _add_session_args(report)
-    report.add_argument("--load", metavar="FILE",
-                        help="render an exported JSONL trace offline "
-                             "instead of running a session")
     report.add_argument("--out", metavar="FILE", default="report.html",
                         help="output path (default: report.html)")
 
@@ -397,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "session, loaded trace, recorded captures, or a "
                     "two-trace diff")
     _add_session_args(why)
-    why.add_argument("--load", metavar="FILE", default=None,
-                     help="attribute an exported trace (.jsonl or "
-                          ".jsonl.gz) instead of running a session")
     why.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
                      help="differential attribution: align two traces "
                           "of the same manifest chunk-by-chunk and rank "
@@ -472,7 +434,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_session_args(parser: argparse.ArgumentParser) -> None:
-    """The shared run-one-session argument block (stats/spans/profile)."""
+    """The shared input block of the commands that run one session or
+    ``--load`` its trace (trace, stats, spans, check, report, why)."""
     _add_network_args(parser)
     parser.add_argument("--video", default="big_buck_bunny",
                         choices=video_names())
@@ -484,6 +447,9 @@ def _add_session_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--duration", type=float, default=300.0,
                         help="video length to stream, seconds")
+    parser.add_argument("--load", metavar="FILE",
+                        help="read an exported trace (.jsonl or "
+                             ".jsonl.gz) instead of running a session")
 
 
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
@@ -509,7 +475,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         video_duration=args.duration)
     result = run_session(config, ledger=args.ledger)
     metrics = result.metrics
-    # Human-oriented tables go to stderr (the stats/spans/profile
+    # Human-oriented tables go to stderr (the stats/spans/check
     # convention): stdout stays machine-parseable for every command.
     print(format_table(
         ["metric", "value"],
@@ -845,17 +811,6 @@ def cmd_spans(args: argparse.Namespace) -> int:
         print(json.dumps(spans_to_dicts(spans), sort_keys=True))
     else:
         print(render_span_tree(spans, max_spans=args.limit))
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Run one session under the profiler and print the hot-path report."""
-    result = run_session(_session_config(args), profile=True)
-    profiler = result.profile
-    if args.json:
-        print(json.dumps(profiler.to_dict(), sort_keys=True))
-    else:
-        sys.stdout.write(profiler.report(top=args.top))
     return 0
 
 
@@ -1379,7 +1334,6 @@ _COMMANDS = {
     "trace": cmd_trace,
     "stats": cmd_stats,
     "spans": cmd_spans,
-    "profile": cmd_profile,
     "check": cmd_check,
     "bench": cmd_bench,
     "report": cmd_report,

@@ -31,7 +31,6 @@ from ..obs.check import Checker, CheckReport, InvariantMonitor
 from ..obs.events import SessionClosed, TraceEvent
 from ..obs.metrics import (MetricsRegistry, PathSampler,
                            SessionMetricsCollector)
-from ..obs.profile import ProfiledBus, Profiler
 from ..obs.spans import Span, SpanBuilder
 from ..obs.trace_export import TraceMeta, TraceRecorder, dump_jsonl
 from ..workloads.videos import video_asset
@@ -60,9 +59,6 @@ class SessionResult:
     #: The causal span tree; populated when the config set
     #: ``collect_spans`` (see :mod:`repro.obs.spans`).
     spans: Optional[List[Span]] = None
-    #: Wall-clock attribution; populated when ``run_session`` was called
-    #: with ``profile=True`` (see :mod:`repro.obs.profile`).
-    profile: Optional[Profiler] = None
     #: Invariant verdicts; populated when ``run_session`` was called with
     #: ``check=True`` (see :mod:`repro.obs.check`).
     check_report: Optional[CheckReport] = None
@@ -119,30 +115,25 @@ def _build_paths(config) -> list:
     return paths
 
 
-def run_session(config: SessionConfig, profile: bool = False,
-                check: bool = False,
+def run_session(config: SessionConfig, check: bool = False,
                 checkers: Optional[List[Checker]] = None,
                 report: Optional[str] = None,
                 ledger: Optional[str] = None) -> SessionResult:
     """Simulate one streaming session to completion (or the time cap).
 
-    ``profile=True`` swaps in a :class:`~repro.obs.profile.ProfiledBus`
-    and arms the simulator-loop profiler; it is a runner argument rather
+    ``check=True`` attaches an :class:`~repro.obs.check.InvariantMonitor`
+    (the stock battery, or ``checkers``); it is a runner argument rather
     than a config field because it changes what is *measured about* the
     run, never the run itself (sweep cache keys must not depend on it).
-    ``check=True`` attaches an :class:`~repro.obs.check.InvariantMonitor`
-    (the stock battery, or ``checkers``) on the same terms.  ``report``
-    names an HTML file to render via
+    ``report`` names an HTML file to render via
     :func:`~repro.obs.report.session_report_html` when the session ends;
     it implies trace recording and, being a pure function of the trace,
     produces the same bytes as rendering offline from the exported JSONL.
     ``ledger`` appends the finished session's headline record to the
     run ledger at that path (see :mod:`repro.obs.ledger`) — like
-    ``profile``, a measurement knob that never changes the run itself.
+    ``check``, a measurement knob that never changes the run itself.
     """
-    profiler = Profiler() if profile else None
-    sim = Simulator(bus=ProfiledBus(profiler) if profile else None)
-    sim.profiler = profiler
+    sim = Simulator()
     record = config.record_trace or report is not None
     recorder = TraceRecorder(sim.bus) if record else None
     monitor = None
@@ -189,8 +180,6 @@ def run_session(config: SessionConfig, profile: bool = False,
     connection.close()
     # Terminal event: closes any open stall and timestamps session end.
     sim.bus.publish(SessionClosed(sim.now))
-    if profiler is not None:
-        profiler.wall_clock = perf_counter() - started
     session_duration = sim.now
 
     device = DEVICES[config.device]
@@ -209,7 +198,6 @@ def run_session(config: SessionConfig, profile: bool = False,
                                              if collector else None),
                            spans=(span_builder.spans if span_builder
                                   else None),
-                           profile=profiler,
                            check_report=(monitor.report() if monitor
                                          else None))
     if report is not None:

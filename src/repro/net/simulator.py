@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 from ..obs.bus import EventBus
@@ -72,7 +71,7 @@ class Event:
 class Simulator:
     """Discrete-event simulator with a monotonically advancing clock."""
 
-    def __init__(self, bus: Optional[EventBus] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[Event] = []
         self._seq = itertools.count()
@@ -80,13 +79,7 @@ class Simulator:
         self._cancelled = 0
         self._ids = itertools.count(1)
         #: The session-wide typed event stream (see :mod:`repro.obs`).
-        #: Injectable so a session can swap in e.g. a
-        #: :class:`~repro.obs.profile.ProfiledBus`.
-        self.bus = bus if bus is not None else EventBus()
-        #: When set to a :class:`~repro.obs.profile.Profiler`, the run
-        #: loop times every dispatched callback into it (opt-in; the
-        #: ``None`` check is the only cost on the default path).
-        self.profiler = None
+        self.bus = EventBus()
 
     def next_id(self) -> int:
         """Draw from the run-scoped id sequence (connection ids etc.).
@@ -152,14 +145,7 @@ class Simulator:
                     raise SimulationError(
                         f"event at {event.time} is behind clock {self.now}")
                 self.now = max(self.now, event.time)
-                profiler = self.profiler
-                if profiler is None:
-                    event.callback(*event.args)
-                else:
-                    started = perf_counter()
-                    event.callback(*event.args)
-                    profiler.record_callback(event.callback,
-                                             perf_counter() - started)
+                event.callback(*event.args)
             if until is not None and until > self.now:
                 self.now = until
         finally:

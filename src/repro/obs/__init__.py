@@ -10,15 +10,13 @@ energy model — publishes typed events onto a single
 and :mod:`repro.obs.trace_export` turns the stream into a JSONL trace that
 can be dumped, reloaded, and replayed into the analysis tool offline.
 
-On top of the stream sit five derived views, all bus subscribers or pure
+On top of the stream sit four derived views, all bus subscribers or pure
 functions of a trace, all reconstructible offline:
 
 * :mod:`repro.obs.metrics` — counters, gauges, mergeable histograms, and
   timeseries (the standard session registry, Prometheus/JSON exposition);
 * :mod:`repro.obs.spans` — the causal span tree of every chunk, exportable
   as Chrome trace-event JSON for Perfetto;
-* :mod:`repro.obs.profile` — opt-in wall-clock attribution per event
-  type, subscriber handler, and simulator callback;
 * :mod:`repro.obs.check` — declarative invariant monitoring: stock
   checkers judge the stream against the paper's semantic contracts and
   emit structured violations;
@@ -58,7 +56,6 @@ from .events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
 from .live import FleetDashboard, SweepDashboard
 from .metrics import (MetricsRegistry, SessionMetricsCollector,
                       collector_from_trace, registry_from_trace)
-from .profile import ProfiledBus, Profiler
 from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
                        load_manifest, rank_anomalies, render_anomaly_reports,
                        replay_anomaly, save_manifest, triage_table)
@@ -77,8 +74,8 @@ __all__ = [
     "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL", "WARNING",
     "BenchReport", "EventBus", "FleetCheckpointSaved", "FleetCompleted",
     "FleetDashboard", "FleetSessionCaptured", "FleetShardCompleted",
-    "FleetStarted", "FleetWorkerHeartbeat", "MetricsRegistry", "ProfiledBus",
-    "Profiler", "RecorderConfig", "SessionMetricsCollector", "ShardRecorder",
+    "FleetStarted", "FleetWorkerHeartbeat", "MetricsRegistry",
+    "RecorderConfig", "SessionMetricsCollector", "ShardRecorder",
     "SweepCompleted", "SweepDashboard", "SweepRunFailed", "SweepRunFinished",
     "SweepRunStarted", "SweepRunSummarized", "SweepStarted", "Trace",
     "TraceMeta", "TraceRecorder", "analyzer_from_trace", "attribute_anomaly",

@@ -62,7 +62,8 @@ def nice_ticks(lo: float, hi: float, count: int = 5) -> List[float]:
     """Clean tick positions covering ``[lo, hi]`` (1/2/2.5/5 stepping)."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return []
-    if hi <= lo:
+    if not (hi - lo) / max(count, 1) > 0.0:
+        # hi <= lo, or a subnormal span whose per-tick step underflows.
         hi = lo + 1.0
     span = hi - lo
     raw = span / max(count, 1)

@@ -170,7 +170,3 @@ def location_by_name(name: str) -> Location:
         if location.name == name:
             return location
     raise KeyError(f"unknown location {name!r}")
-
-
-def scenario_of(location: Location) -> int:
-    return location.scenario

@@ -211,6 +211,39 @@ class TestTrace:
 SESSION_ARGS = ["--duration", "40", "--wifi", "8", "--lte", "8", "--mpdash"]
 
 
+class TestSessionArgs:
+    """The six commands that run one session or ``--load`` its trace
+    share one argument block: same fields, same defaults, same parsing."""
+
+    FIELDS = ("video", "abr", "mpdash", "deadline_mode", "alpha",
+              "duration", "wifi", "lte", "wifi_rtt", "lte_rtt", "load")
+    COMMANDS = ("trace", "stats", "spans", "check", "report", "why")
+    EVERY_FIELD = ["--video", "tears_of_steel", "--abr", "bba-c",
+                   "--mpdash", "--deadline-mode", "duration",
+                   "--alpha", "0.5", "--duration", "20", "--wifi", "2.2",
+                   "--lte", "1.2", "--wifi-rtt", "30", "--lte-rtt", "70",
+                   "--load", "run.jsonl"]
+
+    @staticmethod
+    def _session(argv):
+        args = build_parser().parse_args(argv)
+        return {name: getattr(args, name)
+                for name in TestSessionArgs.FIELDS}
+
+    @pytest.mark.parametrize("extra", [[], SESSION_ARGS, EVERY_FIELD],
+                             ids=["defaults", "session", "every-field"])
+    def test_trace_matches_stats(self, extra):
+        assert (self._session(["trace"] + extra)
+                == self._session(["stats"] + extra))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_loading_command_parses_the_block(self, command):
+        expected = self._session(["stats"] + self.EVERY_FIELD)
+        assert self._session([command] + self.EVERY_FIELD) == expected
+        assert expected["load"] == "run.jsonl"
+        assert expected["alpha"] == 0.5
+
+
 class TestStats:
     def test_prometheus_on_stdout(self, capsys):
         assert main(["stats"] + SESSION_ARGS) == 0
@@ -280,21 +313,6 @@ class TestSpans:
         assert main(["spans"] + SESSION_ARGS + ["--limit", "3"]) == 0
         out = capsys.readouterr().out
         assert "more spans" in out
-
-
-class TestProfile:
-    def test_report_sections(self, capsys):
-        assert main(["profile"] + SESSION_ARGS) == 0
-        out = capsys.readouterr().out
-        assert "profiled wall clock" in out
-        assert "Bus events (inclusive dispatch time)" in out
-        assert "Simulator callbacks" in out
-
-    def test_json(self, capsys):
-        assert main(["profile"] + SESSION_ARGS + ["--json", "--top", "5"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["wall_clock"] > 0
-        assert "PacketSent" in payload["events"]
 
 
 class TestStderrRouting:

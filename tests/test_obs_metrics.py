@@ -415,7 +415,6 @@ class TestLiveSession:
         result = run_session(short_config())
         assert result.metrics_registry is None
         assert result.spans is None
-        assert result.profile is None
 
     def test_offline_registry_equals_live(self):
         result = run_session(short_config(collect_metrics=True,

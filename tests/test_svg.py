@@ -45,6 +45,11 @@ class TestFormatting:
     def test_nice_ticks_degenerate_range(self):
         assert nice_ticks(5.0, 5.0)  # hi <= lo widens instead of dying
 
+    def test_nice_ticks_subnormal_range(self):
+        # The per-tick step of a 5e-324 span underflows to zero; the
+        # range widens like a degenerate one instead of hitting log10(0).
+        assert nice_ticks(0.0, 5e-324, 6) == nice_ticks(0.0, 0.0, 6)
+
     def test_nice_ticks_nonfinite(self):
         assert nice_ticks(float("nan"), 1.0) == []
 
