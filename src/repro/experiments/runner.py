@@ -182,10 +182,9 @@ def run_session(config: SessionConfig, check: bool = False,
     sim.bus.publish(SessionClosed(sim.now))
     session_duration = sim.now
 
-    device = DEVICES[config.device]
-    energy = session_energy(connection.activity, device, session_duration)
     analyzer = MultipathVideoAnalyzer(connection.activity, player.log,
-                                      session_duration, device)
+                                      session_duration,
+                                      DEVICES[config.device])
     metrics = analyzer.metrics(config.steady_state_fraction)
     result = SessionResult(config=config, metrics=metrics,
                            analyzer=analyzer,

@@ -8,6 +8,11 @@ replays recorded profiles, and the field study uses fluctuating open-WiFi
 bandwidth — each has a generator here.
 
 All stochastic generators take an explicit seed and are fully deterministic.
+The walks synthesize their samples on demand, :data:`BLOCK` at a time and
+only as far as a query reads: a fleet session sized to a 220 s horizon
+simulates ~25 s of it.  A generator's normal stream is prefix-consistent
+(one 440-draw call equals a 64-draw call then a 376-draw call), so a trace
+built block by block holds the same floats as one built whole.
 """
 
 from __future__ import annotations
@@ -16,11 +21,34 @@ import bisect
 import math
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .units import mbps
+
+
+#: Samples a generated trace synthesizes at a time.
+BLOCK = 64
+
+
+def _sample_count(duration: float, interval: float) -> int:
+    """Number of ``interval``-spaced samples covering ``duration``; rejects
+    arguments that admit no such count before anything is drawn."""
+    if not 0 < interval < math.inf:
+        raise ValueError(
+            f"interval must be positive and finite: {interval!r}")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite: {duration!r}")
+    return max(1, int(math.ceil(duration / interval)))
+
+
+def _check_rates(rates: Sequence[float]) -> None:
+    # min() keeps a leading NaN as its result, hiding any negative after
+    # it; only then is the full scan needed.
+    lowest = min(rates)
+    if lowest < 0 or (lowest != lowest and any(r < 0 for r in rates)):
+        raise ValueError("bandwidth cannot be negative")
 
 
 @lru_cache(maxsize=16)
@@ -39,6 +67,13 @@ class BandwidthTrace:
     the next.  Beyond the last segment the trace wraps around (loops), so a
     60-second recording can drive a 600-second session, matching how the
     paper replays collected traces.
+
+    A trace is a prefix of its rates plus, while that prefix is short, a
+    producer of the next :data:`BLOCK` of them; a trace built from
+    explicit samples is one whose prefix is already complete.
+    :meth:`bandwidth_at`, :meth:`next_change` and :meth:`segment` extend
+    the prefix only as far as they read.  Every other accessor, pickling
+    included, completes the trace first.
     """
 
     def __init__(self, times: Sequence[float], rates: Sequence[float],
@@ -54,17 +89,17 @@ class BandwidthTrace:
         for earlier, later in zip(times, islice(times, 1, None)):
             if later <= earlier:
                 raise ValueError("times must be strictly increasing")
-        # min() keeps a leading NaN as its result, hiding any negative
-        # after it; only then is the full scan needed.
-        lowest = min(rates)
-        if lowest < 0 or (lowest != lowest and any(r < 0 for r in rates)):
-            raise ValueError("bandwidth cannot be negative")
-        self._times = times
-        self._rates = rates
+        _check_rates(rates)
+        self._times: Sequence[float] = times
+        self._rates: List[float] = rates
+        # The producer of further rates; None once the prefix is whole.
+        self._blocks: Optional[Iterator[List[float]]] = None
         self.loop = loop
-        # Offsets (within one period) where the rate actually changes;
-        # computed lazily because constructors mutate ``duration`` afterwards.
-        self._changes: Optional[list] = None
+        # Offsets (within one period) where the rate actually changes,
+        # found so far among the first ``_scanned`` rates; scanned lazily
+        # because constructors mutate ``duration`` afterwards.
+        self._changes: List[float] = []
+        self._scanned = 0
         # Duration of the recorded portion; only meaningful when looping or
         # when the caller treats the trace as finite.
         if len(times) > 1:
@@ -94,6 +129,23 @@ class BandwidthTrace:
         return trace
 
     @classmethod
+    def _on_demand(cls, blocks: Iterator[List[float]], count: int,
+                   interval: float) -> "BandwidthTrace":
+        """A looping trace of ``count`` samples ``interval`` apart whose
+        rates ``blocks`` yields :data:`BLOCK` at a time.  The first block
+        is drawn here, so arguments that fail the draw fail construction."""
+        trace = cls.__new__(cls)
+        trace._times = _sample_times(count, interval)
+        trace._rates = []
+        trace._blocks = blocks
+        trace.loop = True
+        trace._changes = []
+        trace._scanned = 0
+        trace.duration = count * interval
+        trace._grow()
+        return trace
+
+    @classmethod
     def gaussian(cls, mean_bytes_per_s: float, sigma_fraction: float,
                  duration: float, interval: float,
                  seed: int) -> "BandwidthTrace":
@@ -102,10 +154,12 @@ class BandwidthTrace:
         This is the paper's synthetic profile (Table 1): instantaneous
         throughput with standard deviation ``sigma_fraction`` of the mean.
         Samples are clamped to stay non-negative (and below 2x mean so the
-        mean is preserved approximately).
+        mean is preserved approximately).  Built whole: its samples are
+        independent, so whether one is negative is known only after all
+        are drawn.
         """
+        count = _sample_count(duration, interval)
         rng = np.random.default_rng(seed)
-        count = max(1, int(math.ceil(duration / interval)))
         samples = rng.normal(mean_bytes_per_s,
                              sigma_fraction * mean_bytes_per_s, count)
         samples = np.clip(samples, 0.05 * mean_bytes_per_s,
@@ -121,29 +175,17 @@ class BandwidthTrace:
         Open public WiFi fluctuates with temporal correlation (Figure 5's
         FastFood/Coffee traces wander rather than jump), which an AR(1)
         process captures: each step pulls back toward the mean with strength
-        ``reversion`` plus Gaussian innovation.
+        ``reversion`` plus Gaussian innovation.  Synthesized on demand; the
+        clamps keep every sample at or above ``0.05 * mean`` unless the
+        mean is negative, when the first sample already is.
         """
+        count = _sample_count(duration, interval)
         rng = np.random.default_rng(seed)
-        count = max(1, int(math.ceil(duration / interval)))
         sigma = sigma_fraction * mean_bytes_per_s
         innovation = sigma * math.sqrt(max(1e-9, 2 * reversion - reversion ** 2))
-        # One batched draw yields the same stream as ``count`` scalar
-        # draws; the recursion below keeps the scalar operation order.
-        steps = rng.normal(0.0, innovation, count).tolist()
-        low = 0.05 * mean_bytes_per_s
-        high = 2.5 * mean_bytes_per_s
-        samples = []
-        append = samples.append
-        level = mean_bytes_per_s
-        for step in steps:
-            level += reversion * (mean_bytes_per_s - level)
-            level += step
-            if level < low:
-                level = low
-            if level > high:
-                level = high
-            append(level)
-        return cls.from_samples(samples, interval)
+        return cls._on_demand(
+            _walk_blocks(rng, count, mean_bytes_per_s, innovation, reversion),
+            count, interval)
 
     @classmethod
     def with_dropouts(cls, base: "BandwidthTrace", dropouts:
@@ -155,7 +197,9 @@ class BandwidthTrace:
         the bandwidth collapses to ``floor_bytes_per_s``.  Used for the
         scenario-2 field locations where open WiFi intermittently stalls.
         A window without ``start < end`` (empty, reversed or NaN) raises
-        ``ValueError`` rather than silently overlaying nothing.
+        ``ValueError`` rather than silently overlaying nothing, and so does
+        a negative floor under a window covering a sample.  The 0.1 s
+        resampling reads ``base`` on demand, as far as it is itself read.
         """
         windows = list(dropouts)
         for start, end in windows:
@@ -165,35 +209,17 @@ class BandwidthTrace:
         interval = 0.1
         horizon = base.duration if math.isfinite(base.duration) else (
             max(end for _, end in windows) + 1.0 if windows else 1.0)
-        grid = _sample_times(max(1, int(math.ceil(horizon / interval))),
-                             interval)
-        # Walk the base's segments with a cursor instead of one
-        # ``bandwidth_at`` lookup per sample: sample times only grow, so
-        # the cursor only moves forward, back to segment 0 on a wrap.
-        times = base._times
-        rates = base._rates
-        period = base.duration
-        looping = base.loop and math.isfinite(period) and period > 0
-        last = len(times) - 1
-        index = 0
-        previous = 0.0
-        samples = []
-        append = samples.append
-        for t in grid:
-            offset = t % period if looping else t
-            if offset < previous:
-                index = 0
-            previous = offset
-            while index < last and times[index + 1] <= offset:
-                index += 1
-            append(rates[index])
+        count = max(1, int(math.ceil(horizon / interval)))
+        grid = _sample_times(count, interval)
         # The grid is ascending, so the samples with start <= t < end are
         # one slice of it.
-        for start, end in windows:
-            low = bisect.bisect_left(grid, start)
-            high = bisect.bisect_left(grid, end)
-            samples[low:high] = [floor_bytes_per_s] * (high - low)
-        return cls.from_samples(samples, interval)
+        spans = [(bisect.bisect_left(grid, start),
+                  bisect.bisect_left(grid, end)) for start, end in windows]
+        if floor_bytes_per_s < 0 and any(low < high for low, high in spans):
+            raise ValueError("bandwidth cannot be negative")
+        return cls._on_demand(
+            _dropout_blocks(base, grid, spans, floor_bytes_per_s),
+            count, interval)
 
     @classmethod
     def mobility_walk(cls, peak_bytes_per_s: float, floor_bytes_per_s: float,
@@ -205,9 +231,11 @@ class BandwidthTrace:
         Models the §7.3.4 mobility route: throughput follows a raised-cosine
         between ``peak`` (next to the AP) and ``floor`` (far side of the
         route) with period ``period`` seconds, plus small measurement jitter.
+        Built whole: a cosine argument that overflows fails at whichever
+        sample first reaches it.
         """
+        count = _sample_count(duration, interval)
         rng = np.random.default_rng(seed)
-        count = max(1, int(math.ceil(duration / interval)))
         jitter = rng.normal(0.0, jitter_fraction * peak_bytes_per_s,
                             count).tolist()
         samples = []
@@ -223,6 +251,30 @@ class BandwidthTrace:
         return cls.from_samples(samples, interval)
 
     # ------------------------------------------------------------------
+    # Materialization
+    # ------------------------------------------------------------------
+    def _grow(self) -> None:
+        """Append the producer's next block of rates."""
+        block = next(self._blocks)
+        _check_rates(block)
+        self._rates.extend(block)
+        if len(self._rates) == len(self._times):
+            self._blocks = None
+
+    def _complete(self) -> None:
+        while self._blocks is not None:
+            self._grow()
+
+    def __getstate__(self) -> dict:
+        # A producer holds a live generator, which cannot be pickled.  The
+        # change scan is finished too: a shallow copy shares ``_changes``,
+        # which must then never grow.
+        self._complete()
+        if self._scanned < len(self._times):
+            self._scan_changes(math.inf)
+        return self.__dict__
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
@@ -233,36 +285,51 @@ class BandwidthTrace:
     @property
     def rates(self) -> list:
         """Per-segment bandwidth (bytes/second), a copy."""
+        self._complete()
         return list(self._rates)
 
     def bandwidth_at(self, time: float) -> float:
         """Available bandwidth (bytes/second) at simulated ``time``."""
-        if time < 0:
-            raise ValueError(f"time cannot be negative: {time!r}")
+        if not time >= 0:
+            raise ValueError(f"time cannot be negative or NaN: {time!r}")
         if self.loop and math.isfinite(self.duration) and self.duration > 0:
             time = time % self.duration
         index = bisect.bisect_right(self._times, time) - 1
         if index < 0:
             index = 0
-        return self._rates[index]
+        rates = self._rates
+        while index >= len(rates):
+            self._grow()
+        return rates[index]
 
-    def _change_points(self) -> list:
-        """Offsets within one period at which the rate *actually* changes.
+    def _scan_changes(self, offset: float) -> List[float]:
+        """Offsets within one period at which the rate *actually* changes,
+        scanned until one lies past ``offset`` or the trace is complete.
 
         Boundaries between equal-rate segments are dropped, so a trace built
         from identical samples reports no breakpoints at all.  For looping
         traces the wrap-around (``duration``) counts as a change when the
         last and first rates differ.
         """
-        if self._changes is None:
-            changes = [t for prev, rate, t in
-                       zip(self._rates, self._rates[1:], self._times[1:])
-                       if rate != prev]
-            if (self.loop and math.isfinite(self.duration)
-                    and self._rates[-1] != self._rates[0]):
-                changes.append(self.duration)
-            self._changes = changes
-        return self._changes
+        changes = self._changes
+        rates = self._rates
+        times = self._times
+        while True:
+            if self._scanned == len(rates):
+                self._grow()
+            start = max(1, self._scanned)
+            changes.extend([t for prev, rate, t in
+                            zip(rates[start - 1:], rates[start:],
+                                times[start:len(rates)])
+                            if rate != prev])
+            self._scanned = len(rates)
+            if self._blocks is None:
+                if (self.loop and math.isfinite(self.duration)
+                        and rates[-1] != rates[0]):
+                    changes.append(self.duration)
+                return changes
+            if changes and changes[-1] > offset:
+                return changes
 
     def next_change(self, time: float) -> float:
         """Absolute time of the first rate change strictly after ``time``.
@@ -273,18 +340,20 @@ class BandwidthTrace:
         the event-driven kernel walks: between ``time`` and the returned
         instant, :meth:`bandwidth_at` is guaranteed constant.
         """
-        if time < 0:
-            raise ValueError(f"time cannot be negative: {time!r}")
-        changes = self._change_points()
+        if not time >= 0:
+            raise ValueError(f"time cannot be negative or NaN: {time!r}")
+        looping = self.loop and math.isfinite(self.duration) and self.duration > 0
+        offset = time % self.duration if looping else time
+        changes = self._changes
+        index = bisect.bisect_right(changes, offset)
+        if index == len(changes) and self._scanned < len(self._times):
+            changes = self._scan_changes(offset)
+            index = bisect.bisect_right(changes, offset)
         if not changes:
             return math.inf
-        looping = self.loop and math.isfinite(self.duration) and self.duration > 0
         if not looping:
-            index = bisect.bisect_right(changes, time)
             return changes[index] if index < len(changes) else math.inf
-        offset = time % self.duration
         base = time - offset
-        index = bisect.bisect_right(changes, offset)
         if index < len(changes):
             return base + changes[index]
         return base + self.duration + changes[0]
@@ -296,6 +365,7 @@ class BandwidthTrace:
 
     def mean_bandwidth(self) -> float:
         """Time-weighted mean bandwidth over one recorded period."""
+        self._complete()
         if len(self._times) == 1:
             return self._rates[0]
         total = 0.0
@@ -309,7 +379,7 @@ class BandwidthTrace:
         """A copy of this trace with every rate multiplied by ``factor``."""
         if factor < 0:
             raise ValueError("factor cannot be negative")
-        clone = BandwidthTrace(self._times, [r * factor for r in self._rates],
+        clone = BandwidthTrace(self._times, [r * factor for r in self.rates],
                                loop=self.loop)
         clone.duration = self.duration
         return clone
@@ -320,7 +390,7 @@ class BandwidthTrace:
         if cap_bytes_per_s < 0:
             raise ValueError("cap cannot be negative")
         clone = BandwidthTrace(
-            self._times, [min(r, cap_bytes_per_s) for r in self._rates],
+            self._times, [min(r, cap_bytes_per_s) for r in self.rates],
             loop=self.loop)
         clone.duration = self.duration
         return clone
@@ -331,9 +401,70 @@ class BandwidthTrace:
         return [self.bandwidth_at(i * interval) for i in range(count)]
 
     def __repr__(self) -> str:
-        return (f"<BandwidthTrace segments={len(self._rates)} "
+        return (f"<BandwidthTrace segments={len(self._times)} "
                 f"mean={self.mean_bandwidth() * 8 / 1e6:.2f}Mbps "
                 f"loop={self.loop}>")
+
+
+def _walk_blocks(rng: np.random.Generator, count: int, mean: float,
+                 innovation: float, reversion: float
+                 ) -> Iterator[List[float]]:
+    """:meth:`BandwidthTrace.random_walk`'s samples, a block at a time."""
+    low = 0.05 * mean
+    high = 2.5 * mean
+    level = mean
+    for start in range(0, count, BLOCK):
+        # Block draws yield the same stream as ``count`` scalar draws;
+        # the recursion keeps the scalar operation order.
+        steps = rng.normal(0.0, innovation, min(BLOCK, count - start))
+        block = []
+        append = block.append
+        for step in steps.tolist():
+            level += reversion * (mean - level)
+            level += step
+            if level < low:
+                level = low
+            if level > high:
+                level = high
+            append(level)
+        yield block
+
+
+def _dropout_blocks(base: BandwidthTrace, grid: Sequence[float],
+                    spans: List[tuple], floor: float
+                    ) -> Iterator[List[float]]:
+    """:meth:`BandwidthTrace.with_dropouts`' samples, a block at a time."""
+    # Walk the base's segments with a cursor instead of one
+    # ``bandwidth_at`` lookup per sample: sample times only grow, so the
+    # cursor only moves forward, back to segment 0 on a wrap.  The base's
+    # rate prefix is extended in place as the cursor passes its end.
+    times = base._times
+    rates = base._rates
+    period = base.duration
+    looping = base.loop and math.isfinite(period) and period > 0
+    last = len(times) - 1
+    index = 0
+    previous = 0.0
+    for first in range(0, len(grid), BLOCK):
+        stop = min(first + BLOCK, len(grid))
+        block = []
+        append = block.append
+        for t in grid[first:stop]:
+            offset = t % period if looping else t
+            if offset < previous:
+                index = 0
+            previous = offset
+            while index < last and times[index + 1] <= offset:
+                index += 1
+            while index >= len(rates):
+                base._grow()
+            append(rates[index])
+        for low, high in spans:
+            low = max(low, first)
+            high = min(high, stop)
+            if low < high:
+                block[low - first:high - first] = [floor] * (high - low)
+        yield block
 
 
 def constant_mbps(rate: float) -> BandwidthTrace:

@@ -19,7 +19,7 @@ from repro.energy.devices import DEVICES
 from repro.energy.model import (EnergyBreakdown, interface_energy,
                                 radio_state_events)
 from repro.mptcp.activity import ActivityLog
-from repro.net.trace import BandwidthTrace
+from repro.net.trace import BLOCK, BandwidthTrace
 from repro.obs.events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
                               RadioStateChange)
 
@@ -347,3 +347,183 @@ class TestBurstsIdentity:
                                              session_end)
             assert path_utilization(log, path, session_end) == \
                 reference_path_utilization(log, path, session_end)
+
+
+# ----------------------------------------------------------------------
+# On-demand synthesis: queries read exactly what whole traces hold.
+# ----------------------------------------------------------------------
+def whole(trace):
+    return len(trace._rates) == len(trace._times)
+
+
+def query_times(trace, step):
+    """Times in and past the first period, on and beside the block edges
+    of a trace sampled every ``step`` seconds, and on its grid points."""
+    period = trace.duration
+    grid = trace.times
+    edges = st.tuples(
+        st.integers(min_value=0, max_value=3 * (len(grid) // BLOCK + 1)),
+        st.sampled_from([-1, 0, 1])).map(
+            lambda edge: max(0, edge[0] * BLOCK + edge[1]) * step)
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=3 * period),
+        edges,
+        edges.map(lambda t: math.nextafter(t, math.inf)),
+        edges.map(lambda t: max(0.0, math.nextafter(t, -math.inf))),
+        st.integers(min_value=0, max_value=3).map(lambda n: n * period),
+        st.sampled_from(grid))
+
+
+def edge_times(count, step, period):
+    """Grid points one either side of every block edge, the floats just
+    beside them, and the same a period later."""
+    for k in range(count // BLOCK + 1):
+        for index in (k * BLOCK - 1, k * BLOCK, k * BLOCK + 1):
+            if 0 <= index < count:
+                t = index * step
+                for near in (t, math.nextafter(t, math.inf),
+                             math.nextafter(t, -math.inf)):
+                    if near >= 0:
+                        yield near
+                        yield near + period
+
+
+def ask(trace, query, time):
+    return getattr(trace, query)(time)
+
+
+class TestOnDemandIdentity:
+    @given(st.data(), means, sigmas, durations, intervals, seeds,
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_queries_match_whole_traces(self, data, mean, sigma, duration,
+                                        interval, seed, dropped):
+        fast = BandwidthTrace.random_walk(mean, sigma, duration, interval,
+                                          seed)
+        slow = reference_random_walk(mean, sigma, duration, interval, seed)
+        step = interval
+        if dropped:
+            windows = data.draw(dropout_windows())
+            floor = data.draw(st.floats(min_value=0.0, max_value=1e6))
+            fast = BandwidthTrace.with_dropouts(fast, windows, floor)
+            slow = reference_with_dropouts(slow, windows, floor)
+            step = 0.1
+        assert whole(fast) == (len(slow.rates) <= BLOCK)
+        queries = data.draw(st.lists(
+            st.tuples(st.sampled_from(["bandwidth_at", "next_change",
+                                       "segment"]),
+                      query_times(slow, step)), max_size=30))
+        if data.draw(st.booleans()):
+            queries.sort(key=lambda q: q[1])
+        for query, time in queries:
+            assert ask(fast, query, time) == ask(slow, query, time), \
+                (query, time)
+        assert_same_trace(fast, slow)
+        assert fast.mean_bandwidth() == slow.mean_bandwidth()
+        assert repr(fast) == repr(slow)
+        for query, time in queries:
+            assert ask(fast, query, time) == ask(slow, query, time)
+
+    @given(base_traces(), dropout_windows(),
+           st.floats(min_value=0.0, max_value=1e6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_queries_over_explicit_bases_match(self, base, windows, floor,
+                                               data):
+        fast = BandwidthTrace.with_dropouts(base, windows, floor)
+        slow = reference_with_dropouts(base, windows, floor)
+        for time in data.draw(st.lists(query_times(slow, 0.1),
+                                       max_size=20)):
+            assert fast.segment(time) == slow.segment(time), time
+        assert_same_trace(fast, slow)
+
+
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_first_read_at_each_block_edge(self, dropped):
+        # A fresh trace per query, so each edge is read before any later
+        # block exists: the scan must carry the change across the edge.
+        def build(walk):
+            base = walk(6e5, 0.45, 220.0, 0.5, 17)
+            if dropped:
+                windows = [(12.75, 19.2), (110.0, 130.0)]
+                return (BandwidthTrace.with_dropouts(base, windows, 6e4)
+                        if walk is BandwidthTrace.random_walk else
+                        reference_with_dropouts(base, windows, 6e4))
+            return base
+
+        slow = build(reference_random_walk)
+        step = 0.1 if dropped else 0.5
+        for time in edge_times(len(slow.rates), step, slow.duration):
+            for query in ("next_change", "bandwidth_at"):
+                fast = build(BandwidthTrace.random_walk)
+                assert ask(fast, query, time) == ask(slow, query, time), \
+                    (query, time)
+
+
+def outcome(build):
+    """A built trace's rates, or the error building it raised."""
+    try:
+        trace = build()
+    except Exception as error:  # noqa: BLE001 - comparing any error
+        return type(error), str(error)
+    return repr(trace.rates), trace.duration
+
+
+class TestConstructionErrorIdentity:
+    @given(st.sampled_from([-1e6, -1.0, -0.0, 0.0, 1e6, math.nan, math.inf,
+                            -math.inf]),
+           st.sampled_from([-0.5, -0.0, 0.0, 0.3, math.nan, math.inf]),
+           st.sampled_from([0.2, -1.0, 3.0, math.nan, 1e200]),
+           st.sampled_from([0, 7, -1]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_walk_fails_as_the_whole_build_did(self, mean, sigma,
+                                                      reversion, seed):
+        assert outcome(lambda: BandwidthTrace.random_walk(
+            mean, sigma, 100.0, 0.5, seed, reversion=reversion)) == \
+            outcome(lambda: reference_random_walk(
+                mean, sigma, 100.0, 0.5, seed, reversion=reversion))
+
+    @pytest.mark.parametrize("windows", [
+        [(0.05, 0.07)],            # between grid points: covers none
+        [(500.0, 600.0)],          # past the horizon
+        [(-9.0, -1.0)],            # before time 0
+        [(50.0, 50.05)],           # covers exactly one grid point
+        [(0.05, 0.07), (10.0, 12.0)],
+        [],
+    ])
+    @pytest.mark.parametrize("floor", [-1.0, -0.0, 0.0, 5.0, math.nan])
+    def test_dropout_floor_fails_as_the_whole_build_did(self, windows,
+                                                        floor):
+        def base():
+            return BandwidthTrace.random_walk(7e5, 0.45, 100.0, 0.5, 3)
+
+        assert outcome(lambda: BandwidthTrace.with_dropouts(
+            base(), windows, floor)) == \
+            outcome(lambda: reference_with_dropouts(base(), windows, floor))
+
+
+class TestFleetReadsLittle:
+    def test_sessions_materialize_at_most_a_quarter(self, monkeypatch):
+        from repro.experiments.fleet import FleetConfig, session_config
+        from repro.experiments.runner import run_session
+
+        built = []
+        on_demand = BandwidthTrace._on_demand.__func__
+
+        def recording(cls, blocks, count, interval):
+            trace = on_demand(cls, blocks, count, interval)
+            built.append(trace)
+            return trace
+
+        monkeypatch.setattr(BandwidthTrace, "_on_demand",
+                            classmethod(recording))
+        config = FleetConfig(sessions=12, video_duration=20.0, seed=2016)
+        draws = list(config.workload().draws())
+        for draw in draws:
+            run_session(session_config(config, draw))
+        # WiFi and LTE walks per session, plus the 0.1 s resampling at
+        # dropout sites, all sized to the 220 s horizon.
+        lengths = {len(trace._times) for trace in built}
+        assert lengths == {440, 2200}
+        assert len(built) >= 2 * len(draws) - sum(d.wifi_only for d in draws)
+        for trace in built:
+            assert len(trace._rates) <= len(trace._times) / 4

@@ -1,6 +1,8 @@
 """Tests for bandwidth traces."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,16 @@ class TestQueries:
         trace = BandwidthTrace.constant(10.0)
         with pytest.raises(ValueError):
             trace.bandwidth_at(-1.0)
+
+    @pytest.mark.parametrize("query", ["bandwidth_at", "next_change",
+                                       "segment"])
+    @pytest.mark.parametrize("loop", [True, False])
+    def test_nan_time_rejected(self, query, loop):
+        # NaN compares false against every breakpoint, so without the
+        # check it silently read the last segment.
+        trace = BandwidthTrace.from_samples([1.0, 2.0, 3.0], 1.0, loop=loop)
+        with pytest.raises(ValueError, match="NaN"):
+            getattr(trace, query)(math.nan)
 
     def test_looping_wraps_around(self):
         trace = BandwidthTrace.from_samples([100.0, 200.0], 1.0)
@@ -139,6 +151,77 @@ class TestGenerators:
         assert near_ap == pytest.approx(mbps(5.0), rel=0.05)
         assert far == pytest.approx(mbps(0.3), rel=0.2)
         assert back == pytest.approx(mbps(5.0), rel=0.05)
+
+
+class TestGeneratorArguments:
+    GENERATORS = {
+        "gaussian": lambda duration, interval: BandwidthTrace.gaussian(
+            1e6, 0.2, duration, interval, seed=1),
+        "random_walk": lambda duration, interval: BandwidthTrace.random_walk(
+            1e6, 0.2, duration, interval, seed=1),
+        "mobility_walk": lambda duration, interval:
+            BandwidthTrace.mobility_walk(1e6, 1e5, 30.0, duration,
+                                         interval=interval, seed=1),
+    }
+
+    @pytest.mark.parametrize("generator", sorted(GENERATORS))
+    @pytest.mark.parametrize("duration, interval, argument", [
+        (10.0, 0.0, "interval"),
+        (10.0, -0.5, "interval"),
+        (10.0, math.nan, "interval"),
+        (10.0, math.inf, "interval"),
+        (math.inf, 0.5, "duration"),
+        (-math.inf, 0.5, "duration"),
+        (math.nan, 0.5, "duration"),
+    ])
+    def test_bad_count_arguments_name_the_argument(
+            self, generator, duration, interval, argument):
+        with pytest.raises(ValueError, match=argument):
+            self.GENERATORS[generator](duration, interval)
+
+    @pytest.mark.parametrize("generator", sorted(GENERATORS))
+    def test_short_and_negative_durations_give_one_sample(self, generator):
+        for duration in (0.0, -3.0, 0.1):
+            trace = self.GENERATORS[generator](duration, 0.5)
+            assert len(trace.rates) == 1
+
+
+class TestOnDemand:
+    @staticmethod
+    def walks():
+        walk = BandwidthTrace.random_walk(mbps(6.0), 0.45, 220.0, 0.5, seed=9)
+        dropped = BandwidthTrace.with_dropouts(
+            BandwidthTrace.random_walk(mbps(6.0), 0.45, 220.0, 0.5, seed=9),
+            [(20.0, 30.0), (110.0, 130.0)], floor_bytes_per_s=mbps(0.6))
+        return [walk, dropped]
+
+    @staticmethod
+    def reads(trace, times):
+        return [(trace.bandwidth_at(t), trace.next_change(t),
+                 trace.segment(t)) for t in times]
+
+    @pytest.mark.parametrize("clone", [
+        lambda trace: pickle.loads(pickle.dumps(trace)), copy.copy,
+        copy.deepcopy])
+    def test_partly_read_trace_survives_pickling(self, clone):
+        early = [0.0, 3.2, 12.7, 25.0]
+        late = [26.0, 64.0, 150.3, 219.95, 230.0, 500.1, 40.0]
+        for trace, twin in zip(self.walks(), self.walks()):
+            assert self.reads(trace, early) == self.reads(twin, early)
+            revived = clone(trace)
+            assert self.reads(revived, late) == self.reads(twin, late)
+            assert self.reads(trace, late) == self.reads(twin, late)
+            assert revived.rates == twin.rates
+            assert revived.duration == twin.duration
+
+    def test_reads_synthesize_only_what_they_reach(self):
+        walk, dropped = self.walks()
+        walk.segment(20.0)
+        dropped.segment(20.0)
+        assert len(walk._rates) < len(walk._times) / 4
+        assert len(dropped._rates) < len(dropped._times) / 4
+        assert len(walk.rates) == len(walk._times) == 440
+        assert len(dropped.rates) == len(dropped._times) == 2200
 
 
 class TestProperties:
