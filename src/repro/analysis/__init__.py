@@ -3,7 +3,6 @@
 from .analyzer import ChunkView, IdleGap, MultipathVideoAnalyzer
 from .cdf import (empirical_cdf, fraction_at_most, percentile,
                   quartile_summary)
-from .qoe import QoeScore, qoe_from_bitrates, qoe_of, session_qoe
 from .report import session_report
 from .metrics import (SessionMetrics, bitrate_reduction, compute_metrics,
                       path_utilization, savings)
@@ -13,8 +12,7 @@ from .visualize import (NUM_LEVELS, ChunkCell, chunk_cells, chunk_timeline,
 __all__ = [
     "NUM_LEVELS",
     "ChunkCell", "ChunkView", "IdleGap", "MultipathVideoAnalyzer",
-    "QoeScore", "SessionMetrics", "qoe_from_bitrates", "qoe_of",
-    "session_qoe", "bitrate_reduction", "chunk_cells", "chunk_timeline",
+    "SessionMetrics", "bitrate_reduction", "chunk_cells", "chunk_timeline",
     "compute_metrics", "empirical_cdf", "fraction_at_most",
     "path_utilization", "percentile", "quartile_summary", "savings",
     "session_report", "sparkline", "throughput_plot",

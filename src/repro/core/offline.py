@@ -24,6 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .policy import require_positive
+
 
 @dataclass
 class OfflineSolution:
@@ -79,10 +81,7 @@ def _validate(bandwidths: Dict[str, Sequence[float]],
                 raise ValueError(
                     f"per-slot costs for {name!r} have {len(cost)} entries, "
                     f"expected {num_slots}")
-    if slot <= 0:
-        raise ValueError(f"slot duration must be positive: {slot!r}")
-    if size <= 0:
-        raise ValueError(f"size must be positive: {size!r}")
+    require_positive(slot=slot, size=size)
     return num_slots
 
 

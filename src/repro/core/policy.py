@@ -8,13 +8,50 @@ names, with optional explicit costs for the generalized N-path variant.
 
 The two policies the paper's prototype ships — prefer WiFi over cellular and
 its symmetric opposite — are provided as constants.
+
+:func:`enabled_prefix` is Algorithm 1's decision itself, the one rule the
+online scheduler, the slot model and the packet model all run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..net.link import CELLULAR, WIFI, Path
+
+
+def enabled_prefix(rates: Sequence[float], remaining: float,
+                   time_left: float) -> Tuple[bool, ...]:
+    """Which cost-ordered paths Algorithm 1 runs (§4, N-path form).
+
+    ``rates`` are the paths' predicted throughputs, cheapest first.  The
+    cheapest path is always on; each costlier path is on until the combined
+    rate of the paths before it can deliver the ``remaining`` bytes in
+    ``time_left`` seconds (a negative time left counts as none), so the
+    costliest path's own rate never matters.  With two paths this is
+    Algorithm 1 verbatim: the costly path runs iff
+    ``time_left · R_preferred < remaining``.
+    """
+    budget = max(time_left, 0.0)
+    capacity = 0.0
+    for count, rate in enumerate(rates, 1):
+        capacity += rate
+        if budget * capacity >= remaining:
+            return (True,) * count + (False,) * (len(rates) - count)
+    return (True,) * len(rates)
+
+
+def require_positive(**values: float) -> None:
+    """Reject an Algorithm 1 input that is not a positive, finite number.
+
+    Checked once where a download is set up, never per decision: a NaN
+    compares false everywhere, so it would otherwise slip past every guard
+    and silently switch scheduling off.
+    """
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite: {value!r}")
 
 
 class Preference:

@@ -15,8 +15,10 @@ earlier virtual deadline, compensating for throughput-estimation error.
 
 The N-path generalization (§4, "cost-varying version") sorts interfaces by
 cost and finds the smallest prefix whose combined predicted throughput can
-meet the deadline, enabling exactly that prefix.  With two paths this
-reduces to Algorithm 1 verbatim.
+meet the deadline, enabling exactly that prefix
+(:func:`~repro.core.policy.enabled_prefix`, the one rule the slot model and
+the packet model also run).  With two paths this reduces to Algorithm 1
+verbatim.
 
 This class plugs into :class:`~repro.mptcp.connection.MptcpConnection` as a
 :class:`~repro.mptcp.connection.PathController`; enable/disable decisions
@@ -26,11 +28,11 @@ therefore incur the DSS signaling delay, as in the kernel implementation.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..mptcp.connection import MptcpConnection, PathController, Transfer
 from ..obs.events import DeadlineMissed, SchedulerActivated
-from .policy import Preference
+from .policy import Preference, enabled_prefix, require_positive
 
 
 class Activation:
@@ -75,10 +77,7 @@ class DeadlineAwareScheduler(PathController):
     # ------------------------------------------------------------------
     def arm(self, size: float, window: float) -> None:
         """MP_DASH_ENABLE: activate for the next ``size`` bytes."""
-        if size <= 0:
-            raise ValueError(f"size must be positive: {size!r}")
-        if window <= 0:
-            raise ValueError(f"deadline window must be positive: {window!r}")
+        require_positive(size=size, window=window)
         self._pending = (size, window)
 
     def bind(self, connection: MptcpConnection) -> None:
@@ -150,14 +149,8 @@ class DeadlineAwareScheduler(PathController):
             self._count_flips(connection, desired)
             return desired
 
-        remaining = activation.size - min(transfer.bytes_done,
-                                          activation.size)
-        # A decision made now reaches the server one signaling delay (plus
-        # up to two decision intervals) later; budget for it, otherwise a
-        # just-in-time cellular enable lands after the deadline.
-        guard = connection.signaling_delay + 2.0 * connection.tick_interval
-        time_left = (self.alpha * activation.window
-                     - (now - activation.started_at) - guard)
+        remaining, time_left = self._budget(now, activation, transfer,
+                                            connection)
         desired = self._desired_states(connection, remaining, time_left)
         self._count_flips(connection, desired)
         return desired
@@ -190,13 +183,10 @@ class DeadlineAwareScheduler(PathController):
             return None
         earliest = deadline
         floor = now + connection.tick_interval
-        guard = connection.signaling_delay + 2.0 * connection.tick_interval
-        budget = (self.alpha * activation.window
-                  - (now - activation.started_at) - guard)
-        remaining = activation.size - min(transfer.bytes_done,
-                                          activation.size)
+        remaining, budget = self._budget(now, activation, transfer,
+                                         connection)
         names = self._ordered_names(connection)
-        estimates = {}
+        estimates = []
         cold = False
         rate = 0.0
         for name in names:
@@ -204,7 +194,7 @@ class DeadlineAwareScheduler(PathController):
             if estimate is None:
                 cold = True
                 estimate = 0.0
-            estimates[name] = estimate
+            estimates.append(estimate)
             if connection.path_state(name):
                 rate += estimate
         if cold:
@@ -226,26 +216,23 @@ class DeadlineAwareScheduler(PathController):
             # is what keeps wandering-trace (mobility) workloads from
             # waking at 20 Hz through every download.
             drifting = False
-            actuals: Dict[str, float] = {}
-            for name in names:
+            actuals = []
+            for name, estimate in zip(names, estimates):
                 actual = connection.path_capacity(name)
-                actuals[name] = actual
-                estimate = estimates[name]
+                actuals.append(actual)
                 if (connection.path_state(name) and estimate > 0.0
                         and abs(estimate - actual)
                         > 0.25 * max(actual, estimate)):
                     drifting = True
             if drifting:
-                if (self._prefix_decision(names, estimates, remaining,
-                                          budget)
-                        != self._prefix_decision(names, actuals, remaining,
-                                                 budget)):
+                if (enabled_prefix(estimates, remaining, budget)
+                        != enabled_prefix(actuals, remaining, budget)):
                     earliest = min(earliest, now + 0.05)
                 else:
                     earliest = min(earliest, now + 0.25)
         capacity = 0.0
-        for name in names[:-1]:
-            capacity += estimates[name]
+        for estimate in estimates[:-1]:
+            capacity += estimate
             denominator = rate - capacity
             if denominator == 0.0:
                 continue
@@ -259,54 +246,34 @@ class DeadlineAwareScheduler(PathController):
     # ------------------------------------------------------------------
     # Decision core
     # ------------------------------------------------------------------
-    def _prefix_decision(self, names: List[str], rates: Dict[str, float],
-                         remaining: float, time_left: float) -> tuple:
-        """The enabled-prefix Algorithm 1 would pick under ``rates``.
+    def _budget(self, now: float, activation: Activation, transfer: Transfer,
+                connection: MptcpConnection) -> Tuple[float, float]:
+        """Algorithm 1's remaining bytes and time left for ``activation``.
 
-        Same cost-ordered-prefix rule as :meth:`_desired_states`, but over
-        caller-supplied rate numbers — used to compare the decision under
-        current estimates against the decision under ground-truth
-        capacities without touching connection state.
+        A decision made now reaches the server one signaling delay (plus
+        up to two decision intervals) later; budget for it, otherwise a
+        just-in-time cellular enable lands after the deadline.
         """
-        desired = []
-        capacity_so_far = 0.0
-        need_more = True
-        budget = max(time_left, 0.0)
-        for index, name in enumerate(names):
-            desired.append(True if index == 0 else need_more)
-            capacity_so_far += rates[name]
-            if budget * capacity_so_far >= remaining:
-                need_more = False
-        return tuple(desired)
+        remaining = activation.size - min(transfer.bytes_done,
+                                          activation.size)
+        guard = connection.signaling_delay + 2.0 * connection.tick_interval
+        return remaining, (self.alpha * activation.window
+                           - (now - activation.started_at) - guard)
 
     def _desired_states(self, connection: MptcpConnection, remaining: float,
                         time_left: float) -> Dict[str, bool]:
-        """Smallest cost-ordered prefix of paths that can meet the deadline.
+        """Algorithm 1's enabled prefix under the current estimates.
 
-        The preferred path is always on (MP-DASH drives it at full
-        capacity); each costlier path turns on only while the combined
-        predicted capacity of all cheaper paths cannot deliver the
-        remaining bytes in the time left.
+        A cold estimator counts as a path that contributes nothing, which
+        errs toward enabling costlier paths (conservative, same spirit as
+        alpha < 1).
         """
         names = self._ordered_names(connection)
-        desired: Dict[str, bool] = {}
-        capacity_so_far = 0.0
-        need_more = True
-        for index, name in enumerate(names):
-            if index == 0:
-                desired[name] = True
-            else:
-                desired[name] = need_more
+        rates = []
+        for name in names:
             estimate = connection.throughput_estimate(name)
-            if estimate is None:
-                # Cold estimator: assume the path contributes nothing, which
-                # errs toward enabling costlier paths (conservative, same
-                # spirit as alpha < 1).
-                estimate = 0.0
-            capacity_so_far += estimate
-            if max(time_left, 0.0) * capacity_so_far >= remaining:
-                need_more = False
-        return desired
+            rates.append(0.0 if estimate is None else estimate)
+        return dict(zip(names, enabled_prefix(rates, remaining, time_left)))
 
     def _ordered_names(self, connection: MptcpConnection) -> List[str]:
         known = set(connection.path_names())

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 from ..estimators import HoltWinters, ThroughputEstimator
+from .policy import enabled_prefix, require_positive
 
 
 @dataclass
@@ -60,8 +61,7 @@ def simulate_online(preferred: Sequence[float], costly: Sequence[float],
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1]: {alpha!r}")
-    if slot <= 0 or size <= 0 or deadline <= 0:
-        raise ValueError("slot, size, and deadline must be positive")
+    require_positive(slot=slot, size=size, deadline=deadline)
     if not preferred or not costly:
         raise ValueError("bandwidth series cannot be empty")
     factory = estimator_factory if estimator_factory else HoltWinters
@@ -108,10 +108,9 @@ def simulate_online(preferred: Sequence[float], costly: Sequence[float],
             costly_enabled = True
             continue
 
-        estimate = estimator.predict_or(bw_preferred)
-        time_left = alpha * deadline - time
-        can_make_it = max(time_left, 0.0) * estimate >= (size - sent)
-        costly_enabled = not can_make_it
+        _, costly_enabled = enabled_prefix(
+            (estimator.predict_or(bw_preferred), bw_costly), size - sent,
+            alpha * deadline - time)
 
     miss_by = max(0.0, finish - deadline)
     return TraceSimResult(
@@ -132,8 +131,7 @@ def simulate_oracle(preferred: Sequence[float], costly: Sequence[float],
     in the slots where the remaining WiFi capacity until the deadline cannot
     cover the remaining bytes.
     """
-    if slot <= 0 or size <= 0 or deadline <= 0:
-        raise ValueError("slot, size, and deadline must be positive")
+    require_positive(slot=slot, size=size, deadline=deadline)
     num_slots = max(1, int(round(deadline / slot)))
 
     def bw_at(series: Sequence[float], j: int) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.policy import enabled_prefix, require_positive
 from ..estimators import HoltWinters
 from ..net.link import Path
 from ..net.simulator import Simulator
@@ -118,12 +119,11 @@ class PacketLevelDownload:
     def __init__(self, sim: Simulator, paths: List[Path], size: float,
                  deadline: Optional[float] = None, alpha: float = 1.0,
                  preferred: str = "wifi", costly: str = "cellular"):
-        if size <= 0:
-            raise ValueError(f"size must be positive: {size!r}")
+        require_positive(size=size)
         if not paths:
             raise ValueError("need at least one path")
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive: {deadline!r}")
+        if deadline is not None:
+            require_positive(deadline=deadline)
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1]: {alpha!r}")
         self.sim = sim
@@ -233,14 +233,11 @@ class PacketLevelDownload:
         estimate = preferred.throughput_estimate()
         if estimate is None:
             estimate = preferred.path.bandwidth_at(now)
-        remaining = self.size - self._acked
-        time_left = self.alpha * self.deadline - elapsed
-        can_make_it = max(time_left, 0.0) * estimate >= remaining
-        if can_make_it and self._costly_enabled:
-            self._costly_enabled = False
-        elif not can_make_it and not self._costly_enabled:
-            self._costly_enabled = True
+        _, enable = enabled_prefix((estimate, 0.0), self.size - self._acked,
+                                   self.alpha * self.deadline - elapsed)
+        if enable and not self._costly_enabled:
             self.enable_events += 1
+        self._costly_enabled = enable
 
 
 def run_packet_download(paths: List[Path], size: float,

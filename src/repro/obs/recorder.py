@@ -62,8 +62,8 @@ MANIFEST_VERSION = 1
 _KEY_DIR_CHARS = 16
 
 #: Stall-time weight of the recorder's QoE proxy (Mbps of bitrate one
-#: unit of rebuffer *ratio* is worth — the spirit of the robust-MPC
-#: rebuffer penalty in :mod:`repro.analysis.qoe`).
+#: unit of rebuffer *ratio* is worth — the spirit of robust-MPC's
+#: rebuffer penalty).
 QOE_REBUFFER_WEIGHT = 8.0
 
 
@@ -116,10 +116,10 @@ def artifact_name(index: int) -> str:
 def qoe_proxy(metrics: Any, session_duration: float) -> float:
     """Bitrate minus a stall-ratio penalty: higher is better.
 
-    A deliberately simple, ladder-free stand-in for the composite QoE in
-    :mod:`repro.analysis.qoe` — it only has to *order* sessions within a
-    shard, deterministically, from SessionMetrics alone.  The run
-    ledger's ``qoe`` headline is this same proxy.
+    The repository's one QoE definition: deliberately simple and
+    ladder-free, it only has to *order* sessions within a shard,
+    deterministically, from SessionMetrics alone.  The run ledger's
+    ``qoe`` headline is this same proxy.
     """
     ratio = metrics.total_stall_time / max(session_duration, 1e-9)
     return metrics.mean_bitrate_mbps - QOE_REBUFFER_WEIGHT * ratio
