@@ -14,11 +14,9 @@ equivalent entry point, plus runners for the common experiments::
     python -m repro spans --mpdash --chrome spans.json
     python -m repro check --mpdash --json
     python -m repro check --load run.jsonl
-    python -m repro bench --label ci --compare BENCH_main.json
     python -m repro report --mpdash --out report.html
     python -m repro report --load run.jsonl --out report.html
     python -m repro sweep --schemes baseline,rate --live --report sweep.html
-    python -m repro bench --load BENCH_ci.json --html bench.html
     python -m repro fleet --sessions 1000 --arrival diurnal --jobs 4 \
         --checkpoint-dir .fleet --report fleet.html
     python -m repro why --load run.jsonl
@@ -31,7 +29,7 @@ equivalent entry point, plus runners for the common experiments::
     python -m repro videos
 
 Output discipline: the machine-readable payload (``--json``, the
-Prometheus exposition, the Chrome trace, the check/bench reports) goes
+Prometheus exposition, the Chrome trace, the check report) goes
 to stdout; human-oriented tables, progress lines, notes, and errors go
 to stderr, so stdout can always be piped into a parser.
 """
@@ -53,22 +51,20 @@ from .experiments import (BASELINE, DURATION, FileDownloadConfig, FleetConfig,
                           RATE, SessionConfig, expand_grid, run_file_download,
                           run_fleet, run_schemes, run_session, run_sweep)
 from .experiments.tables import fleet_table, format_table, pct, sweep_table
-from .obs import (BenchReport, EventBus, FleetCheckpointSaved,
-                  FleetDashboard, FleetSessionCaptured,
-                  FleetShardCompleted, RecorderConfig, SweepDashboard,
-                  SweepRunFailed, SweepRunFinished, Trace,
-                  attribute_anomaly, attributions_from_trace,
-                  bench_report_html, check_trace, compare_meta,
-                  compare_reports, detect_drift, diff_traces,
-                  drift_table, dump_chrome_trace, dump_jsonl, gate_ok,
+from .obs import (EventBus, FleetCheckpointSaved, FleetDashboard,
+                  FleetSessionCaptured, FleetShardCompleted, RecorderConfig,
+                  SweepDashboard, SweepRunFailed, SweepRunFinished, Trace,
+                  attribute_anomaly, attributions_from_trace, check_trace,
+                  detect_drift, diff_traces, drift_table,
+                  dump_chrome_trace, dump_jsonl, gate_ok,
                   history_report_html, load_jsonl,
                   metrics_from_trace, registry_from_trace,
-                  render_attributions, render_span_tree, run_bench,
+                  render_attributions, render_span_tree,
                   session_report_html,
                   spans_from_trace, stock_checkers,
                   summarize_attributions, trend_document,
                   triage_report_html, write_report)
-from .obs.ledger import RunLedger
+from .obs.ledger import ENTRY_KINDS, RunLedger
 from .obs.spans import spans_to_dicts
 from .workloads import (ARRIVAL_MODELS, VIDEO_LADDERS,
                         field_study_locations, video_names)
@@ -152,15 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--report", metavar="FILE", default=None,
                        help="write the self-contained HTML sweep report "
                             "to FILE")
-    sweep.add_argument("--bench", action="append", default=[],
-                       metavar="BENCH.json",
-                       help="BENCH_*.json report(s) to chart in the sweep "
-                            "report's performance panel; repeatable, in "
-                            "trajectory order")
-    sweep.add_argument("--bench-baseline", metavar="BENCH.json",
-                       default=None,
-                       help="baseline BENCH_*.json the report compares "
-                            "the latest --bench report against")
     sweep.add_argument("--ledger", metavar="FILE", default=None,
                        help="append the sweep's headline record to this "
                             "run-ledger JSONL file")
@@ -218,38 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true",
                        help="structured verdict report instead of the "
                             "summary")
-
-    bench = commands.add_parser(
-        "bench", help="run the pinned performance scenarios and compare "
-                      "against a stored baseline")
-    bench.add_argument("--scenarios", default=None, metavar="S1,S2,...",
-                       help="subset of scenarios to run (default: all)")
-    bench.add_argument("--repeat", type=int, default=1, metavar="N",
-                       help="repetitions per scenario (best-of)")
-    bench.add_argument("--label", default="local",
-                       help="label stored in the report (default: local)")
-    bench.add_argument("--out", default=None, metavar="FILE",
-                       help="report path (default: BENCH_<label>.json; "
-                            "'-' to skip writing)")
-    bench.add_argument("--load", metavar="FILE",
-                       help="reuse an existing report instead of "
-                            "measuring (for compare-only runs)")
-    bench.add_argument("--compare", metavar="BASELINE", default=None,
-                       help="baseline BENCH_*.json to gate against; "
-                            "exits nonzero on regression")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       metavar="T",
-                       help="allowed fractional drift per metric before "
-                            "a comparison counts as a regression")
-    bench.add_argument("--json", action="store_true",
-                       help="report as JSON instead of the table")
-    bench.add_argument("--html", metavar="FILE", default=None,
-                       help="also render the report (and the --compare "
-                            "verdict, when given) as a self-contained "
-                            "HTML page")
-    bench.add_argument("--ledger", metavar="FILE", default=None,
-                       help="append the measured report to this "
-                            "run-ledger JSONL file (ignored with --load)")
 
     report = commands.add_parser(
         "report", help="self-contained HTML session report (live run or "
@@ -397,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shorthand for the gate action (exit 1 on "
                               "ERROR-severity drift)")
     history.add_argument("--kind", default=None,
-                         choices=("session", "sweep", "fleet", "bench"),
+                         choices=ENTRY_KINDS,
                          help="restrict to entries of this kind")
     history.add_argument("--last", type=_positive_int, default=None,
                          metavar="N",
@@ -408,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument("--html", metavar="FILE", default=None,
                          help="with trend: write the longitudinal HTML "
                               "report to FILE")
-    history.add_argument("--bench", action="append", default=[],
-                         metavar="BENCH.json",
-                         help="with trend --html: BENCH_*.json "
-                              "report(s) for the trajectory panel; "
-                              "repeatable, in order")
 
     commands.add_parser("locations",
                         help="list the 33-location field-study catalog")
@@ -616,24 +566,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(sweep_table(result), file=sys.stderr)
     if args.report is not None:
-        bench_reports = []
-        for path in args.bench:
-            try:
-                bench_reports.append(BenchReport.load(path))
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"repro sweep: cannot load bench report {path}: "
-                      f"{exc}", file=sys.stderr)
-                return 2
-        baseline = None
-        if args.bench_baseline is not None:
-            try:
-                baseline = BenchReport.load(args.bench_baseline)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"repro sweep: cannot load bench baseline "
-                      f"{args.bench_baseline}: {exc}", file=sys.stderr)
-                return 2
-        result.export_report(args.report, bench_reports=bench_reports,
-                             baseline=baseline)
+        result.export_report(args.report)
         print(f"sweep report written to {args.report}", file=sys.stderr)
     # Failures are data, not harness errors: the sweep completed.
     return 0
@@ -835,73 +768,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Measure the pinned performance scenarios, optionally gated.
-
-    Exit status: 0 clean, 1 when ``--compare`` found a regression, 2 on
-    bad arguments or unreadable report files.
-    """
-    if args.load is not None:
-        try:
-            report = BenchReport.load(args.load)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro bench: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        scenarios = ([s.strip() for s in args.scenarios.split(",")]
-                     if args.scenarios is not None else None)
-        try:
-            report = run_bench(
-                scenarios=scenarios, repeats=args.repeat, label=args.label,
-                progress=lambda message: print(message, file=sys.stderr),
-                ledger=args.ledger)
-        except ValueError as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-        out = args.out if args.out is not None else \
-            f"BENCH_{args.label}.json"
-        if out != "-":
-            report.dump(out)
-            print(f"benchmark report written to {out}", file=sys.stderr)
-
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        print(report.render(), file=sys.stderr)
-
-    baseline = None
-    if args.compare is not None:
-        try:
-            baseline = BenchReport.load(args.compare)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro bench: cannot load baseline {args.compare}: "
-                  f"{exc}", file=sys.stderr)
-            return 2
-    if args.html is not None:
-        write_report(args.html, bench_report_html(
-            [report], baseline=baseline, threshold=args.threshold))
-        print(f"bench HTML report written to {args.html}",
-              file=sys.stderr)
-    if baseline is not None:
-        # Environment mismatches never gate, but they change what a
-        # gating verdict means — surface them before the comparison.
-        for mismatch in compare_meta(report, baseline):
-            print(f"repro bench: warning: {mismatch.render()}",
-                  file=sys.stderr)
-        regressions = compare_reports(report, baseline,
-                                      threshold=args.threshold)
-        if regressions:
-            print(f"PERFORMANCE REGRESSION vs {args.compare} "
-                  f"(threshold {args.threshold:.0%}):", file=sys.stderr)
-            for regression in regressions:
-                print(f"  {regression}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.compare} "
-              f"(threshold {args.threshold:.0%})", file=sys.stderr)
-    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -1114,17 +980,8 @@ def cmd_history(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(document, sort_keys=True))
         if args.html is not None:
-            bench_reports = []
-            for path in args.bench:
-                try:
-                    bench_reports.append(BenchReport.load(path))
-                except (OSError, ValueError, KeyError) as exc:
-                    print(f"repro history: cannot load bench report "
-                          f"{path}: {exc}", file=sys.stderr)
-                    return 2
             write_report(args.html, history_report_html(
-                entries, findings=findings, bench_reports=bench_reports,
-                warnings=load.warnings))
+                entries, findings=findings, warnings=load.warnings))
             print(f"history report written to {args.html}",
                   file=sys.stderr)
         if not args.json:
@@ -1335,7 +1192,6 @@ _COMMANDS = {
     "stats": cmd_stats,
     "spans": cmd_spans,
     "check": cmd_check,
-    "bench": cmd_bench,
     "report": cmd_report,
     "fleet": cmd_fleet,
     "history": cmd_history,

@@ -44,11 +44,11 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..analysis.metrics import SessionMetrics
 from ..energy.devices import DEVICES
-from ..obs.bench import _peak_rss_kb
 from ..obs.bus import EventBus
 from ..obs.events import (FleetCheckpointSaved, FleetCompleted,
                           FleetSessionCaptured, FleetShardCompleted,
                           FleetStarted, FleetWorkerHeartbeat)
+from ..obs.ledger import peak_rss_kb
 from ..obs.metrics import (Histogram, MetricsRegistry, exponential_buckets,
                            linear_buckets)
 from ..obs.recorder import (RecorderConfig, ShardRecorder, empty_stats,
@@ -345,7 +345,7 @@ def _run_shard(config: FleetConfig, shard: int,
             "sim_seconds": sim_seconds,
             "registry": registry.to_dict(),
             "elapsed": time.perf_counter() - began,
-            "worker": os.getpid(), "peak_rss_kb": _peak_rss_kb() or 0,
+            "worker": os.getpid(), "peak_rss_kb": peak_rss_kb() or 0,
             "last_index": last_index,
             "recorder": rec.payload() if rec is not None else None}
 

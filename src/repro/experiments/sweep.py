@@ -469,21 +469,11 @@ class SweepResult:
         """True when every run produced a summary."""
         return all(run.ok for run in self.runs)
 
-    def export_report(self, path: str, bench_reports: Sequence[Any] = (),
-                      baseline: Optional[Any] = None,
-                      threshold: float = 0.25) -> None:
-        """Write the self-contained HTML sweep report to ``path``.
-
-        ``bench_reports`` are loaded
-        :class:`~repro.obs.bench.BenchReport` objects (oldest first) for
-        the trajectory panel; ``baseline`` additionally gates the newest
-        one with :func:`~repro.obs.bench.compare_reports`.
-        """
+    def export_report(self, path: str) -> None:
+        """Write the self-contained HTML sweep report to ``path``."""
         from ..obs.report import sweep_report_html, write_report
 
-        write_report(path, sweep_report_html(
-            self, bench_reports=bench_reports, baseline=baseline,
-            threshold=threshold))
+        write_report(path, sweep_report_html(self))
 
 
 def merged_histograms(result: SweepResult) -> Dict[str, Any]:

@@ -111,13 +111,18 @@ class ActivityLog:
         return times, [v / self.bin_width for v in values]
 
     def bytes_between(self, path: str, start: float, end: float) -> float:
-        """Bytes carried by ``path`` in the half-open window [start, end)."""
+        """Bytes carried by ``path`` in the half-open window [start, end).
+
+        Both ends snap to the bin that :meth:`record` would file them
+        under, and the bin holding ``end`` is left out, so adjacent
+        windows ``[a, b)`` and ``[b, c)`` never count a bin twice.
+        """
         if end <= start:
             return 0.0
         first = int(start / self.bin_width)
-        last = int(end / self.bin_width)
+        stop = int(end / self.bin_width)
         per_path = self._bins.get(path, {})
-        return sum(per_path.get(i, 0.0) for i in range(first, last + 1)
+        return sum(per_path.get(i, 0.0) for i in range(first, stop)
                    if per_path.get(i))
 
     def active_windows(self, path: str, idle_threshold: float

@@ -25,25 +25,23 @@ functions of a trace, all reconstructible offline:
   set, two traces diffed chunk-by-chunk, and blame histograms folded
   into the fleet registry.
 
-:mod:`repro.obs.bench` is the performance counterpart: pinned scenarios
-measured for wall-clock, sim-time throughput, bus event rate, and peak
-RSS, with baseline comparison for regression gating.
-
 :mod:`repro.obs.ledger` and :mod:`repro.obs.drift` extend observability
 *across* runs: an append-only, content-addressed JSONL run ledger every
 entry point can opt into, and a drift sentinel (EWMA control bands +
 CUSUM change points) that turns the ledger population into a regression
-gate (``repro history``).
+gate (``repro history``).  Session, sweep and fleet entries carry
+wall clock, sim-seconds per wall second and peak RSS, so the ledger is
+also where performance trends across runs; ``perfbench/run.py`` is the
+performance harness.
 
 The presentation layer sits on top of the derived views:
 :mod:`repro.obs.svg` is a dependency-free SVG chart renderer,
-:mod:`repro.obs.report` turns traces, sweep results, and bench reports
-into self-contained single-file HTML documents (pure functions of their
+:mod:`repro.obs.report` turns traces, sweep and fleet results, and the
+ledger into self-contained single-file HTML documents (pure functions of their
 inputs — live and offline rendering are byte-identical), and
 :mod:`repro.obs.live` draws a live terminal dashboard during sweeps.
 """
 
-from .bench import BenchReport, compare_meta, compare_reports, run_bench
 from .bus import EventBus
 from .drift import detect_drift, drift_table, gate_ok, trend_document
 from .check import ERROR, INFO, WARNING, check_trace, stock_checkers
@@ -59,7 +57,7 @@ from .metrics import (MetricsRegistry, SessionMetricsCollector,
 from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
                        load_manifest, rank_anomalies, render_anomaly_reports,
                        replay_anomaly, save_manifest, triage_table)
-from .report import (bench_report_html, fleet_report_html, history_report_html,
+from .report import (fleet_report_html, history_report_html,
                      session_report_html, sweep_report_html,
                      triage_report_html, write_report)
 from .spans import dump_chrome_trace, render_span_tree, spans_from_trace
@@ -72,22 +70,21 @@ from .why import (attribute_anomaly, attributions_from_trace, diff_traces,
 
 __all__ = [
     "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL", "WARNING",
-    "BenchReport", "EventBus", "FleetCheckpointSaved", "FleetCompleted",
-    "FleetDashboard", "FleetSessionCaptured", "FleetShardCompleted",
-    "FleetStarted", "FleetWorkerHeartbeat", "MetricsRegistry",
-    "RecorderConfig", "SessionMetricsCollector", "ShardRecorder",
-    "SweepCompleted", "SweepDashboard", "SweepRunFailed", "SweepRunFinished",
+    "EventBus", "FleetCheckpointSaved", "FleetCompleted", "FleetDashboard",
+    "FleetSessionCaptured", "FleetShardCompleted", "FleetStarted",
+    "FleetWorkerHeartbeat", "MetricsRegistry", "RecorderConfig",
+    "SessionMetricsCollector", "ShardRecorder", "SweepCompleted",
+    "SweepDashboard", "SweepRunFailed", "SweepRunFinished",
     "SweepRunStarted", "SweepRunSummarized", "SweepStarted", "Trace",
     "TraceMeta", "TraceRecorder", "analyzer_from_trace", "attribute_anomaly",
-    "attributions_from_trace", "bench_report_html", "check_trace",
-    "collector_from_trace", "compare_meta", "compare_reports", "detect_drift",
-    "diff_traces", "drift_table", "dump_chrome_trace", "dump_jsonl",
-    "dumps_jsonl", "find_manifests", "fleet_report_html", "gate_ok",
-    "gzip_bytes", "history_report_html", "load_jsonl", "load_manifest",
-    "loads_jsonl", "metrics_from_trace", "rank_anomalies",
+    "attributions_from_trace", "check_trace", "collector_from_trace",
+    "detect_drift", "diff_traces", "drift_table", "dump_chrome_trace",
+    "dump_jsonl", "dumps_jsonl", "find_manifests", "fleet_report_html",
+    "gate_ok", "gzip_bytes", "history_report_html", "load_jsonl",
+    "load_manifest", "loads_jsonl", "metrics_from_trace", "rank_anomalies",
     "registry_from_trace", "render_anomaly_reports", "render_attributions",
-    "render_span_tree", "replay", "replay_anomaly", "run_bench",
-    "save_manifest", "session_report_html", "spans_from_trace",
-    "stock_checkers", "summarize_attributions", "sweep_report_html",
-    "trend_document", "triage_report_html", "triage_table", "write_report"
+    "render_span_tree", "replay", "replay_anomaly", "save_manifest",
+    "session_report_html", "spans_from_trace", "stock_checkers",
+    "summarize_attributions", "sweep_report_html", "trend_document",
+    "triage_report_html", "triage_table", "write_report"
 ]

@@ -1,9 +1,9 @@
 """Drift sentinel over the run ledger: population-based regression
 detection.
 
-``repro bench --compare`` is strictly pairwise — one current report
-against one stored baseline.  This module generalizes that to the
-whole ledger population: every ``(kind, metric)`` pair in the ledger
+A pairwise comparison judges one current run against one stored
+baseline.  This module judges against the whole ledger population
+instead: every ``(kind, metric)`` pair in the ledger
 (:mod:`repro.obs.ledger`) forms one series in file order, and each new
 point is judged against a baseline learned from the points before it.
 
@@ -55,7 +55,6 @@ _DIRECTIONS: Tuple[Tuple[str, str], ...] = (
     ("qoe", "higher"),
     ("bitrate", "higher"),
     ("sim_per_wall", "higher"),
-    ("events_per_sec", "higher"),
     ("finished", "higher"),
     ("cache_hits", "higher"),
     ("deadline_miss", "lower"),

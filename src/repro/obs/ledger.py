@@ -4,12 +4,14 @@ Every other view in :mod:`repro.obs` is within-run: the bus, the
 registry, spans, invariants, and the flight recorder all die with the
 process.  The ledger is the piece that remembers *across* runs: a
 schema-versioned JSONL file to which every entry point — `run_session`,
-`run_sweep`, `run_fleet`, `run_bench` — can append one
-:class:`LedgerEntry` recording its config/fleet key, an environment
-fingerprint (the same ``platform`` triple ``run_bench`` stores in its
-report meta), headline metrics (QoE, deadline misses, stalls, cellular
-bytes, energy, violations, sim-per-wall, peak RSS), and a digest of the
-serialized :class:`~repro.obs.metrics.MetricsRegistry`.
+`run_sweep`, `run_fleet` — can append one :class:`LedgerEntry` recording
+its config/fleet key, an environment fingerprint (python version,
+platform, machine), headline metrics (QoE, deadline misses, stalls,
+cellular bytes, energy, violations, wall clock, sim-per-wall, peak RSS),
+and a digest of the serialized
+:class:`~repro.obs.metrics.MetricsRegistry`.  The perf metrics make the
+ledger the cross-run performance record: ``repro history trend`` charts
+them and the drift gate judges them like any other metric.
 
 Durability contract:
 
@@ -38,8 +40,14 @@ import json
 import math
 import os
 import platform
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+try:  # pragma: no cover - resource is POSIX-only
+    import resource
+except ImportError:  # pragma: no cover
+    resource = None  # type: ignore[assignment]
 
 from .recorder import qoe_proxy
 
@@ -48,7 +56,7 @@ from .recorder import qoe_proxy
 LEDGER_SCHEMA = 1
 
 #: The entry kinds the schema knows, one per entry point.
-ENTRY_KINDS = ("session", "sweep", "fleet", "bench")
+ENTRY_KINDS = ("session", "sweep", "fleet")
 
 
 def canonical_json(payload: Any) -> str:
@@ -57,8 +65,7 @@ def canonical_json(payload: Any) -> str:
 
 
 def environment_fingerprint() -> Dict[str, str]:
-    """The run's environment, in the exact shape ``run_bench`` records
-    as report ``meta`` — so ledger entries and bench reports compare."""
+    """The run's environment: python version, platform and machine."""
     return {"python": platform.python_version(),
             "platform": platform.platform(),
             "machine": platform.machine()}
@@ -76,20 +83,20 @@ class LedgerEntry:
     """One run's record: what ran, where, and how it scored.
 
     ``metrics`` maps headline-metric name to a finite float; which
-    names appear depends on ``kind`` (a bench entry has per-scenario
-    throughput figures, a fleet entry population quantiles).  The
+    names appear depends on ``kind`` (a session entry has one run's
+    figures, a fleet entry population quantiles).  The
     drift sentinel treats each ``(kind, metric)`` pair as one series.
     """
 
     kind: str
-    #: Config/fleet key (``config_key``/``fleet_key``) or bench label —
-    #: whatever names "the same experiment" for this kind.
+    #: ``config_key``, ``fleet_key`` or the hash of a sweep's config
+    #: keys — whatever names "the same experiment" for this kind.
     key: str
     label: str = ""
     environment: Mapping[str, str] = field(default_factory=dict)
     metrics: Mapping[str, float] = field(default_factory=dict)
     #: Digest of the run's serialized MetricsRegistry (None when the
-    #: run carried no registry, e.g. bench).
+    #: run carried no registry).
     registry_digest: Optional[str] = None
     schema: int = LEDGER_SCHEMA
 
@@ -223,16 +230,20 @@ def _perf_metrics(wall_clock: Optional[float],
         out["wall_clock_seconds"] = float(wall_clock)
         if sim_seconds is not None:
             out["sim_per_wall"] = float(sim_seconds) / float(wall_clock)
-    peak = _peak_rss_kb()
+    peak = peak_rss_kb()
     if peak is not None:
         out["peak_rss_kb"] = float(peak)
     return out
 
 
-def _peak_rss_kb() -> Optional[int]:
-    from .bench import _peak_rss_kb as probe
-
-    return probe()
+def peak_rss_kb() -> Optional[int]:
+    """Process peak RSS in KiB (``ru_maxrss`` is KiB on Linux)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
+        peak //= 1024
+    return int(peak)
 
 
 def session_entry(result: Any, label: str = "",
@@ -345,25 +356,3 @@ def fleet_entry(result: Any, label: str = "") -> LedgerEntry:
                        environment=environment_fingerprint(),
                        metrics=metrics,
                        registry_digest=registry_digest(result.registry))
-
-
-def bench_entry(report: Any, label: Optional[str] = None) -> LedgerEntry:
-    """Build the ledger entry for one ``run_bench`` report.
-
-    Metrics are flattened per scenario (``single.sim_per_wall`` …), so
-    each pinned scenario trends as its own series.
-    """
-    metrics: Dict[str, float] = {}
-    for result in report.results:
-        prefix = result.scenario
-        metrics[f"{prefix}.wall_clock"] = result.wall_clock
-        metrics[f"{prefix}.sim_per_wall"] = result.sim_per_wall
-        if result.events_per_sec is not None:
-            metrics[f"{prefix}.events_per_sec"] = result.events_per_sec
-        if result.peak_rss_kb is not None:
-            metrics[f"{prefix}.peak_rss_kb"] = float(result.peak_rss_kb)
-    environment = dict(report.meta) or environment_fingerprint()
-    return LedgerEntry(kind="bench", key=report.label,
-                       label=label if label is not None else report.label,
-                       environment=environment, metrics=metrics,
-                       registry_digest=None)

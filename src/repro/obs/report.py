@@ -10,7 +10,7 @@ the exported JSONL produce byte-identical files.  No wall clock, no
 randomness, no external references: the output is one HTML document with
 inline CSS and inline SVG, openable offline and diffable across runs.
 
-Three generators:
+The main generators:
 
 * :func:`session_report_html` — the paper's figures for one session:
   the Figure-8 chunk strip, per-path throughput/cwnd/RTT timelines,
@@ -18,10 +18,8 @@ Three generators:
   the radio-state/energy timeline, invariant verdicts, and span lanes.
 * :func:`sweep_report_html` — a whole
   :class:`~repro.experiments.sweep.SweepResult`: run table, QoE
-  scheme-comparison grid, merged sweep-wide distributions, failures,
-  and (optionally) the benchmark panel.
-* :func:`bench_report_html` — standalone benchmark trajectories from
-  ``BENCH_*.json`` reports with baseline regression gating.
+  scheme-comparison grid, merged sweep-wide distributions, and
+  failures.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
 from ..energy.model import radio_transitions
-from .bench import BenchReport, compare_reports
 from .check import ERROR, INFO, WARNING, CheckReport, check_trace
 from .events import StallEnd, StallStart
 from .metrics import Histogram, MetricsRegistry, registry_from_trace
@@ -703,78 +700,8 @@ def _failures_panel(result: Any) -> Optional[str]:
          ("attempts", True), ("time (s)", True), ("error", False)], rows))
 
 
-#: Bench metric -> (axis label, scale) for the trajectory charts.
-_BENCH_METRICS = (
-    ("wall_clock", "wall clock (s)", 1.0),
-    ("sim_per_wall", "sim seconds per wall second", 1.0),
-    ("events_per_sec", "bus events per second", 1.0),
-    ("peak_rss_kb", "peak RSS (MB)", 1.0 / 1024.0),
-)
-
-
-def _bench_section(reports: Sequence[BenchReport],
-                   baseline: Optional[BenchReport],
-                   threshold: float) -> str:
-    reports = list(reports)
-    if not reports:
-        return _panel("Benchmarks", _note("no bench reports supplied"))
-    scenarios: List[str] = []
-    for report in reports:
-        for result in report.results:
-            if result.scenario not in scenarios:
-                scenarios.append(result.scenario)
-    x_ticks = [(float(i), report.label or str(i))
-               for i, report in enumerate(reports)]
-    charts: List[str] = []
-    for metric, label, scale in _BENCH_METRICS:
-        series = []
-        for scenario in scenarios:
-            points = []
-            for i, report in enumerate(reports):
-                result = report.result(scenario)
-                value = getattr(result, metric, None) if result else None
-                if value is not None:
-                    points.append((float(i), value * scale))
-            if points:
-                series.append(Series(scenario, points))
-        if series:
-            charts.append(line_chart(
-                series, width=352, height=190, y_label=label,
-                markers=True, x_ticks=x_ticks, title=label))
-    parts = [legend_html([(series_class(i), scenario)
-                          for i, scenario in enumerate(scenarios)]),
-             f'<div class="row">{"".join(charts)}</div>']
-    if baseline is not None:
-        regressions = compare_reports(reports[-1], baseline, threshold)
-        if regressions:
-            items = "".join(f"<li>{escape(r)}</li>" for r in regressions)
-            parts.append(
-                f'<p><span class="badge critical">'
-                f"{len(regressions)} regression(s) vs baseline "
-                f"{escape(baseline.label)}</span></p>"
-                f'<ul class="flat">{items}</ul>')
-        else:
-            parts.append(
-                f'<p><span class="badge good">no regressions vs '
-                f"baseline {escape(baseline.label)} (threshold "
-                f"{threshold:.0%})</span></p>")
-    meta = reports[-1].meta
-    if meta:
-        parts.append(_note(" | ".join(
-            f"{key}: {meta[key]}" for key in sorted(meta))))
-    return _panel("Benchmarks", *parts)
-
-
-def sweep_report_html(result: Any,
-                      bench_reports: Sequence[BenchReport] = (),
-                      baseline: Optional[BenchReport] = None,
-                      threshold: float = 0.25) -> str:
-    """Render a :class:`~repro.experiments.sweep.SweepResult` comparison.
-
-    ``bench_reports`` (loaded ``BENCH_*.json`` files, oldest first) add a
-    trajectory panel; ``baseline`` additionally gates the newest report
-    with :func:`~repro.obs.bench.compare_reports`.
-    """
+def sweep_report_html(result: Any) -> str:
+    """Render a :class:`~repro.experiments.sweep.SweepResult` comparison."""
     succeeded = sum(1 for run in result.runs if run.ok)
     overview = _panel("Sweep overview", _tiles([
         (f"{len(result.runs)}", "", "runs"),
@@ -791,8 +718,6 @@ def sweep_report_html(result: Any,
     failures = _failures_panel(result)
     if failures is not None:
         sections.append(failures)
-    if bench_reports or baseline is not None:
-        sections.append(_bench_section(bench_reports, baseline, threshold))
     subtitle = (f"{len(result.runs)} configurations | {result.jobs} "
                 f"worker(s) | cache "
                 f"{'off' if result.cache_dir is None else 'on'}")
@@ -1174,32 +1099,6 @@ def triage_report_html(records: Sequence[Mapping[str, Any]],
                      f"{subtitle} | {len(records)} record(s)", sections)
 
 
-def bench_report_html(reports: Sequence[BenchReport],
-                      baseline: Optional[BenchReport] = None,
-                      threshold: float = 0.25) -> str:
-    """Standalone benchmark-trajectory document from loaded reports."""
-    reports = list(reports)
-    sections = [_bench_section(reports, baseline, threshold)]
-    if reports:
-        rows = [[escape(r.scenario), f"{r.wall_clock:.3f}",
-                 f"{r.sim_seconds:.1f}", f"{r.sim_per_wall:.1f}",
-                 "-" if r.events is None else f"{r.events}",
-                 ("-" if r.events_per_sec is None
-                  else f"{r.events_per_sec:.0f}"),
-                 ("-" if r.peak_rss_kb is None
-                  else f"{r.peak_rss_kb}"),
-                 f"{r.repeats}"]
-                for r in reports[-1].results]
-        sections.append(_panel(
-            f"Latest report: {reports[-1].label or '(unlabeled)'}",
-            _table([("scenario", False), ("wall s", True),
-                    ("sim s", True), ("sim/wall", True), ("events", True),
-                    ("ev/s", True), ("RSS KiB", True), ("repeats", True)],
-                   rows)))
-    subtitle = f"{len(reports)} report(s)"
-    return _document("MP-DASH benchmark report", subtitle, sections)
-
-
 # ----------------------------------------------------------------------
 # Longitudinal history report (the run ledger's view)
 # ----------------------------------------------------------------------
@@ -1337,14 +1236,10 @@ def _history_entries_panel(entries: Sequence[Any]) -> str:
 
 def history_report_html(entries: Sequence[Any],
                         findings: Optional[Sequence[Any]] = None,
-                        bench_reports: Sequence[BenchReport] = (),
-                        baseline: Optional[BenchReport] = None,
-                        threshold: float = 0.25,
                         warnings: Sequence[str] = ()) -> str:
     """Single-file longitudinal report over a loaded run ledger.
 
-    A pure function of the entry sequence (plus any loaded
-    ``BENCH_*.json`` trajectory reports): the same ledger renders
+    A pure function of the entry sequence: the same ledger renders
     byte-identical HTML.  ``findings`` defaults to running the drift
     sentinel (:func:`~repro.obs.drift.detect_drift`) at its default
     tuning; ``warnings`` surfaces tolerated-load messages (corrupt
@@ -1361,9 +1256,6 @@ def history_report_html(entries: Sequence[Any],
     sections.append(_history_findings_panel(findings))
     if entries:
         sections.append(_history_entries_panel(entries))
-    if bench_reports:
-        sections.append(_bench_section(list(bench_reports), baseline,
-                                       threshold))
     for warning in warnings:
         sections.append(_note(f"ledger warning: {warning}"))
     subtitle = (f"{len(entries)} ledger entr"

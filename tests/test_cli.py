@@ -401,79 +401,6 @@ class TestCheck:
         assert captured.out == ""
 
 
-class TestBench:
-    def test_bench_writes_report_and_renders(self, tmp_path, capsys):
-        out = str(tmp_path / "BENCH_test.json")
-        assert main(["bench", "--scenarios", "single", "--label", "test",
-                     "--out", out]) == 0
-        captured = capsys.readouterr()
-        assert "benchmark report written to" in captured.err
-        assert "single" in captured.err
-        assert captured.out == ""
-        report = json.loads(open(out).read())
-        assert report["label"] == "test"
-        assert report["results"][0]["scenario"] == "single"
-        assert report["results"][0]["wall_clock"] > 0
-
-    def test_bench_json_on_stdout(self, tmp_path, capsys):
-        assert main(["bench", "--scenarios", "single", "--out", "-",
-                     "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["results"][0]["sim_per_wall"] > 0
-
-    def test_compare_clean_against_self(self, tmp_path, capsys):
-        out = str(tmp_path / "BENCH_a.json")
-        assert main(["bench", "--scenarios", "single", "--out", out]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--load", out, "--compare", out]) == 0
-        err = capsys.readouterr().err
-        assert "no regression" in err
-        assert "environment mismatch" not in err
-
-    def test_compare_warns_on_environment_mismatch(self, tmp_path,
-                                                   capsys):
-        out = str(tmp_path / "BENCH_a.json")
-        assert main(["bench", "--scenarios", "single", "--out", out]) == 0
-        payload = json.loads(open(out).read())
-        payload["meta"]["python"] = "2.7.18"
-        other = str(tmp_path / "BENCH_elsewhere.json")
-        with open(other, "w") as handle:
-            json.dump(payload, handle)
-        capsys.readouterr()
-        # Same numbers, different recorded environment: a warning, not
-        # a gate failure.
-        assert main(["bench", "--load", out, "--compare", other]) == 0
-        err = capsys.readouterr().err
-        assert "repro bench: warning: environment mismatch" in err
-        assert "2.7.18" in err
-        assert "no regression" in err
-
-    def test_compare_tightened_baseline_exits_nonzero(self, tmp_path,
-                                                      capsys):
-        out = str(tmp_path / "BENCH_a.json")
-        assert main(["bench", "--scenarios", "single", "--out", out]) == 0
-        payload = json.loads(open(out).read())
-        for entry in payload["results"]:
-            entry["wall_clock"] /= 10.0
-        tight = str(tmp_path / "BENCH_tight.json")
-        with open(tight, "w") as handle:
-            json.dump(payload, handle)
-        capsys.readouterr()
-        assert main(["bench", "--load", out, "--compare", tight]) == 1
-        err = capsys.readouterr().err
-        assert "PERFORMANCE REGRESSION" in err
-        assert "wall_clock" in err
-
-    def test_unknown_scenario_exits_2(self, capsys):
-        assert main(["bench", "--scenarios", "warp"]) == 2
-        assert "unknown benchmark scenario" in capsys.readouterr().err
-
-    def test_load_error_exits_2(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.json")
-        assert main(["bench", "--load", missing]) == 2
-        assert "cannot load" in capsys.readouterr().err
-
-
 class TestReportCommand:
     def test_offline_render_from_trace(self, tmp_path, capsys):
         trace = str(tmp_path / "run.jsonl")
@@ -525,38 +452,6 @@ class TestSweepReportCli:
         assert captured.out == ""
         assert "run 1/1" in captured.err
         assert "\x1b[" not in captured.err  # no ANSI leaked
-
-    def test_bad_bench_report_exits_2(self, tmp_path, capsys):
-        out = str(tmp_path / "sweep.html")
-        missing = str(tmp_path / "nope.json")
-        assert main(["sweep", "--schemes", "baseline", "--duration", "20",
-                     "--wifi", "8", "--lte", "8", "--report", out,
-                     "--bench", missing]) == 2
-        assert "cannot load bench report" in capsys.readouterr().err
-
-
-class TestBenchHtml:
-    def test_html_report_written(self, tmp_path, capsys):
-        bench = str(tmp_path / "BENCH_t.json")
-        assert main(["bench", "--scenarios", "single", "--out",
-                     bench]) == 0
-        capsys.readouterr()
-        out = str(tmp_path / "bench.html")
-        assert main(["bench", "--load", bench, "--html", out]) == 0
-        assert "bench HTML report written to" in capsys.readouterr().err
-        html = open(out).read()
-        assert "Benchmarks" in html
-        assert "wall clock" in html
-
-    def test_html_with_compare_embeds_verdict(self, tmp_path, capsys):
-        bench = str(tmp_path / "BENCH_t.json")
-        assert main(["bench", "--scenarios", "single", "--out",
-                     bench]) == 0
-        capsys.readouterr()
-        out = str(tmp_path / "bench.html")
-        assert main(["bench", "--load", bench, "--compare", bench,
-                     "--html", out]) == 0
-        assert "no regression" in open(out).read()
 
 
 class TestFleet:
@@ -865,6 +760,24 @@ def _seed_ledger(path, misses=(0.0, 0.0, 0.0), kind="fleet"):
     return entries
 
 
+
+def _seed_perf_ledger(path, walls, pythons=None):
+    """Hand-built fleet history of wall-clock timings, one entry each."""
+    from repro.obs.ledger import LedgerEntry, RunLedger
+
+    ledger = RunLedger(path)
+    entries = []
+    for i, wall in enumerate(walls):
+        python = pythons[i] if pythons else "3.11"
+        entry = LedgerEntry(kind="fleet", key="grid", label=f"run{i}",
+                            environment={"python": python},
+                            metrics={"wall_clock_seconds": wall,
+                                     "sim_per_wall": 960.0 / wall})
+        ledger.append(entry)
+        entries.append(entry)
+    return entries
+
+
 class TestHistory:
     def test_list_table_goes_to_stderr(self, tmp_path, capsys):
         path = str(tmp_path / "runs.jsonl")
@@ -979,14 +892,6 @@ class TestHistory:
         assert "deadline_misses" in text
         assert "written to" in capsys.readouterr().err
 
-    def test_trend_html_bad_bench_report_exits_2(self, tmp_path, capsys):
-        path = str(tmp_path / "runs.jsonl")
-        _seed_ledger(path)
-        assert main(["history", "trend", "--ledger", path,
-                     "--html", str(tmp_path / "t.html"),
-                     "--bench", str(tmp_path / "missing.json")]) == 2
-        assert "cannot load bench report" in capsys.readouterr().err
-
     def test_gate_passes_on_stable_history(self, tmp_path, capsys):
         path = str(tmp_path / "runs.jsonl")
         _seed_ledger(path)
@@ -1015,6 +920,64 @@ class TestHistory:
         assert document["gate_ok"] is False
         assert any(f["severity"] == "error"
                    for f in document["findings"])
+
+    def test_gate_fails_on_wall_clock_regression(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        _seed_perf_ledger(path, walls=(2.0, 2.0, 2.0, 20.0))
+        assert main(["history", "gate", "--ledger", path]) == 1
+        err = capsys.readouterr().err
+        assert "DRIFT GATE FAILED" in err
+        assert "wall_clock_seconds" in err
+
+    def test_gate_passes_on_wall_clock_improvement(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        _seed_perf_ledger(path, walls=(20.0, 20.0, 20.0, 2.0))
+        assert main(["history", "gate", "--ledger", path]) == 0
+        assert "drift gate passed" in capsys.readouterr().err
+
+    def test_diff_reports_environment_changes(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        first, second = _seed_perf_ledger(
+            path, walls=(2.0, 2.0),
+            pythons=("3.11", "2.7.18"))
+        assert main(["history", "diff", first.entry_id[:10],
+                     second.entry_id[:10], "--ledger", path]) == 0
+        err = capsys.readouterr().err
+        assert "environment: python: 3.11 -> 2.7.18" in err
+        assert "wall_clock_seconds" in err
+
+    def test_diff_same_environment_is_silent(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        first, second = _seed_perf_ledger(path, walls=(2.0, 3.0))
+        assert main(["history", "diff", first.entry_id[:10],
+                     second.entry_id[:10], "--ledger", path]) == 0
+        err = capsys.readouterr().err
+        assert "environment:" not in err
+        assert "+50.0%" in err
+
+    def test_retired_bench_kind_is_not_a_choice(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        _seed_ledger(path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["history", "list", "--ledger", path, "--kind", "bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_fleet_ledger_feeds_perf_trends(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        for _ in range(2):
+            assert main(TestFleet.ARGS + ["--ledger", path]) == 0
+        capsys.readouterr()
+        assert main(["history", "trend", "--ledger", path, "--kind",
+                     "fleet", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["entries"] == 2
+        perf = {s["metric"]: s for s in document["series"]
+                if s["metric"] in ("wall_clock_seconds", "sim_per_wall",
+                                   "peak_rss_kb")}
+        assert sorted(perf) == ["peak_rss_kb", "sim_per_wall",
+                                "wall_clock_seconds"]
+        assert all(len(s["points"]) == 2 for s in perf.values())
 
     def test_stream_ledger_flag_appends(self, tmp_path, capsys):
         from repro.obs.ledger import RunLedger

@@ -19,7 +19,7 @@ def entries_for(metric, values, kind="fleet"):
 class TestMetricDirection:
     def test_higher_is_better_metrics(self):
         for name in ("qoe", "bitrate_p50_mbps", "single.sim_per_wall",
-                     "finished", "cache_hits", "single.events_per_sec"):
+                     "finished", "cache_hits"):
             assert metric_direction(name) == "higher", name
 
     def test_lower_is_better_metrics(self):
@@ -189,6 +189,80 @@ class TestDetectDrift:
         assert payload["metric"] == "deadline_misses"
         assert isinstance(payload["evidence"], list)
         assert "sigma" in payload["message"]
+
+
+
+def perf_entries(wall=(2.0,) * 5, sim_per_wall=(7600.0,) * 5,
+                 peak_rss=(65536.0,) * 5):
+    """A fleet timeline carrying the perf metrics every entry point
+    records; labels differ so each entry has its own id."""
+    return [LedgerEntry(kind="fleet", key="k", label=f"run{i}",
+                        metrics={"wall_clock_seconds": w,
+                                 "sim_per_wall": s, "peak_rss_kb": r})
+            for i, (w, s, r) in enumerate(zip(wall, sim_per_wall,
+                                              peak_rss))]
+
+
+class TestPerfDrift:
+    @pytest.mark.parametrize("metric, direction", [
+        ("wall_clock_seconds", "lower"),
+        ("peak_rss_kb", "lower"),
+        ("sim_per_wall", "higher"),
+    ])
+    def test_ledger_perf_metric_directions(self, metric, direction):
+        assert metric_direction(metric) == direction
+
+    def test_identical_perf_history_is_clean(self):
+        assert detect_drift(perf_entries()) == []
+
+    def test_perf_jitter_within_band_is_clean(self):
+        findings = detect_drift(perf_entries(
+            wall=(2.0, 2.04, 1.97, 2.02, 2.01),
+            sim_per_wall=(7600.0, 7450.0, 7710.0, 7520.0, 7580.0),
+            peak_rss=(65536.0, 65800.0, 65536.0, 65700.0, 65600.0)))
+        assert not [f for f in findings if f.severity == ERROR]
+        assert gate_ok(findings)
+
+    def test_wall_clock_regression_detected(self):
+        findings = detect_drift(perf_entries(
+            wall=(2.0, 2.0, 2.0, 2.0, 20.0)))
+        [error] = [f for f in findings if f.severity == ERROR]
+        assert error.metric == "wall_clock_seconds"
+        assert error.direction == "up" and error.position == 4
+        assert not gate_ok(findings)
+
+    def test_sim_per_wall_drop_detected(self):
+        findings = detect_drift(perf_entries(
+            sim_per_wall=(7600.0, 7600.0, 7600.0, 7600.0, 760.0)))
+        [error] = [f for f in findings if f.severity == ERROR]
+        assert error.metric == "sim_per_wall" and error.direction == "down"
+        assert not gate_ok(findings)
+
+    def test_peak_rss_growth_detected(self):
+        findings = detect_drift(perf_entries(
+            peak_rss=(65536.0, 65536.0, 65536.0, 65536.0, 655360.0)))
+        [error] = [f for f in findings if f.severity == ERROR]
+        assert error.metric == "peak_rss_kb" and error.direction == "up"
+        assert not gate_ok(findings)
+
+    def test_perf_improvement_does_not_gate(self):
+        findings = detect_drift(perf_entries(
+            wall=(20.0, 20.0, 20.0, 20.0, 2.0),
+            sim_per_wall=(760.0, 760.0, 760.0, 760.0, 7600.0)))
+        assert findings and all(f.severity == INFO for f in findings)
+        assert gate_ok(findings)
+
+    def test_entries_without_perf_metrics_are_skipped(self):
+        timed = perf_entries(wall=(2.0, 2.0, 2.0), sim_per_wall=(1.0,) * 3,
+                             peak_rss=(1.0,) * 3)
+        untimed = LedgerEntry(kind="fleet", key="k", label="untimed",
+                              metrics={"qoe": 5.0})
+        entries = [timed[0], untimed, timed[1], timed[2]]
+        series = metric_series(entries)
+        assert [p[0] for p in series[("fleet", "wall_clock_seconds")]] == [
+            0, 2, 3]
+        assert [p[0] for p in series[("fleet", "qoe")]] == [1]
+        assert detect_drift(entries) == []
 
 
 class TestTrendDocument:

@@ -3,17 +3,26 @@
 import dataclasses
 import json
 import multiprocessing
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.obs.ledger as ledger_module
 from repro.experiments import SessionConfig, run_session
 from repro.experiments.fleet import FleetConfig, fleet_key, run_fleet
 from repro.experiments.sweep import config_key, run_sweep
-from repro.obs.bench import BenchReport, BenchResult
+from repro.cli import main
+from repro.obs.bus import EventBus
+from repro.obs.events import FleetWorkerHeartbeat
 from repro.obs.ledger import (ENTRY_KINDS, LEDGER_SCHEMA, LedgerEntry,
-                              RunLedger, bench_entry, canonical_json,
+                              RunLedger, canonical_json,
                               environment_fingerprint, fleet_entry,
-                              registry_digest, session_entry, sweep_entry)
+                              peak_rss_kb, registry_digest, session_entry,
+                              sweep_entry)
 
 
 def short_config(**overrides):
@@ -98,13 +107,25 @@ class TestLedgerEntry:
             LedgerEntry.from_dict(payload)
 
     def test_from_dict_defaults_optional_fields(self):
-        back = LedgerEntry.from_dict({"kind": "bench", "key": "k"})
+        back = LedgerEntry.from_dict({"kind": "fleet", "key": "k"})
         assert back.label == "" and back.metrics == {}
         assert back.registry_digest is None
         assert back.schema == LEDGER_SCHEMA
 
     def test_entry_kinds_cover_every_entry_point(self):
-        assert ENTRY_KINDS == ("session", "sweep", "fleet", "bench")
+        assert ENTRY_KINDS == ("session", "sweep", "fleet")
+
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    def test_round_trips_every_kind(self, kind):
+        e = entry(kind=kind, metrics={"wall_clock_seconds": 2.0,
+                                      "sim_per_wall": 150.0,
+                                      "peak_rss_kb": 50000.0})
+        back = LedgerEntry.from_dict(json.loads(canonical_json(e.to_dict())))
+        assert back == e and back.entry_id == e.entry_id
+
+    def test_rejects_retired_bench_kind(self):
+        with pytest.raises(ValueError, match="unknown ledger entry kind"):
+            entry(kind="bench")
 
 
 class TestRunLedger:
@@ -178,6 +199,165 @@ class TestRunLedger:
     def test_repr_names_the_path(self, tmp_path):
         assert "runs.jsonl" in repr(RunLedger(str(tmp_path / "runs.jsonl")))
 
+    def test_retired_bench_kind_is_skipped_with_one_warning(self, tmp_path,
+                                                           capsys):
+        # A line the retired "bench" entry kind wrote, verbatim in shape.
+        path = str(tmp_path / "runs.jsonl")
+        ledger = RunLedger(path)
+        first, last = entry(metrics={"qoe": 1.0}), entry(metrics={"qoe": 2.0})
+        ledger.append(first)
+        with open(path, "a") as handle:
+            handle.write(canonical_json({
+                "schema": 1, "kind": "bench", "key": "ci", "label": "ci",
+                "environment": {"machine": "x86_64", "platform": "linux",
+                                "python": "3.11"},
+                "metrics": {"single.sim_per_wall": 7600.0,
+                            "single.wall_clock": 0.04},
+                "registry_digest": None,
+                "entry_id": "0123456789abcdef01234567"}) + "\n")
+        ledger.append(last)
+        load = ledger.load()
+        assert load.entries == (first, last)
+        assert len(load.warnings) == 1
+        assert ":2: skipped unreadable ledger line" in load.warnings[0]
+        assert "unknown ledger entry kind 'bench'" in load.warnings[0]
+        assert main(["history", "list", "--ledger", path]) == 0
+        err = capsys.readouterr().err
+        assert err.count("skipped unreadable ledger line") == 1
+        assert "Traceback" not in err
+
+
+class _FakeResource:
+    """Stands in for the ``resource`` module with a fixed high-water mark."""
+
+    RUSAGE_SELF = 0
+
+    def __init__(self, maxrss):
+        self.maxrss = maxrss
+
+    def getrusage(self, who):
+        assert who == self.RUSAGE_SELF
+        return type("Usage", (), {"ru_maxrss": self.maxrss})()
+
+
+class TestPeakRss:
+    def test_probe_reports_positive_kib(self):
+        peak = peak_rss_kb()
+        assert isinstance(peak, int) and peak > 0
+
+    def test_probe_is_a_high_water_mark(self):
+        before = peak_rss_kb()
+        ballast = bytearray(8 << 20)
+        assert peak_rss_kb() >= before
+        del ballast
+
+    def test_probe_without_resource_is_none(self, monkeypatch):
+        monkeypatch.setattr(ledger_module, "resource", None)
+        assert peak_rss_kb() is None
+
+    @pytest.mark.parametrize("platform, maxrss, expected", [
+        ("linux", 65536, 65536),  # ru_maxrss is already KiB
+        ("darwin", 65536 * 1024, 65536),  # ru_maxrss is bytes
+        ("darwin", 1023, 0),
+    ])
+    def test_probe_units_per_platform(self, monkeypatch, platform, maxrss,
+                                      expected):
+        monkeypatch.setattr(ledger_module, "resource", _FakeResource(maxrss))
+        monkeypatch.setattr(ledger_module, "sys",
+                            type("Sys", (), {"platform": platform}))
+        assert peak_rss_kb() == expected
+
+    def test_fleet_heartbeats_carry_the_probe(self):
+        bus = EventBus()
+        beats = []
+        bus.subscribe(FleetWorkerHeartbeat, beats.append)
+        run_fleet(FleetConfig(sessions=4, shard_size=2, video_duration=6.0,
+                              seed=7), bus=bus)
+        assert len(beats) == 2
+        assert all(beat.peak_rss_kb > 0 for beat in beats)
+
+
+class TestPerfMetrics:
+    @pytest.mark.parametrize("wall_clock, sim_seconds, expected", [
+        (None, 10.0, {}),
+        (0.0, 10.0, {}),
+        (-1.0, 10.0, {}),
+        (2.0, None, {"wall_clock_seconds": 2.0}),
+        (2.0, 10.0, {"wall_clock_seconds": 2.0, "sim_per_wall": 5.0}),
+        (2.0, 0.0, {"wall_clock_seconds": 2.0, "sim_per_wall": 0.0}),
+    ])
+    def test_timing_metrics(self, monkeypatch, wall_clock, sim_seconds,
+                            expected):
+        monkeypatch.setattr(ledger_module, "peak_rss_kb", lambda: None)
+        assert ledger_module._perf_metrics(wall_clock,
+                                           sim_seconds) == expected
+
+    def test_peak_rss_recorded_whenever_probed(self, monkeypatch):
+        monkeypatch.setattr(ledger_module, "peak_rss_kb", lambda: 4096)
+        assert ledger_module._perf_metrics(None, None) == {
+            "peak_rss_kb": 4096.0}
+        assert ledger_module._perf_metrics(4.0, 8.0) == {
+            "wall_clock_seconds": 4.0, "sim_per_wall": 2.0,
+            "peak_rss_kb": 4096.0}
+
+
+#: A valid multi-entry ledger: every kind, and no optional field left at
+#: its default, so most single-byte damage changes the content address.
+_FUZZ_ENTRIES = tuple(
+    LedgerEntry(kind=kind, key=f"{kind}-{i:02d}", label=f"run {i}",
+                environment={"python": "3.11", "platform": "linux",
+                             "machine": "x86_64"},
+                metrics={"qoe": 1.5 * i - 2.0, "cellular_mbytes": 12.25,
+                         "peak_rss_kb": 65536.0 + i},
+                registry_digest=f"{i:024x}")
+    for i, kind in enumerate(("session", "sweep", "fleet", "session")))
+_FUZZ_LINES = [canonical_json(e.to_dict()).encode("utf-8")
+               for e in _FUZZ_ENTRIES]
+_FUZZ_BYTES = b"".join(line + b"\n" for line in _FUZZ_LINES)
+
+
+def _damage(kind, position):
+    if kind == "truncate":
+        return _FUZZ_BYTES[:position % (len(_FUZZ_BYTES) + 1)]
+    bit = position % (8 * len(_FUZZ_BYTES))
+    damaged = bytearray(_FUZZ_BYTES)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+class TestLedgerLoadFuzz:
+    @given(kind=st.sampled_from(("truncate", "flip")),
+           position=st.integers(min_value=0,
+                                max_value=8 * len(_FUZZ_BYTES) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_ledger_loads_without_raising(self, kind, position):
+        data = _damage(kind, position)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "runs.jsonl")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            load = RunLedger(path).load()
+        lines = [(number, line)
+                 for number, line in enumerate(data.split(b"\n"), 1)
+                 if line.strip()]
+        warned = []
+        for warning in load.warnings:
+            match = re.search(r":(\d+): skipped unreadable ledger line",
+                              warning)
+            assert match is not None, warning
+            warned.append(int(match.group(1)))
+        # At most one warning per line, and only for damaged lines.
+        assert len(set(warned)) == len(warned)
+        intact = {line: e for line, e in zip(_FUZZ_LINES, _FUZZ_ENTRIES)}
+        assert not any(line in intact
+                       for number, line in lines if number in warned)
+        # Every line that still parses keeps its entry: an intact line
+        # its own, a damaged one (e.g. a flipped optional key whose value
+        # was the default) the entry it held before the damage.
+        expected = [intact.get(line) or _FUZZ_ENTRIES[number - 1]
+                    for number, line in lines if number not in warned]
+        assert load.entries == tuple(expected)
+
 
 def _append_batch(path, worker, count):
     ledger = RunLedger(path)
@@ -227,6 +407,12 @@ class TestSessionEntry:
             result.session_duration / 0.5)
         assert e.environment == environment_fingerprint()
 
+    def test_without_wall_clock_no_timing_is_recorded(self):
+        e = session_entry(run_session(short_config()))
+        assert "wall_clock_seconds" not in e.metrics
+        assert "sim_per_wall" not in e.metrics
+        assert e.metrics["peak_rss_kb"] > 0
+
     def test_checked_run_records_violations(self):
         result = run_session(short_config(), check=True)
         e = session_entry(result)
@@ -257,6 +443,15 @@ class TestSweepEntry:
                      "deadline_misses", "cache_hits"):
             assert name in e.metrics, name
 
+    def test_perf_metrics_sum_session_time(self):
+        result = run_sweep([short_config(), short_config(wifi_mbps=4.0)])
+        e = sweep_entry(result)
+        sim_seconds = sum(s.session_duration for s in result.summaries)
+        assert e.metrics["wall_clock_seconds"] == result.wall_clock
+        assert e.metrics["sim_per_wall"] == pytest.approx(
+            sim_seconds / result.wall_clock)
+        assert e.metrics["peak_rss_kb"] > 0
+
 
 class TestFleetEntry:
     def test_population_quantiles_and_registry_digest(self):
@@ -274,40 +469,28 @@ class TestFleetEntry:
         if result.recorder is None:
             assert "anomalies" not in e.metrics
 
+    def test_perf_metrics_from_a_real_fleet(self):
+        result = run_fleet(FleetConfig(sessions=4, shard_size=2,
+                                       video_duration=6.0, seed=7))
+        e = fleet_entry(result)
+        assert e.metrics["wall_clock_seconds"] == result.wall_clock
+        assert e.metrics["sim_per_wall"] == pytest.approx(
+            result.sim_seconds / result.wall_clock)
+        assert e.metrics["sim_per_wall"] > 1.0
+        assert e.metrics["peak_rss_kb"] > 0
 
-class TestBenchEntry:
-    def report(self):
-        results = [BenchResult(scenario="single", wall_clock=2.0,
-                               sim_seconds=300.0, sim_per_wall=150.0,
-                               events=1000, events_per_sec=500.0,
-                               peak_rss_kb=50000, repeats=1),
-                   BenchResult(scenario="sweep16", wall_clock=4.0,
-                               sim_seconds=600.0, sim_per_wall=150.0,
-                               events=None, events_per_sec=None,
-                               peak_rss_kb=None, repeats=1)]
-        return BenchReport(label="nightly", results=results,
-                           meta={"python": "3.11", "platform": "linux",
-                                 "machine": "x86_64"})
+    def test_recorded_fleet_perf_metrics(self, tmp_path):
+        from repro.obs.recorder import RecorderConfig
 
-    def test_flattens_per_scenario_series(self):
-        e = bench_entry(self.report())
-        assert e.kind == "bench" and e.key == "nightly"
-        assert e.metrics["single.wall_clock"] == 2.0
-        assert e.metrics["single.events_per_sec"] == 500.0
-        assert e.metrics["single.peak_rss_kb"] == 50000.0
-        assert e.metrics["sweep16.sim_per_wall"] == 150.0
-        assert "sweep16.events_per_sec" not in e.metrics
-        assert "sweep16.peak_rss_kb" not in e.metrics
-        assert e.environment == {"python": "3.11", "platform": "linux",
-                                 "machine": "x86_64"}
-
-    def test_label_defaults_to_report_label(self):
-        assert bench_entry(self.report()).label == "nightly"
-        assert bench_entry(self.report(), label="x").label == "x"
-
-    def test_round_trips_like_every_other_kind(self):
-        e = bench_entry(self.report())
-        assert LedgerEntry.from_dict(e.to_dict()) == e
+        result = run_fleet(FleetConfig(sessions=4, shard_size=2,
+                                       video_duration=6.0, seed=7),
+                           recorder=RecorderConfig(
+                               artifact_dir=str(tmp_path / "rec")))
+        e = fleet_entry(result)
+        assert result.failures == 0
+        for name in ("anomalies", "violations", "wall_clock_seconds",
+                     "sim_per_wall", "peak_rss_kb"):
+            assert name in e.metrics, name
 
 
 class TestEntryPointOptIn:
@@ -330,6 +513,17 @@ class TestEntryPointOptIn:
                               video_duration=6.0, seed=7), ledger=path)
         entries = RunLedger(path).entries()
         assert len(entries) == 1 and entries[0].kind == "fleet"
+
+    def test_run_fleet_ledger_entry_carries_perf_metrics(self, tmp_path):
+        path = str(tmp_path / "runs.jsonl")
+        result = run_fleet(FleetConfig(sessions=4, shard_size=2,
+                                       video_duration=6.0, seed=7),
+                           ledger=path)
+        (e,) = RunLedger(path).entries()
+        assert e.metrics["sessions"] == 4.0
+        assert e.metrics["wall_clock_seconds"] == result.wall_clock
+        assert e.metrics["sim_per_wall"] > 0
+        assert e.metrics["peak_rss_kb"] > 0
 
     def test_ledger_never_changes_the_run(self, tmp_path):
         config = short_config()

@@ -7,16 +7,15 @@ import pytest
 
 from repro.experiments import SessionConfig, run_session, run_sweep
 from repro.experiments.sweep import expand_grid
-from repro.obs import (BenchReport, EventBus, FleetCheckpointSaved,
-                       FleetCompleted, FleetDashboard, FleetSessionCaptured,
+from repro.obs import (EventBus, FleetCheckpointSaved, FleetCompleted,
+                       FleetDashboard, FleetSessionCaptured,
                        FleetShardCompleted, FleetStarted,
                        FleetWorkerHeartbeat, SweepCompleted,
                        SweepDashboard, SweepRunFailed, SweepRunFinished,
                        SweepRunStarted, SweepRunSummarized, SweepStarted,
-                       Trace, bench_report_html, dumps_jsonl, loads_jsonl,
+                       Trace, dumps_jsonl, loads_jsonl,
                        session_report_html, sweep_report_html,
                        triage_report_html, write_report)
-from repro.obs.bench import BenchResult
 from repro.obs.trace_export import TraceMeta
 
 #: Markers of external references a self-contained report must not have.
@@ -55,14 +54,6 @@ def sweep_result():
     base = SessionConfig(video="big_buck_bunny", abr="festive",
                          wifi_mbps=8.0, lte_mbps=8.0, video_duration=20.0)
     return run_sweep(expand_grid(base, {"scheme": ["baseline", "rate"]}))
-
-
-def bench_report(label="t", wall=1.0):
-    return BenchReport(label=label, results=[
-        BenchResult(scenario="single", wall_clock=wall, sim_seconds=60.0,
-                    sim_per_wall=60.0 / wall, events=1000,
-                    events_per_sec=1000 / wall, peak_rss_kb=50_000,
-                    repeats=1)], meta={"python": "3.x"})
 
 
 class TestSessionReport:
@@ -119,14 +110,10 @@ class TestSweepReport:
         assert not sweep_result.failures
         assert "Failures" not in sweep_report_html(sweep_result)
 
-    def test_bench_trajectory_panel(self, sweep_result):
-        html = sweep_report_html(
-            sweep_result,
-            bench_reports=[bench_report("a", 1.0), bench_report("b", 1.1)],
-            baseline=bench_report("base", 1.0))
-        parse_document(html)
-        assert "Benchmarks" in html
-        assert "bus events per second" in html
+    def test_overview_shows_wall_clock(self, sweep_result):
+        html = sweep_report_html(sweep_result)
+        assert "wall clock" in html
+        assert f"{sweep_result.wall_clock:.1f}" in html
 
     def test_export_report_method(self, sweep_result, tmp_path):
         out = tmp_path / "sweep.html"
@@ -157,25 +144,6 @@ class TestSweepReport:
         assert "Runs" in html
         # Download summaries carry no session QoE: no scheme panel data.
         assert "means over" not in html
-
-
-class TestBenchReportHtml:
-    def test_renders_and_validates(self):
-        html = bench_report_html([bench_report()])
-        parse_document(html)
-        assert_self_contained(html)
-        assert "Benchmarks" in html
-
-    def test_regression_verdict_shown(self):
-        html = bench_report_html([bench_report("now", wall=10.0)],
-                                 baseline=bench_report("base", wall=1.0),
-                                 threshold=0.25)
-        assert "regression" in html.lower()
-
-    def test_no_reports_fallback(self):
-        html = bench_report_html([])
-        parse_document(html)
-        assert "no bench reports supplied" in html
 
 
 def drive_dashboard(dashboard):
@@ -495,21 +463,32 @@ class TestHistoryReportHtml:
         parse_document(html)
         assert "no drift detected" in html
 
+    def test_perf_trend_panels_follow_the_headlines(self):
+        from repro.obs import history_report_html
+        from repro.obs.ledger import LedgerEntry
+
+        walls = (2.0, 2.0, 2.0, 20.0)
+        entries = [LedgerEntry(kind="fleet", key="grid", label=f"run{i}",
+                               metrics={"qoe": 5.0,
+                                        "wall_clock_seconds": wall,
+                                        "sim_per_wall": 960.0 / wall,
+                                        "peak_rss_kb": 65536.0})
+                   for i, wall in enumerate(walls)]
+        html = history_report_html(entries)
+        parse_document(html)
+        assert_self_contained(html)
+        order = [html.index(name) for name in
+                 ("qoe", "sim_per_wall", "wall_clock_seconds",
+                  "peak_rss_kb")]
+        assert order == sorted(order)
+        assert "gate: fail" in html  # the tenfold wall-clock regression
+
     def test_empty_ledger_renders(self):
         from repro.obs import history_report_html
 
         html = history_report_html([])
         parse_document(html)
         assert "0 ledger entries" in html
-
-    def test_bench_trajectory_section_included(self):
-        from repro.obs import history_report_html
-
-        html = history_report_html(
-            self.entries(), bench_reports=[bench_report("a"),
-                                           bench_report("b", wall=1.1)])
-        parse_document(html)
-        assert "single" in html  # the bench scenario row
 
     def test_load_warnings_are_surfaced(self):
         from repro.obs import history_report_html
