@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..mptcp.connection import MptcpConnection
-from ..obs.events import DeadlineArmed, DeadlineDisarmed
+from ..obs.events import DeadlineDisarmed, new_deadline_armed
 from .policy import Preference
 from .scheduler import DeadlineAwareScheduler
 
@@ -67,8 +67,8 @@ class MpDashSocket:
         "turns off the cellular subflow at the beginning").
         """
         self.scheduler.arm(size, deadline)
-        self.connection.bus.publish(DeadlineArmed(self.connection.sim.now,
-                                                  size, deadline))
+        self.connection.bus.publish(new_deadline_armed(
+            self.connection.sim.now, size, deadline))
         for name in self.connection.path_names():
             self.connection.request_path_state(
                 name, name == self.preference.primary)

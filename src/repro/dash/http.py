@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..mptcp.connection import MptcpConnection, Transfer
-from ..obs.events import HttpRequestSent, HttpResponseReceived
+from ..obs.events import new_http_request_sent, new_http_response_received
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,12 @@ class HttpClient:
         bus = self.connection.bus
         sim = self.connection.sim
         request = HttpRequest(path)
-        bus.publish(HttpRequestSent(sim.now, path, request_id))
+        bus.publish(new_http_request_sent(sim.now, path, request_id))
         size = self._resolver(path)
         if size is None:
             response = HttpResponse(request, 404, {"Content-Length": "0"})
-            bus.publish(HttpResponseReceived(sim.now, path, 404, 0,
-                                             request_id))
+            bus.publish(new_http_response_received(sim.now, path, 404, 0,
+                                                   request_id))
             on_complete(response)
             return response
         body_bytes = int(round(size))
@@ -93,8 +93,8 @@ class HttpClient:
             before_transfer(response)
 
         def _done(_transfer: Transfer) -> None:
-            bus.publish(HttpResponseReceived(sim.now, path, 200, body_bytes,
-                                             request_id))
+            bus.publish(new_http_response_received(
+                sim.now, path, 200, body_bytes, request_id))
             on_complete(response)
 
         response.transfer = self._fetcher(body_bytes, tag=path,

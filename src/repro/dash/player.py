@@ -16,9 +16,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..net.simulator import Simulator, Timer
-from ..obs.events import (ChunkDownloaded, ChunkRequested, MpDashArmed,
-                          MpDashSkipped, PlaybackEnded, PlaybackStarted,
-                          QualitySwitched, StallEnd, StallStart)
+from ..obs.events import (PlaybackEnded, PlaybackStarted, QualitySwitched,
+                          StallEnd, StallStart, new_chunk_downloaded,
+                          new_chunk_requested, new_mp_dash_armed,
+                          new_mp_dash_skipped)
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from ..abr.base import AbrAlgorithm, AbrContext
@@ -177,8 +178,8 @@ class DashPlayer:
         url = self.manifest.chunk_url(level, index)
         requested_at = self.sim.now
         buffer_at_request = self.buffer.level
-        self.bus.publish(ChunkRequested(requested_at, index, level,
-                                        buffer_at_request))
+        self.bus.publish(new_chunk_requested(requested_at, index, level,
+                                             buffer_at_request))
 
         deadline_holder = {}
 
@@ -187,9 +188,10 @@ class DashPlayer:
             deadline = self.addon.on_chunk_request(self, level, size)
             deadline_holder["deadline"] = deadline
             if deadline is not None:
-                self.bus.publish(MpDashArmed(self.sim.now, index, deadline))
+                self.bus.publish(new_mp_dash_armed(self.sim.now, index,
+                                                   deadline))
             else:
-                self.bus.publish(MpDashSkipped(self.sim.now, index))
+                self.bus.publish(new_mp_dash_skipped(self.sim.now, index))
 
         def on_complete(response: HttpResponse) -> None:
             if not response.ok:
@@ -238,7 +240,7 @@ class DashPlayer:
             self.bus.publish(QualitySwitched(now, self._current_level,
                                              level))
         self._current_level = level
-        self.bus.publish(ChunkDownloaded(
+        self.bus.publish(new_chunk_downloaded(
             now, index=index, level=level,
             size=float(response.content_length),
             duration=self.manifest.chunk_duration,

@@ -33,10 +33,12 @@ counts, shardings of the index space, and kill/resume boundaries.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -78,7 +80,7 @@ MISS_BOUNDS = linear_buckets(1.0, 1.0, 16)                # misses/session
 ARRIVAL_HOUR_BOUNDS = linear_buckets(1.0, 1.0, 24)        # hour of day
 
 CHECKPOINT_FILE = "fleet-checkpoint.json"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 #: Cap on per-session error samples carried by results and checkpoints.
 MAX_ERROR_SAMPLES = 20
 #: Cap on error samples each shard ships back; ``error_total`` carries
@@ -357,6 +359,12 @@ def checkpoint_path(checkpoint_dir: str) -> str:
     return os.path.join(checkpoint_dir, CHECKPOINT_FILE)
 
 
+def _checkpoint_digest(body: Dict[str, Any]) -> str:
+    """sha256 of a checkpoint body's canonical JSON (sorted keys)."""
+    return hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def save_checkpoint(path: str, key: str, shards_done: int, sessions: int,
                     failures: int, sim_seconds: float, errors: List[str],
                     registry: MetricsRegistry, error_total: int = 0,
@@ -369,6 +377,8 @@ def save_checkpoint(path: str, key: str, shards_done: int, sessions: int,
     one, so ``--resume`` always finds a loadable prefix.  The optional
     ``recorder_state`` (merged stats + anomaly records) rides along so a
     resumed campaign's triage view still covers the pre-kill prefix.
+    The body's sha256 rides along too, so damage done to the file after
+    it was written is caught on load.
     """
     payload = {"version": CHECKPOINT_VERSION, "fleet_key": key,
                "shards_done": shards_done, "sessions": sessions,
@@ -377,30 +387,70 @@ def save_checkpoint(path: str, key: str, shards_done: int, sessions: int,
                "registry": registry.to_dict()}
     if recorder_state is not None:
         payload["recorder"] = recorder_state
+    payload["sha256"] = _checkpoint_digest(payload)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        # ``json.dumps`` runs the C encoder; ``json.dump`` streams the
+        # same text through the pure-Python one, several times slower.
+        handle.write(json.dumps(payload, sort_keys=True))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, key: str) -> Optional[Dict[str, Any]]:
     """Load a checkpoint for the campaign ``key``; None = start fresh.
 
-    A missing or unreadable file is a clean start; a checkpoint written
-    by a *different* campaign is a hard error — silently resuming someone
-    else's population would corrupt both.
+    A missing file is a clean start.  An unreadable one is a clean start
+    plus a ``RuntimeWarning``: not JSON, not an object, a body that does
+    not match its stored sha256, or state that does not parse (the
+    registry above all).  A checkpoint written by a *different* campaign
+    is a hard error — silently resuming someone else's population would
+    corrupt both.
+
+    The returned state holds ``registry`` as a :class:`MetricsRegistry`,
+    the counters as numbers and ``recorder`` as None or a dict with
+    ``stats`` and ``records``.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, ValueError):
+    except FileNotFoundError:
         return None
+    except (OSError, ValueError) as exc:
+        return _unreadable_checkpoint(path, str(exc))
+    if not isinstance(payload, dict):
+        return _unreadable_checkpoint(path, "not a JSON object")
+    digest = payload.pop("sha256", None)
+    if digest != _checkpoint_digest(payload):
+        return _unreadable_checkpoint(path, "sha256 mismatch")
     found = payload.get("fleet_key")
     if found != key:
         raise ValueError(
             f"checkpoint at {path} belongs to fleet {found!r}, "
             f"not {key!r}; pick an empty --checkpoint-dir or drop --resume")
-    return payload
+    try:
+        failures = int(payload["failures"])
+        recorder = payload.get("recorder")
+        if recorder is not None and not (
+                isinstance(recorder.get("stats", {}), dict)
+                and isinstance(recorder.get("records", []), list)):
+            raise ValueError("malformed recorder state")
+        return {"registry": MetricsRegistry.from_dict(payload["registry"]),
+                "shards_done": int(payload["shards_done"]),
+                "sessions": int(payload["sessions"]),
+                "failures": failures,
+                "sim_seconds": float(payload["sim_seconds"]),
+                "errors": list(payload.get("errors", [])),
+                "error_total": int(payload.get("error_total", failures)),
+                "recorder": recorder}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return _unreadable_checkpoint(path, f"malformed state: {exc!r}")
+
+
+def _unreadable_checkpoint(path: str, reason: str) -> None:
+    warnings.warn(f"checkpoint at {path} is unreadable ({reason}); "
+                  f"starting the campaign from scratch", RuntimeWarning,
+                  stacklevel=3)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -614,17 +664,17 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
         os.makedirs(checkpoint_dir, exist_ok=True)
         ckpt_file = checkpoint_path(checkpoint_dir)
         if resume:
-            payload = load_checkpoint(ckpt_file, key)
-            if payload is not None:
-                registry = MetricsRegistry.from_dict(payload["registry"])
-                shards_done = int(payload["shards_done"])
-                sessions = int(payload["sessions"])
-                failures = int(payload["failures"])
-                sim_seconds = float(payload["sim_seconds"])
-                errors = list(payload.get("errors", []))
-                error_total = int(payload.get("error_total", failures))
+            state = load_checkpoint(ckpt_file, key)
+            if state is not None:
+                registry = state["registry"]
+                shards_done = state["shards_done"]
+                sessions = state["sessions"]
+                failures = state["failures"]
+                sim_seconds = state["sim_seconds"]
+                errors = state["errors"]
+                error_total = state["error_total"]
                 resumed_shards = shards_done
-                restored = payload.get("recorder")
+                restored = state["recorder"]
                 if recorder is not None and restored is not None:
                     merge_stats(rec_stats, restored.get("stats", {}))
                     anomalies = list(restored.get("records", []))

@@ -30,8 +30,8 @@ from ..net.simulator import Simulator, Timer
 # module: perfbench's tracer test looks the kernel up at this name.
 from ..net.tcp import WindowCurve, integrate_window  # noqa: F401
 from ..obs.events import (PathStateRequested, SubflowStateChange,
-                          TransferCompleted, TransferStarted,
-                          new_packet_sent)
+                          new_packet_sent, new_transfer_completed,
+                          new_transfer_started)
 from .activity import ActivityLog
 from .options import SignalChannel
 from .subflow import Subflow
@@ -94,6 +94,58 @@ def _certified_band(curves: Sequence[WindowCurve], span: float,
     if right < span and not _delivered(curves, right) >= sendable + margin:
         return -math.inf, math.inf
     return left, right
+
+
+class _SpanPlan:
+    """Each sender's inputs over the span that starts at watermark ``t0``.
+
+    A sender is an enabled subflow usable at ``t0``.  Its bandwidth and
+    next trace breakpoint are read once, and its :class:`WindowCurve` is
+    built on first use, so the prediction made at a watermark and the
+    advance that follows it share one set of inputs.  ``boundary`` is
+    the earliest instant any of them can change: a sender's breakpoint,
+    or a re-established subflow becoming usable.
+    """
+
+    __slots__ = ("t0", "senders", "rates", "boundary", "_curves")
+
+    def __init__(self, t0: float, subflows: Sequence[Subflow]):
+        self.t0 = t0
+        boundary = math.inf
+        senders = []
+        rates = []
+        for sf in subflows:
+            path = sf.path
+            if not path.enabled:
+                continue
+            after = sf.usable_after
+            if t0 < after:
+                if after < boundary:
+                    boundary = after
+                continue
+            change = path.next_change(t0)
+            if change < boundary:
+                boundary = change
+            senders.append(sf)
+            rates.append(path.bandwidth_at(t0))
+        self.senders: List[Subflow] = senders
+        self.rates: List[float] = rates
+        self.boundary = boundary
+        self._curves: Optional[List[WindowCurve]] = None
+
+    def curves(self) -> List[WindowCurve]:
+        """Each sender's delivery curve from ``t0``, in sender order."""
+        curves = self._curves
+        if curves is None:
+            t0 = self.t0
+            curves = self._curves = [
+                sf.tcp.window_curve(t0, bw)
+                for sf, bw in zip(self.senders, self.rates)]
+        return curves
+
+    def potential(self, span: float) -> float:
+        """Combined bytes the senders could carry in ``span`` seconds."""
+        return _delivered(self.curves(), span)
 
 
 class Transfer:
@@ -275,6 +327,9 @@ class MptcpConnection:
             sf.name: SignalChannel(sf.path.enabled, signaling_delay)
             for sf in self.subflows
         }
+        # True once ``path_state`` has popped a value off a channel that
+        # differs from the applied one (see ``_apply_signals``).
+        self._unapplied = False
         self._queue: Deque[Transfer] = deque()
         self._transfer_count = 0
         self._active: Optional[Transfer] = None
@@ -291,6 +346,9 @@ class MptcpConnection:
         # Cached completion prediction (absolute time), invalidated by any
         # event that changes delivery rates or the byte goal.
         self._completion: Optional[float] = None
+        # The span plan at the watermark it was built for; dropped when
+        # the delivering set changes without the watermark moving.
+        self._plan: Optional[_SpanPlan] = None
 
     # ------------------------------------------------------------------
     # Transfers
@@ -325,7 +383,7 @@ class MptcpConnection:
         self._advance_to(self.sim.now)
         transfer.started_at = self.sim.now
         self._active = transfer
-        self.bus.publish(TransferStarted(
+        self.bus.publish(new_transfer_started(
             self.sim.now, transfer.id, transfer.tag, transfer.total_bytes,
             self.id))
         if self.controller is not None:
@@ -367,7 +425,12 @@ class MptcpConnection:
 
     def path_state(self, name: str) -> bool:
         """Server-side effective enabled-state of ``name`` right now."""
-        return self._signals[name].current(self.sim.now)
+        enabled = self._signals[name].current(self.sim.now)
+        if enabled != self._effective[name]:
+            # Popped off the channel but not applied yet: the next
+            # ``_apply_signals`` must not skip it.
+            self._unapplied = True
+        return enabled
 
     def path_capacity(self, name: str) -> float:
         """Instantaneous post-throttle link capacity (bytes/second).
@@ -421,7 +484,7 @@ class MptcpConnection:
         transfer._on_available_change = None
         self._active = None
         self._completion = None
-        self.bus.publish(TransferCompleted(
+        self.bus.publish(new_transfer_completed(
             now, transfer.id, transfer.tag, transfer.total_bytes,
             transfer.duration() or 0.0, self.id))
         if self.controller is not None:
@@ -495,14 +558,20 @@ class MptcpConnection:
 
     def _apply_signals(self, now: float) -> None:
         """Apply in-flight enable/disable decisions effective by ``now``."""
+        if not self._unapplied and self._next_signal_arrival() > now:
+            # Every channel's value is applied and none arrives by
+            # ``now``: the loop below would change nothing.
+            return
+        self._unapplied = False
         for subflow in self.subflows:
             enabled = self._signals[subflow.name].current(now)
             subflow.path.enabled = enabled
             if enabled != self._effective[subflow.name]:
                 self._effective[subflow.name] = enabled
                 # The delivering set changed: any cached completion
-                # prediction is void.
+                # prediction and span plan are void.
                 self._completion = None
+                self._plan = None
                 self.bus.publish(SubflowStateChange(now, subflow.name,
                                                     enabled, self.id))
             subflow.notice_state(now)
@@ -517,21 +586,6 @@ class MptcpConnection:
             if queue and queue[0][0] < earliest:
                 earliest = queue[0][0]
         return earliest
-
-    def _emit_bin(self, name: str, index: int, time: float,
-                  delivered: float) -> None:
-        """Merge an analytic delivery step into the open PacketSent bins."""
-        pending = self._open_bins.get(name)
-        if pending is None:
-            self._open_bins[name] = [index, time, delivered]
-        elif pending[0] == index:
-            pending[2] += delivered
-        else:
-            self.bus.publish(new_packet_sent(pending[1], name, pending[2],
-                                             self.id))
-            pending[0] = index
-            pending[1] = time
-            pending[2] = delivered
 
     def _advance_to(self, target: float) -> None:
         """Advance all subflow state from the watermark to ``target``.
@@ -571,20 +625,12 @@ class MptcpConnection:
                     self._advanced_to = min(target, t_sig)
                     continue
                 # Bound the span by everything that can change a rate.
-                t1 = min(target, t_sig)
-                senders = []
-                for sf in self.subflows:
-                    if not sf.path.enabled:
-                        continue
-                    after = sf.usable_after
-                    if t0 < after:
-                        if after < t1:
-                            t1 = after
-                        continue
-                    change = sf.path.next_change(t0)
-                    if change < t1:
-                        t1 = change
-                    senders.append(sf)
+                plan = self._span_plan(t0)
+                t1 = target if target < t_sig else t_sig
+                if plan.boundary < t1:
+                    t1 = plan.boundary
+                senders = plan.senders
+                rates = plan.rates
                 span = t1 - t0
                 sendable = active.sendable
                 if not senders or sendable <= _EPSILON:
@@ -593,50 +639,58 @@ class MptcpConnection:
                     # residues count as nothing: chasing them would predict
                     # zero-length completion spans forever (``complete``
                     # itself allows the same slack).
-                    for sf in senders:
-                        sf.grow_analytic(t0, t1)
+                    for sf, bw in zip(senders, rates):
+                        sf.grow_analytic(t0, t1, bw)
                     if t1 < target:
                         self._completion = None
                     self._advanced_to = t1
                     continue
-                total = sum(sf.potential(t0, span) for sf in senders)
-                if total < sendable - _EPSILON:
+                if plan.potential(span) < sendable - _EPSILON:
                     # The whole span flows at full potential.
-                    for sf in senders:
-                        delivered = sf.deliver_analytic(
-                            t0, t1, self._bin_width, self._emit_bin)
-                        active.add(sf.name, delivered)
+                    t_end = t1
                     if t1 < target:
                         self._completion = None
-                    self._advanced_to = t1
-                    if active.complete:
-                        self._finish(active)
-                    continue
-                # Everything sendable fits in this span: solve the exact
-                # instant the last byte lands and stop the flow there.
-                t_end = t0 + self._solve_span(senders, t0, span, sendable)
-                for sf in senders:
+                else:
+                    # Everything sendable fits in this span: solve the
+                    # exact instant the last byte lands and stop the flow
+                    # there.
+                    t_end = t0 + self._solve_span(plan, span, sendable)
+                bins = self._open_bins
+                publish = self.bus.publish
+                for sf, bw in zip(senders, rates):
                     delivered = sf.deliver_analytic(
-                        t0, t_end, self._bin_width, self._emit_bin)
+                        t0, t_end, bw, self._bin_width, bins, publish)
                     active.add(sf.name, delivered)
                 self._advanced_to = t_end
                 if active.complete:
                     self._finish(active)
-                # Otherwise the sender is starved (proxy still fetching);
-                # the next iteration advances application-limited.
+                # Otherwise, after a solved span, the sender is starved
+                # (proxy still fetching); the next iteration advances
+                # application-limited.
         finally:
             self._advancing = False
 
-    def _solve_span(self, senders: List[Subflow], t0: float, span: float,
+    def _span_plan(self, t0: float) -> _SpanPlan:
+        """The span plan at watermark ``t0``, built once per watermark."""
+        plan = self._plan
+        if plan is None or plan.t0 != t0:
+            plan = self._plan = _SpanPlan(t0, self.subflows)
+        return plan
+
+    def _solve_span(self, plan: _SpanPlan, span: float,
                     sendable: float) -> float:
-        """Seconds into the span at which combined delivery = sendable."""
+        """Seconds into the plan's span at which combined delivery =
+        sendable."""
+        t0 = plan.t0
+        senders = plan.senders
         if len(senders) == 1:
-            return min(senders[0].time_to_deliver(t0, sendable), span)
+            return min(senders[0].time_to_deliver(t0, sendable,
+                                                  plan.rates[0]), span)
         # Steady state: every sender pinned at its ceiling means delivery
         # is linear at the combined rate — solve by division, not search.
         total_rate = 0.0
-        for sf in senders:
-            rate = sf.steady_rate(t0)
+        for sf, bw in zip(senders, plan.rates):
+            rate = sf.steady_rate(t0, bw)
             if rate is None:
                 total_rate = -1.0
                 break
@@ -646,15 +700,12 @@ class MptcpConnection:
         # Bisection over the combined delivery integral, converged when
         # the bracket is tighter than the completion slack in bytes (the
         # same ``_EPSILON`` the byte accounting uses).  Each sender's
-        # (idle-restarted) curve is hoisted once; a certified band around
-        # the root settles every midpoint outside it by one comparison.
-        curves = []
+        # (idle-restarted) curve comes from the plan; a certified band
+        # around the root settles every midpoint outside it by one
+        # comparison.
+        curves = plan.curves()
         floor_rate = 0.0
-        for sf in senders:
-            cwnd, ssthresh = sf.tcp.window_after_restart(t0)
-            curve = WindowCurve(cwnd, ssthresh, sf.tcp.rtt,
-                                sf.path.bandwidth_at(t0))
-            curves.append(curve)
+        for curve in curves:
             floor_rate += curve.floor_rate
         tolerance = max(1e-12, _EPSILON / max(floor_rate, 1.0))
         left, right = _certified_band(curves, span, sendable, tolerance)
@@ -677,31 +728,17 @@ class MptcpConnection:
         """Schedule the single wakeup at the next decision point."""
         if self._closed or self._advancing:
             return
-        now = self._advanced_to
         t_next = self._next_signal_arrival()
         active = self._active
         if active is not None and active.started_at is not None:
-            boundary = math.inf
-            senders = []
-            for sf in self.subflows:
-                if not sf.path.enabled:
-                    continue
-                after = sf.usable_after
-                if now < after:
-                    if after < boundary:
-                        boundary = after
-                    continue
-                change = sf.path.next_change(now)
-                if change < boundary:
-                    boundary = change
-                senders.append(sf)
-            if boundary < t_next:
-                t_next = boundary
+            plan = self._span_plan(self._advanced_to)
+            if plan.boundary < t_next:
+                t_next = plan.boundary
             sendable = active.sendable
-            if senders and sendable > _EPSILON:
+            if plan.senders and sendable > _EPSILON:
                 if self._completion is None:
                     self._completion = self._predict_completion(
-                        now, senders, sendable, t_next)
+                        plan, sendable, t_next)
                 if self._completion is not None and self._completion < t_next:
                     t_next = self._completion
             if self.controller is not None:
@@ -711,8 +748,8 @@ class MptcpConnection:
                     t_next = wanted
         self._timer.set(t_next if math.isfinite(t_next) else None)
 
-    def _predict_completion(self, now: float, senders: List[Subflow],
-                            sendable: float, bound: float) -> Optional[float]:
+    def _predict_completion(self, plan: _SpanPlan, sendable: float,
+                            bound: float) -> Optional[float]:
         """Solve when the active transfer's sendable bytes finish landing.
 
         Only valid while rates stay quiescent, so the solution is capped
@@ -720,20 +757,24 @@ class MptcpConnection:
         prediction is left uncached and re-solved at that boundary's
         wakeup.  Returns an absolute time or None.
         """
+        now = plan.t0
+        senders = plan.senders
         if len(senders) == 1:
-            finish = now + senders[0].time_to_deliver(now, sendable)
+            finish = now + senders[0].time_to_deliver(now, sendable,
+                                                      plan.rates[0])
             return finish if finish <= bound else None
         if math.isinf(bound):
             # Bracket with the fastest path carrying everything alone.
-            alone = min(sf.time_to_deliver(now, sendable) for sf in senders)
+            alone = min(sf.time_to_deliver(now, sendable, bw)
+                        for sf, bw in zip(senders, plan.rates))
             if math.isinf(alone):
                 return None
             span = alone
         else:
             span = bound - now
-            if sum(sf.potential(now, span) for sf in senders) < sendable:
+            if plan.potential(span) < sendable:
                 return None
-        return now + self._solve_span(senders, now, span, sendable)
+        return now + self._solve_span(plan, span, sendable)
 
     def flush_activity(self) -> None:
         """Publish any open per-path ``PacketSent`` aggregates.

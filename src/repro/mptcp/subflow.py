@@ -8,13 +8,14 @@ the energy model.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from ..estimators import HoltWinters, ThroughputEstimator
 from ..net.link import Path
 from ..net.tcp import TcpState
 from ..obs.bus import EventBus
-from ..obs.events import CwndRestarted, SubflowReconnected
+from ..obs.events import (CwndRestarted, PacketSent, SubflowReconnected,
+                          new_packet_sent)
 
 
 #: Minimum window over which a throughput sample is formed before being fed
@@ -44,6 +45,7 @@ class Subflow:
             raise ValueError(
                 f"reconnect_delay cannot be negative: {reconnect_delay!r}")
         self.path = path
+        self.name = path.name
         self.bus = bus
         self.conn = conn
         self.tcp = TcpState(path.rtt)
@@ -59,10 +61,6 @@ class Subflow:
         self._sample_bytes = 0.0
         self._sample_busy = 0.0
         self._sample_interval = max(path.rtt, MIN_SAMPLE_INTERVAL)
-
-    @property
-    def name(self) -> str:
-        return self.path.name
 
     def _publish_restart(self, now: float) -> None:
         self.bus.publish(CwndRestarted(now, self.name, self.conn))
@@ -101,16 +99,18 @@ class Subflow:
         """
         if dt <= 0 or not self._usable(now):
             return 0.0
-        return self.tcp.potential_bytes(now, dt, self.path.bandwidth_at(now))
+        return self.tcp.window_curve(
+            now, self.path.bandwidth_at(now)).bytes_at(dt)
 
-    def time_to_deliver(self, now: float, target_bytes: float) -> float:
-        """Pure: seconds of continuous sending to carry ``target_bytes``."""
+    def time_to_deliver(self, now: float, target_bytes: float,
+                        bw: float) -> float:
+        """Pure: seconds of continuous sending at bandwidth ``bw`` to
+        carry ``target_bytes``."""
         if not self._usable(now):
             return float("inf")
-        return self.tcp.time_to_deliver(now, target_bytes,
-                                        self.path.bandwidth_at(now))
+        return self.tcp.time_to_deliver(now, target_bytes, bw)
 
-    def steady_rate(self, now: float) -> Optional[float]:
+    def steady_rate(self, now: float, bw: float) -> Optional[float]:
         """Constant delivery rate while provably pinned, else None.
 
         See :meth:`~repro.net.tcp.TcpState.pinned_rate`; when every
@@ -119,87 +119,110 @@ class Subflow:
         """
         if not self._usable(now):
             return None
-        return self.tcp.pinned_rate(now, self.path.bandwidth_at(now))
+        return self.tcp.pinned_rate(now, bw)
 
-    def deliver_analytic(self, start: float, end: float, bin_width: float,
-                         emit) -> float:
+    def deliver_analytic(self, start: float, end: float, bw: float,
+                         bin_width: float, bins: Dict[str, list],
+                         publish: Callable[[PacketSent], None]) -> float:
         """Commit continuous network-limited sending over ``[start, end]``.
 
-        Advances the TCP window in closed form, feeds the throughput
-        estimator one sample per ``_sample_interval`` of busy time (about
-        one per RTT, as ACK clocking would), and reports per-activity-bin byte totals through
-        ``emit(name, bin_index, bin_start_time, bytes)``.  Returns the
-        total bytes delivered.  Bandwidth is read once at ``start``;
-        callers bound the span by the next trace breakpoint.
+        Advances the TCP window in closed form under the span's constant
+        bandwidth ``bw`` and feeds the throughput estimator one sample
+        per ``_sample_interval`` of busy time (about one per RTT, as ACK
+        clocking would).  Returns the total bytes delivered.
+
+        Each delivery step is merged into this path's open activity bin,
+        ``bins[name] = [bin_index, first_time, bytes]`` (the connection's
+        open-bin dict, in first-emission order); when a step lands in a
+        later bin, the closed one is passed to ``publish`` as a
+        ``PacketSent``.
         """
-        if end <= start:
+        stop = end - 1e-12
+        if not start < stop:
             return 0.0
         tcp = self.tcp
-        bw = self.path.bandwidth_at(start)
+        estimator = self.estimator
+        name = self.name
+        pending = bins.get(name)
+        interval = self._sample_interval
+        sample_bytes = self._sample_bytes
+        sample_busy = self._sample_busy
+        account = self.total_bytes
         total = 0.0
         t = start
         index = int(start / bin_width)
-        interval = self._sample_interval
-        while t < end - 1e-12:
-            # Once the window is pinned at the ceiling it stays there for
-            # the rest of the span (bandwidth is constant within it), so
-            # the remainder is linear delivery at ``bw``: walk it one
-            # activity bin at a time, folding the estimator's busy-time
-            # samples in closed form instead of splitting steps at every
-            # sample boundary.
-            if tcp.pinned_rate(t, bw) is not None:
-                estimator = self.estimator
-                while t < end - 1e-12:
-                    bin_end = (index + 1) * bin_width
-                    step_end = bin_end if bin_end < end else end
-                    dt = step_end - t
-                    delta = bw * dt
-                    self.total_bytes += delta
-                    total += delta
-                    if delta > 0:
-                        busy = self._sample_busy + dt
-                        if busy >= interval - 1e-12:
-                            head = interval - self._sample_busy
-                            estimator.update((self._sample_bytes
-                                              + bw * head) / interval)
-                            busy -= interval
-                            while busy >= interval - 1e-12:
-                                estimator.update(bw)
-                                busy -= interval
-                            self._sample_busy = busy if busy > 0.0 else 0.0
-                            self._sample_bytes = bw * self._sample_busy
-                        else:
-                            self._sample_busy = busy
-                            self._sample_bytes += delta
-                        emit(self.name, index, t, delta)
-                    t = step_end
-                    if step_end >= bin_end - 1e-12:
-                        index += 1
-                tcp.last_send_time = end
-                return total
+        # Once the window is pinned at the ceiling it stays there for the
+        # rest of the span (bandwidth is constant within it), so the
+        # remainder is linear delivery at ``bw``: walk it one activity
+        # bin at a time, folding the estimator's busy-time samples in
+        # closed form instead of splitting steps at every sample
+        # boundary.  Until then, ramp steps end at each bin and sample
+        # boundary.  Only the first step can follow an idle gap, so a
+        # pending restart is committed once; later steps are warm.
+        pinned = tcp.pinned_rate(start, bw) is not None
+        if not pinned:
+            tcp.restart_if_idle(start)
+            ceiling = tcp.pinned_window(bw)
+        while t < stop:
             bin_end = (index + 1) * bin_width
-            sample_end = t + (interval - self._sample_busy)
-            step_end = min(end, bin_end, sample_end)
-            dt = step_end - t
-            delta = tcp.advance_analytic(t, dt, bw)
-            self.total_bytes += delta
+            if pinned:
+                step_end = bin_end if bin_end < end else end
+                dt = step_end - t
+                delta = bw * dt
+            else:
+                sample_end = t + (interval - sample_busy)
+                step_end = min(end, bin_end, sample_end)
+                dt = step_end - t
+                delta = tcp.advance_warm(t, dt, bw)
+            account += delta
             total += delta
             if delta > 0:
                 # Always network-limited: the span runs at full potential.
-                self._sample_bytes += delta
-                self._sample_busy += dt
-                if self._sample_busy >= interval - 1e-12:
-                    self.estimator.update(self._sample_bytes
-                                          / self._sample_busy)
-                    self._sample_bytes = 0.0
-                    self._sample_busy = 0.0
-                emit(self.name, index, t, delta)
+                if pinned:
+                    busy = sample_busy + dt
+                    if busy >= interval - 1e-12:
+                        head = interval - sample_busy
+                        estimator.update((sample_bytes + bw * head)
+                                         / interval)
+                        busy -= interval
+                        while busy >= interval - 1e-12:
+                            estimator.update(bw)
+                            busy -= interval
+                        sample_busy = busy if busy > 0.0 else 0.0
+                        sample_bytes = bw * sample_busy
+                    else:
+                        sample_busy = busy
+                        sample_bytes += delta
+                else:
+                    sample_bytes += delta
+                    sample_busy += dt
+                    if sample_busy >= interval - 1e-12:
+                        estimator.update(sample_bytes / sample_busy)
+                        sample_bytes = 0.0
+                        sample_busy = 0.0
+                if pending is None:
+                    pending = bins[name] = [index, t, delta]
+                elif pending[0] == index:
+                    pending[2] += delta
+                else:
+                    publish(new_packet_sent(pending[1], name, pending[2],
+                                            self.conn))
+                    pending[0] = index
+                    pending[1] = t
+                    pending[2] = delta
             t = step_end
             if step_end >= bin_end - 1e-12:
                 index += 1
+            if not pinned and t < stop and tcp.cwnd == ceiling:
+                pinned = True
+        if pinned:
+            tcp.last_send_time = end
+        self._sample_bytes = sample_bytes
+        self._sample_busy = sample_busy
+        self.total_bytes = account
         return total
 
-    def grow_analytic(self, start: float, end: float) -> None:
+    def grow_analytic(self, start: float, end: float, bw: float) -> None:
         """Advance the window over an application-limited span.
 
         A transfer is active but has nothing sendable (a proxy still
@@ -210,8 +233,7 @@ class Subflow:
         """
         if end <= start or not self._usable(start):
             return
-        self.tcp.advance_analytic(start, end - start,
-                                  self.path.bandwidth_at(start))
+        self.tcp.advance_analytic(start, end - start, bw)
 
     def throughput_estimate(self) -> Optional[float]:
         """Predicted throughput (bytes/second); None before any sample."""

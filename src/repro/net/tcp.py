@@ -288,7 +288,7 @@ class TcpState:
         """
         if not sending:
             return 0.0
-        self._maybe_idle_restart(now)
+        self.restart_if_idle(now)
         self.last_send_time = now + dt
 
         bdp = available_bw * self.rtt
@@ -339,24 +339,23 @@ class TcpState:
         if last is None or now - last > self._rto:
             # Cold send clock, or an idle restart is pending.
             return None
-        ceiling = available_bw * self.rtt * (1.0 + QUEUE_ALLOWANCE)
-        if self.cwnd != max(ceiling, INITIAL_CWND):
+        if self.cwnd != self.pinned_window(available_bw):
             return None
         return available_bw
 
-    def potential_bytes(self, now: float, dt: float, available_bw: float) -> float:
-        """Bytes this subflow could deliver over ``[now, now + dt]``.
+    def pinned_window(self, available_bw: float) -> float:
+        """The phase-4 ceiling window under ``available_bw``, bytes."""
+        return max(available_bw * self.rtt * (1.0 + QUEUE_ALLOWANCE),
+                   INITIAL_CWND)
 
-        Pure closed-form integral under constant ``available_bw``, assuming
-        continuous sending from the (idle-restarted) current window.
+    def window_curve(self, now: float, available_bw: float) -> WindowCurve:
+        """Delivery curve of continuous sending from ``now``.
+
+        Pure: starts from the idle-restarted window (see
+        :meth:`window_after_restart`) under constant ``available_bw``.
         """
-        rate = self.pinned_rate(now, available_bw)
-        if rate is not None:
-            return rate * dt
         cwnd, ssthresh = self.window_after_restart(now)
-        delivered, _, _, _ = integrate_window(cwnd, ssthresh, self.rtt,
-                                              available_bw, dt_limit=dt)
-        return delivered
+        return WindowCurve(cwnd, ssthresh, self.rtt, available_bw)
 
     def time_to_deliver(self, now: float, target_bytes: float,
                         available_bw: float) -> float:
@@ -377,11 +376,20 @@ class TcpState:
                          available_bw: float) -> float:
         """Commit ``dt`` seconds of continuous sending; return bytes delivered.
 
-        The mutating counterpart of :meth:`potential_bytes`: equivalent to
+        The mutating counterpart of :meth:`window_curve`: equivalent to
         running :meth:`advance` with ``sending=True`` over infinitely many
         infinitesimal ticks covering ``[now, now + dt]``.
         """
-        self._maybe_idle_restart(now)
+        self.restart_if_idle(now)
+        return self.advance_warm(now, dt, available_bw)
+
+    def advance_warm(self, now: float, dt: float,
+                     available_bw: float) -> float:
+        """:meth:`advance_analytic` on a send clock known to be warm.
+
+        Skips the idle-restart check: callers either committed the
+        restart already (:meth:`restart_if_idle`) or sent up to ``now``.
+        """
         delivered, _, cwnd, ssthresh = integrate_window(
             self.cwnd, self.ssthresh, self.rtt, available_bw, dt_limit=dt)
         self.cwnd = cwnd
@@ -408,7 +416,7 @@ class TcpState:
         return (max(self.cwnd / (2.0 ** halvings), INITIAL_CWND),
                 max(self.cwnd * 0.75, INITIAL_CWND))
 
-    def _maybe_idle_restart(self, now: float) -> None:
+    def restart_if_idle(self, now: float) -> None:
         """Commit the idle restart, if one is due, and report it."""
         restarted = self._restarted_window(now)
         if restarted is None:

@@ -554,3 +554,15 @@ def events_from_dicts(records: Iterable[Any]) -> List[TraceEvent]:
 #: Fast constructor for the hottest event on the bus (one per subflow per
 #: activity bin while a transfer is active).
 new_packet_sent = fast_ctor(PacketSent)
+
+#: Fast constructors for the per-chunk events (a few per transfer each),
+#: shared with the JSONL loader.
+new_transfer_started = _LOAD_CTORS["TransferStarted"]
+new_transfer_completed = _LOAD_CTORS["TransferCompleted"]
+new_deadline_armed = _LOAD_CTORS["DeadlineArmed"]
+new_http_request_sent = _LOAD_CTORS["HttpRequestSent"]
+new_http_response_received = _LOAD_CTORS["HttpResponseReceived"]
+new_chunk_requested = _LOAD_CTORS["ChunkRequested"]
+new_mp_dash_armed = _LOAD_CTORS["MpDashArmed"]
+new_mp_dash_skipped = _LOAD_CTORS["MpDashSkipped"]
+new_chunk_downloaded = _LOAD_CTORS["ChunkDownloaded"]

@@ -365,12 +365,46 @@ def find_manifests(artifact_dir: str) -> List[str]:
     return found
 
 
+#: Record fields triage reads, by the types a manifest may hold there.
+#: ``index`` and ``reason`` are required; the others may be absent.
+_RECORD_FIELDS = (("index", (int,)), ("reason", (str,)),
+                  ("shard", (int, type(None))),
+                  ("score", (int, float, type(None))),
+                  ("qoe", (int, float, type(None))),
+                  ("misses", (int, float, type(None))),
+                  ("stalls", (int, float, type(None))),
+                  ("artifact", (str, type(None))),
+                  ("violations", (dict, type(None))),
+                  ("attribution", (dict, type(None))))
+
+
 def load_manifest(path: str) -> Dict[str, Any]:
-    """Load one manifest; raises ``ValueError`` on malformed content."""
+    """Load one manifest; raises ``ValueError`` on malformed content.
+
+    Malformed means anything triage could not read: not a JSON object,
+    ``records`` not a list of objects, ``stats`` not an object, or a
+    record without an integer ``index`` and a string ``reason`` or with
+    an optional field of the wrong type.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "records" not in payload:
         raise ValueError(f"not an anomaly manifest: {path}")
+    records = payload["records"]
+    if not isinstance(records, list) or not isinstance(
+            payload.get("stats", {}), dict):
+        raise ValueError(f"malformed anomaly manifest: {path}")
+    for number, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"malformed anomaly manifest: {path}: "
+                             f"record {number} is not an object")
+        for name, types in _RECORD_FIELDS:
+            if name not in record and name not in ("index", "reason"):
+                continue
+            value = record.get(name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"malformed anomaly manifest: {path}: "
+                                 f"record {number} has a bad {name!r}")
     return payload
 
 

@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .locations import Location, field_study_locations
+from .locations import Location, field_study_catalog
 
 ARRIVAL_POISSON = "poisson"
 ARRIVAL_DIURNAL = "diurnal"
@@ -114,7 +114,7 @@ class SessionArrivals:
         self.seed = int(seed)
         self.wifi_only_fraction = float(wifi_only_fraction)
         self.device_mix = mix
-        self._locations: List[Location] = field_study_locations()
+        self._locations: Sequence[Location] = field_study_catalog()
         # Device CDF in sorted-name order (dict order must not matter).
         names = sorted(mix)
         total = sum(mix[name] for name in names)

@@ -20,8 +20,9 @@ study is exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -155,9 +156,11 @@ def _generate_remaining() -> List[Location]:
     return generated
 
 
-def field_study_locations() -> List[Location]:
-    """The full 33-location catalog (7 named from Table 5 + 26 generated)."""
-    catalog = list(TABLE5_LOCATIONS) + _generate_remaining()
+@functools.lru_cache(maxsize=None)
+def field_study_catalog() -> Tuple[Location, ...]:
+    """The full 33-location catalog (7 named from Table 5 + 26 generated),
+    built once per process."""
+    catalog = tuple(TABLE5_LOCATIONS) + tuple(_generate_remaining())
     counts = {s: sum(1 for loc in catalog if loc.scenario == s)
               for s in SCENARIO_COUNTS}
     assert counts == SCENARIO_COUNTS, counts
@@ -165,8 +168,13 @@ def field_study_locations() -> List[Location]:
     return catalog
 
 
+def field_study_locations() -> List[Location]:
+    """The full 33-location catalog as a fresh list."""
+    return list(field_study_catalog())
+
+
 def location_by_name(name: str) -> Location:
-    for location in field_study_locations():
+    for location in field_study_catalog():
         if location.name == name:
             return location
     raise KeyError(f"unknown location {name!r}")

@@ -25,12 +25,14 @@ from repro.net.trace import BandwidthTrace
 def oracle_solve_span(senders, t0, span, sendable):
     """The 80-round bisection ``_solve_span`` ran before window curves."""
     if len(senders) == 1:
-        return min(senders[0].time_to_deliver(t0, sendable), span)
+        only = senders[0]
+        return min(only.time_to_deliver(t0, sendable,
+                                        only.path.bandwidth_at(t0)), span)
     # Steady state: every sender pinned at its ceiling means delivery
     # is linear at the combined rate — solve by division, not search.
     total_rate = 0.0
     for sf in senders:
-        rate = sf.steady_rate(t0)
+        rate = sf.steady_rate(t0, sf.path.bandwidth_at(t0))
         if rate is None:
             total_rate = -1.0
             break
@@ -215,7 +217,7 @@ class TestSolveSpan:
     @settings(max_examples=400, deadline=None)
     def test_matches_the_bisection_bit_for_bit(self, solve):
         conn, t0, span, sendable = solve
-        got = conn._solve_span(conn.subflows, t0, span, sendable)
+        got = conn._solve_span(conn._span_plan(t0), span, sendable)
         want = oracle_solve_span(conn.subflows, t0, span, sendable)
         assert got == want and math.copysign(1.0, got) == math.copysign(
             1.0, want)
@@ -225,9 +227,10 @@ class TestSolveSpan:
     def test_returns_the_first_instant_within_tolerance(self, solve):
         conn, t0, span, sendable = solve
         # The all-pinned shortcut divides instead of bisecting.
-        assume(not all(sf.steady_rate(t0) is not None
+        assume(not all(sf.steady_rate(t0, sf.path.bandwidth_at(t0))
+                       is not None
                        for sf in conn.subflows))
-        t = conn._solve_span(conn.subflows, t0, span, sendable)
+        t = conn._solve_span(conn._span_plan(t0), span, sendable)
         floor_rate = 0.0
         for sf in conn.subflows:
             cwnd, _ = sf.tcp.window_after_restart(t0)
@@ -248,6 +251,6 @@ class TestSolveSpan:
         states = [(1.0e6, 0.05, float(INITIAL_CWND), math.inf, None),
                   (2.5e6, 0.07, 9.0e5, 6.0e5, 10.0)]
         conn = connection(states, 12.0)
-        got = conn._solve_span(conn.subflows, 12.0, 5.0, 1.5e6)
+        got = conn._solve_span(conn._span_plan(12.0), 5.0, 1.5e6)
         assert got == oracle_solve_span(conn.subflows, 12.0, 5.0, 1.5e6)
         assert 0.0 < got < 5.0

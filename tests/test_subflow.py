@@ -18,16 +18,25 @@ def _path(enabled=True, bw=BW):
 
 
 def _deliver(sf, start, end, bins=None):
-    """``deliver_analytic`` over ``[start, end]`` with 0.1 s bins."""
-    def emit(name, index, time, num_bytes):
+    """``deliver_analytic`` over ``[start, end]`` with 0.1 s bins; the
+    closed bins and then the still-open one land in ``bins`` as
+    ``(first_time, bytes)``."""
+    open_bins = {}
+
+    def publish(event):
         if bins is not None:
-            bins.append((index, num_bytes))
-    return sf.deliver_analytic(start, end, 0.1, emit)
+            bins.append((event.time, event.num_bytes))
+    delivered = sf.deliver_analytic(start, end, sf.path.bandwidth_at(start),
+                                    0.1, open_bins, publish)
+    if bins is not None:
+        bins.extend((time, num_bytes)
+                    for _index, time, num_bytes in open_bins.values())
+    return delivered
 
 
 def _warm(sf, seconds=5.0):
     """Grow the window to the ceiling without forming any sample."""
-    sf.grow_analytic(0.0, seconds)
+    sf.grow_analytic(0.0, seconds, sf.path.bandwidth_at(0.0))
     return seconds
 
 
@@ -35,9 +44,9 @@ class TestDelivery:
     def test_disabled_path_delivers_nothing(self):
         sf = Subflow(_path(enabled=False))
         assert sf.potential(0.0, 0.01) == 0.0
-        assert sf.time_to_deliver(0.0, 1000.0) == float("inf")
+        assert sf.time_to_deliver(0.0, 1000.0, BW) == float("inf")
         cwnd = sf.tcp.cwnd
-        sf.grow_analytic(0.0, 1.0)
+        sf.grow_analytic(0.0, 1.0, BW)
         assert sf.tcp.cwnd == cwnd
         assert sf.tcp.last_send_time is None
 
@@ -58,7 +67,7 @@ class TestDelivery:
         assert sum(b for _i, b in bins) == pytest.approx(sf.total_bytes,
                                                          rel=1e-12)
         # Application-limited spans never count bytes.
-        sf.grow_analytic(1.0, 2.0)
+        sf.grow_analytic(1.0, 2.0, BW)
         assert sf.total_bytes == pytest.approx(first + second, rel=1e-12)
 
 
@@ -98,7 +107,7 @@ class TestEstimation:
         """An application-limited span (nothing sendable) forms no
         sample, however long it lasts."""
         sf = Subflow(_path())
-        sf.grow_analytic(0.0, 10.0)
+        sf.grow_analytic(0.0, 10.0, BW)
         assert sf.throughput_estimate() is None
         assert sf.total_bytes == 0
 

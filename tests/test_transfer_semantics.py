@@ -59,12 +59,13 @@ class TestAppLimitedSampling:
     def make_subflow(self):
         sf = Subflow(Path("wifi", BandwidthTrace.constant(self.BW),
                           rtt=0.05))
-        sf.grow_analytic(0.0, 5.0)  # window at the ceiling, no samples
+        sf.grow_analytic(0.0, 5.0, self.BW)  # window at the ceiling, no samples
         return sf
 
     @staticmethod
     def deliver(sf, start, end):
-        return sf.deliver_analytic(start, end, 0.1, lambda *bin: None)
+        return sf.deliver_analytic(start, end, sf.path.bandwidth_at(start),
+                                   0.1, {}, lambda event: None)
 
     def test_network_limited_samples_feed_estimator(self):
         sf = self.make_subflow()
@@ -77,7 +78,7 @@ class TestAppLimitedSampling:
         sf = self.make_subflow()
         self.deliver(sf, 5.0, 6.0)
         before = sf.throughput_estimate()
-        sf.grow_analytic(6.0, 8.0)
+        sf.grow_analytic(6.0, 8.0, self.BW)
         assert sf.throughput_estimate() == before
 
     def test_no_budget_means_always_sampled(self):
