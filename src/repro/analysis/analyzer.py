@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dash.events import PlayerEventLog
 from ..energy.devices import DevicePowerProfile, GALAXY_NOTE
-from ..energy.model import session_energy
+from ..energy.model import RadioTimeline, session_energy
 from ..mptcp.activity import ActivityLog
 from ..net.link import CELLULAR
 from .metrics import SessionMetrics, compute_metrics, path_utilization
@@ -52,11 +52,15 @@ class MultipathVideoAnalyzer:
 
     def __init__(self, activity: ActivityLog, log: PlayerEventLog,
                  session_duration: float,
-                 device: DevicePowerProfile = GALAXY_NOTE):
+                 device: DevicePowerProfile = GALAXY_NOTE,
+                 timeline: Optional[RadioTimeline] = None):
         if session_duration <= 0:
             raise ValueError(
                 f"session_duration must be positive: {session_duration!r}")
         self.activity = activity
+        #: A finished log's shared :class:`RadioTimeline`; without one,
+        #: every energy and radio-state query walks the log afresh.
+        self.timeline = timeline
         self.log = log
         self.session_duration = session_duration
         self.device = device
@@ -77,10 +81,17 @@ class MultipathVideoAnalyzer:
 
     # ------------------------------------------------------------------
     def metrics(self, steady_state_fraction: float = 0.0) -> SessionMetrics:
-        energy = session_energy(self.activity, self.device,
+        energy = session_energy(self.timeline or self.activity, self.device,
                                 self.session_duration)
         return compute_metrics(self.log, energy, self.session_duration,
                                steady_state_fraction)
+
+    def radio_transitions(self, path: str, until: float
+                          ) -> List[Tuple[float, str]]:
+        """``path``'s radio ``(time, state)`` transitions up to ``until``."""
+        timeline = self.timeline or RadioTimeline(self.activity)
+        return timeline.transitions(path, self.device.for_interface(path),
+                                    until)
 
     def chunk_views(self) -> List[ChunkView]:
         """Per-chunk download windows with their cellular byte fraction."""

@@ -109,7 +109,7 @@ class PlayerEventLog:
                       lambda e: self.record(e.time, PLAY_START))
         bus.subscribe(ev.StallStart,
                       lambda e: self.record(e.time, STALL_START))
-        bus.subscribe(ev.StallEnd, lambda e: self.record(e.time, STALL_END))
+        bus.subscribe(ev.StallEnd, self._on_stall_end)
         bus.subscribe(ev.PlaybackEnded, self._on_playback_ended)
         bus.subscribe(ev.SessionClosed, lambda e: self.close(e.time))
 
@@ -124,6 +124,13 @@ class PlayerEventLog:
             bytes_per_path=dict(event.bytes_per_path),
             deadline=event.deadline,
             buffer_at_request=event.buffer_at_request))
+
+    def _on_stall_end(self, event: "obs_events.StallEnd") -> None:
+        # A recorded stream may end a stall it never started (the
+        # stall-pairing checker reports it): skip it, as the collector
+        # and the span builder do.
+        if self._open_stall is not None:
+            self.record(event.time, STALL_END)
 
     def _on_playback_ended(self, event: "obs_events.PlaybackEnded") -> None:
         self.record(event.time, PLAYBACK_END)

@@ -125,6 +125,36 @@ def radio_transitions(activity: ActivityLog, path: str,
     return changes
 
 
+class RadioTimeline:
+    """An :class:`ActivityLog` whose bursts and radio transitions are
+    walked once per path and horizon, for every reader to share.
+
+    It stands in for the log in the functions above (same ``bin_width``,
+    ``paths`` and ``bursts``); its lists are shared, so readers must not
+    edit them, and ``walks.clear()`` drops them when the log gains bytes.
+    """
+
+    def __init__(self, activity: ActivityLog):
+        self.activity = activity
+        self.bin_width = activity.bin_width
+        self.paths = activity.paths
+        self.walks: Dict[tuple, list] = {}
+
+    def bursts(self, path: str, until: float) -> List[Tuple[float, float]]:
+        key = (path, until)
+        if key not in self.walks:
+            self.walks[key] = self.activity.bursts(path, until)
+        return self.walks[key]
+
+    def transitions(self, path: str, profile: InterfacePowerProfile,
+                    until: float) -> List[Tuple[float, str]]:
+        """:func:`radio_transitions` of ``path``, walked once."""
+        key = (path, until, profile)
+        if key not in self.walks:
+            self.walks[key] = radio_transitions(self, path, profile, until)
+        return self.walks[key]
+
+
 def radio_state_events(activity: ActivityLog, path: str,
                        profile: InterfacePowerProfile,
                        session_end: float) -> List[RadioStateChange]:

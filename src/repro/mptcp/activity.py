@@ -9,6 +9,7 @@ state (the paper's Figure 6 contrasts exactly these patterns).
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.bus import EventBus, Handler
@@ -41,9 +42,12 @@ class ActivityLog:
         bin_width = self.bin_width
         bins = self._bins
         if conn is None:
+            # The offline replay's log: a recorded stream may carry a
+            # non-finite time (the monotonic-time checker reports it),
+            # which no bin holds.
             def _on_packet(event: PacketSent) -> None:
                 num_bytes = event.num_bytes
-                if num_bytes <= 0:
+                if num_bytes <= 0 or not -inf < event.time < inf:
                     return
                 per_path = bins.setdefault(event.path, {})
                 index = int(event.time / bin_width)

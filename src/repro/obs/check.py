@@ -283,7 +283,12 @@ def check_trace(trace, checkers: Optional[Iterable[Checker]] = None
     """
     if checkers is not None:
         return _judge(trace, checkers)
-    return trace.view(_judge).copy()
+    return _verdicts(trace).copy()
+
+
+def _verdicts(trace) -> CheckReport:
+    """The trace's stock verdicts, judged once and shared read-only."""
+    return trace.view(_judge)
 
 
 def _judge(trace, checkers: Optional[Iterable[Checker]] = None

@@ -496,24 +496,33 @@ class SessionMetricsCollector:
     read ``registry`` afterwards.  Everything is computed from events
     alone, so live and offline registries are identical for the same
     stream.  ``activity_bin`` and ``device`` mirror the trace metadata —
-    they feed the radio-state residency computation, which replays the
+    they feed the radio-state residency computation, which walks the
     session's binned activity through the energy model's state machine at
-    :class:`~repro.obs.events.SessionClosed` time.
+    :class:`~repro.obs.events.SessionClosed` time.  The bins are an
+    :class:`~repro.mptcp.activity.ActivityLog` the collector subscribes
+    with its own handlers, or ``activity``: a log already binning every
+    ``PacketSent`` of the same bus (the shared offline replay's).
     """
 
     def __init__(self, bus: Optional[EventBus] = None,
-                 activity_bin: float = 0.1, device: str = "galaxy_note"):
+                 activity_bin: float = 0.1, device: str = "galaxy_note",
+                 activity: Optional[Any] = None):
+        from ..energy.model import RadioTimeline
+        from ..mptcp.activity import ActivityLog
+
         self.registry = MetricsRegistry()
         self.activity_bin = activity_bin
         self.device = device
         self._bin_width = activity_bin
-        # path -> {bin_index: bytes}; the residency replay input.
-        self._activity: Dict[str, Dict[int, float]] = {}
+        # Its own log is subscribed with the handlers (see attach).
+        self._own_activity = activity is None
+        self.activity = ActivityLog(activity_bin) if activity is None \
+            else activity
+        self.timeline = RadioTimeline(self.activity)
         # Per-path metric-object caches for the hot handlers: registry
         # lookups build and sort a labels tuple per call, which at one
         # PacketSent per path per bin is the collector's dominant cost.
-        self._packet_state: Dict[str, Tuple[Counter, Timeseries,
-                                            Dict[int, float]]] = {}
+        self._packet_state: Dict[str, Tuple[Counter, Timeseries]] = {}
         self._sample_state: Dict[str, Tuple[Timeseries, Timeseries,
                                             Timeseries]] = {}
         # Counter cache: unlabeled ones by name, labeled ones by their
@@ -533,6 +542,8 @@ class SessionMetricsCollector:
     # ------------------------------------------------------------------
     def attach(self, bus: EventBus) -> "SessionMetricsCollector":
         """Subscribe every handler; returns self for chaining."""
+        if self._own_activity:
+            self.activity.attach(bus)
         sub = bus.subscribe
         sub(PacketSent, self._on_packet)
         sub(PathSampled, self._on_path_sampled)
@@ -583,21 +594,24 @@ class SessionMetricsCollector:
         return counter
 
     def _on_packet(self, event: PacketSent) -> None:
+        num_bytes = event.num_bytes
+        if num_bytes <= 0:
+            # Skipped exactly as ActivityLog skips it: no bytes, no bin.
+            return
         state = self._packet_state.get(event.path)
         if state is None:
             labels = {"path": event.path}
             state = (
                 self.registry.counter("repro_path_bytes_total", labels),
                 self.registry.timeseries(
-                    "repro_path_throughput_bytes_per_second", labels),
-                self._activity.setdefault(event.path, {}))
+                    "repro_path_throughput_bytes_per_second", labels))
             self._packet_state[event.path] = state
-        total, throughput, bins = state
-        total.inc(event.num_bytes)
-        throughput.samples.append(
-            (event.time, event.num_bytes / self._bin_width))
-        index = int(event.time / self._bin_width)
-        bins[index] = bins.get(index, 0.0) + event.num_bytes
+        total, throughput = state
+        total.inc(num_bytes)
+        throughput.samples.append((event.time, num_bytes / self._bin_width))
+        if self._closed:
+            # Bytes after the close change the bins the residency walked.
+            self.timeline.walks.clear()
 
     def _on_path_sampled(self, event: PathSampled) -> None:
         state = self._sample_state.get(event.path)
@@ -728,27 +742,21 @@ class SessionMetricsCollector:
                    for m in self.registry)
 
     def _derive_radio_residency(self, session_end: float) -> None:
-        """Replay the binned activity through the radio state machine."""
-        if session_end <= 0 or not self._activity:
+        """Walk the binned activity through the radio state machine."""
+        if session_end <= 0:
             return
         from ..energy.devices import DEVICES
-        from ..energy.model import radio_transitions
-        from ..mptcp.activity import ActivityLog
+        from .events import RADIO_IDLE
 
         device = DEVICES.get(self.device)
         if device is None:
             return
-        # _activity already has ActivityLog's internal shape (path ->
-        # {bin_index: bytes}); hand it over instead of replaying hundreds
-        # of record() calls at session close.
-        activity = ActivityLog(self._bin_width)
-        activity._bins = {path: dict(bins)
-                          for path, bins in self._activity.items()}
-        from .events import RADIO_IDLE
-        for path in activity.paths():
-            changes = radio_transitions(activity, path,
-                                        device.for_interface(path),
-                                        session_end)
+        for path in self.activity.paths():
+            try:
+                profile = device.for_interface(path)
+            except KeyError:
+                continue  # a path no radio profile covers has no states
+            changes = self.timeline.transitions(path, profile, session_end)
             # Sum per state first (the same additions, in the same order,
             # as adding to each gauge directly), then look gauges up once.
             residency: Dict[str, float] = {}

@@ -160,9 +160,10 @@ class ShardRecorder:
         self.stats = empty_stats()
         self.records: List[Dict[str, Any]] = []
         self._kept: set = set()
-        #: Reservoir of (qoe, index, canonical trace text) for sessions
-        #: not otherwise captured — at most ``bottom_k`` entries live.
-        self._reservoir: List[Tuple[float, int, str]] = []
+        #: Reservoir of (qoe, index, events, meta) for sessions not
+        #: otherwise captured — at most ``bottom_k`` entries live.  Only
+        #: the survivors are serialized, in :meth:`_write`.
+        self._reservoir: List[Tuple[float, int, List[Any], Any]] = []
 
     # ------------------------------------------------------------------
     def observe(self, index: int, result: Any) -> List[Any]:
@@ -216,14 +217,9 @@ class ShardRecorder:
                                   if attributions else None),
                   "error": None}
         if reasons:
-            text = dumps_jsonl(events, result.trace_meta)
-            self._keep(index, reasons, len(events), text, detail)
-        elif self.config.bottom_k and self._admits(qoe, index):
-            # Serialize lazily: only sessions actually entering the
-            # reservoir pay the dumps cost (most are dominated and skip
-            # it), which is what keeps the anomaly-free overhead small.
-            self._offer_reservoir(
-                qoe, index, dumps_jsonl(events, result.trace_meta))
+            self._keep(index, reasons, events, result.trace_meta, detail)
+        elif self.config.bottom_k:
+            self._offer_reservoir(qoe, index, events, result.trace_meta)
         return attributions
 
     def record_failure(self, index: int, error: str) -> None:
@@ -245,12 +241,11 @@ class ShardRecorder:
 
     def flush(self) -> None:
         """Settle the reservoir: the surviving k worst become records."""
-        for qoe, index, text in sorted(self._reservoir,
-                                       key=lambda entry: entry[:2]):
+        for qoe, index, events, meta in sorted(self._reservoir,
+                                               key=lambda entry: entry[:2]):
             if index in self._kept:
                 continue
-            events = max(text.count("\n") - 1, 0)
-            self._keep(index, [REASON_BOTTOM], events, text,
+            self._keep(index, [REASON_BOTTOM], events, meta,
                        {"qoe": qoe, "misses": None, "stalls": None,
                         "bitrate_mbps": None, "stall_seconds": None,
                         "finished": True, "violations": None,
@@ -263,18 +258,15 @@ class ShardRecorder:
         return {"stats": self.stats, "records": list(self.records)}
 
     # ------------------------------------------------------------------
-    def _admits(self, qoe: float, index: int) -> bool:
-        """Would ``(qoe, index)`` enter the bottom-k reservoir?"""
-        if len(self._reservoir) < self.config.bottom_k:
-            return True
-        worst = max(self._reservoir, key=lambda e: e[:2])
-        return (qoe, index) < worst[:2]
-
-    def _offer_reservoir(self, qoe: float, index: int, text: str) -> None:
+    def _offer_reservoir(self, qoe: float, index: int, events: List[Any],
+                         meta: Any) -> None:
+        """Keep the session if it is among the k worst so far."""
         if len(self._reservoir) >= self.config.bottom_k:
-            self._reservoir.remove(
-                max(self._reservoir, key=lambda e: e[:2]))
-        self._reservoir.append((qoe, index, text))
+            worst = max(self._reservoir, key=lambda e: e[:2])
+            if (qoe, index) >= worst[:2]:
+                return
+            self._reservoir.remove(worst)
+        self._reservoir.append((qoe, index, events, meta))
 
     def _score(self, reason: str, detail: Mapping[str, Any]) -> float:
         """Reason-specific badness (higher = worse) for triage ranking."""
@@ -288,29 +280,29 @@ class ShardRecorder:
             return -float(detail.get("qoe") or 0.0)
         return 0.0
 
-    def _keep(self, index: int, reasons: List[str], events: int,
-              text: str, detail: Dict[str, Any]) -> None:
+    def _keep(self, index: int, reasons: List[str], events: List[Any],
+              meta: Any, detail: Dict[str, Any]) -> None:
         reason = min(reasons, key=REASON_ORDER.index)
         artifact: Optional[str] = None
-        if events > self.config.max_events:
+        if len(events) > self.config.max_events:
             self.stats["oversized"] += 1
         else:
-            artifact = self._write(index, text)
+            artifact = self._write(index, events, meta)
         self.stats["captured"] += 1
         self.stats["by_reason"][reason] += 1
         self._kept.add(index)
         record = {"index": index, "shard": self.shard, "reason": reason,
                   "reasons": sorted(reasons, key=REASON_ORDER.index),
                   "score": self._score(reason, detail),
-                  "artifact": artifact, "events": events}
+                  "artifact": artifact, "events": len(events)}
         record.update(detail)
         self.records.append(record)
 
-    def _write(self, index: int, text: str) -> str:
-        """Atomically write one deterministic gzip artifact; returns the
-        path relative to the recorder root."""
+    def _write(self, index: int, events: List[Any], meta: Any) -> str:
+        """Serialize and atomically write one deterministic gzip
+        artifact; returns the path relative to the recorder root."""
         os.makedirs(self.directory, exist_ok=True)
-        blob = gzip_bytes(text.encode("utf-8"))
+        blob = gzip_bytes(dumps_jsonl(events, meta).encode("utf-8"))
         final = os.path.join(self.directory, artifact_name(index))
         tmp = f"{final}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:

@@ -28,11 +28,10 @@ from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
-from ..energy.model import radio_transitions
-from .check import ERROR, INFO, WARNING, CheckReport, check_trace
+from .check import ERROR, INFO, WARNING, CheckReport, _verdicts
 from .events import StallEnd, StallStart
 from .metrics import Histogram, MetricsRegistry, registry_from_trace
-from .spans import STATUS_MISSED, Span, spans_from_trace
+from .spans import STATUS_MISSED, Span
 from .svg import (LaneSegment, Series, StripCell, bar_chart, cdf_chart,
                   flame_lanes, histogram_chart, legend_html, line_chart,
                   series_class, strip_chart)
@@ -387,9 +386,7 @@ def _radio_panel(analyzer: Any, metrics: Any, duration: float) -> str:
         # path's and stable-sorting by (time, path), then splitting by
         # path again, would hand back this same list; a path with no
         # bursts has no transitions and, as there, no lane.
-        changes = radio_transitions(analyzer.activity, path,
-                                    analyzer.device.for_interface(path),
-                                    duration)
+        changes = analyzer.radio_transitions(path, duration)
         if not changes:
             continue
         segments: List[LaneSegment] = []
@@ -528,11 +525,14 @@ def session_report_html(trace: Trace) -> str:
         # the analyzer needs a positive horizon.
         trace = Trace(meta=replace(trace.meta, session_duration=1.0),
                       events=trace.events)
-    analyzer = _analysis(trace).analyzer()
+    # The shared verdicts and spans themselves, not the public calls'
+    # copies: no panel edits what it reads.
+    analysis = _analysis(trace)
+    analyzer = analysis.analyzer()
     metrics = analyzer.metrics(trace.meta.steady_state_fraction)
     registry = registry_from_trace(trace)
-    verdicts = check_trace(trace)
-    spans = spans_from_trace(trace)
+    verdicts = _verdicts(trace)
+    spans = analysis.spans
     duration = trace.meta.session_duration
     subtitle = (f"device {trace.meta.device} | {len(trace.events)} events "
                 f"| {duration:.1f}s session | trace format v"

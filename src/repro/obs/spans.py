@@ -330,20 +330,13 @@ def spans_from_trace(trace) -> List[Span]:
 
     Identical to the live builder's ``spans`` for the same stream — the
     spans half of the capture-then-analyze workflow.  The tree is built
-    once per trace; calls get a copy.
+    in the trace's shared analysis replay; calls get a copy.
     """
+    from .trace_export import _analysis
+
     return [Span(span.span_id, span.name, span.kind, span.start,
                  span.parent, span.end, span.status, dict(span.attrs))
-            for span in trace.view(_replay_spans)]
-
-
-def _replay_spans(trace) -> List[Span]:
-    from .trace_export import replay
-
-    bus = EventBus()
-    builder = SpanBuilder(bus)
-    replay(trace.events, bus)
-    return builder.spans
+            for span in _analysis(trace).spans]
 
 
 def render_span_tree(spans: List[Span], max_spans: Optional[int] = None

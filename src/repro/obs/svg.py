@@ -42,9 +42,12 @@ def fmt(value: float) -> str:
     Every number in an SVG goes through here, so byte-determinism reduces
     to IEEE-754 arithmetic determinism (which CPython guarantees).
     """
-    text = f"{value:.2f}"
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
+    text = f"{value:.2f}"  # "d.dd" for every finite value
+    if text[-1] != "0":  # nothing to trim (inf and nan land here too)
+        return text
+    if text[-2] != "0":
+        return text[:-1]
+    text = text[:-3]
     return "0" if text == "-0" else text
 
 

@@ -156,8 +156,12 @@ def loads_jsonl(text: str) -> Trace:
                          f"(expected {TRACE_VERSION})")
     try:
         meta = TraceMeta(**header["meta"])
+        binned = meta.activity_bin > 0  # every replay bins PacketSent
     except TypeError as exc:
         raise ValueError(f"malformed meta header: {exc}") from None
+    if not binned:
+        raise ValueError(f"activity_bin must be positive: "
+                         f"{meta.activity_bin!r}")
     return Trace(meta=meta, events=events_from_dicts(records))
 
 
@@ -185,22 +189,25 @@ def replay(events: Iterable[TraceEvent], bus: EventBus) -> None:
 
 
 class _Analysis:
-    """One replay of a trace into the analysis tool's logs and the metrics
-    collector, shared read-only by the views built on it.
+    """The one replay of a trace, shared read-only by every view built on
+    it, and the one place each per-path series is derived.
 
     The :class:`~repro.mptcp.activity.ActivityLog`, the
     :class:`~repro.dash.events.PlayerEventLog` and (unless ``collect`` is
-    false) the :class:`~repro.obs.metrics.SessionMetricsCollector` listen
-    on one bus; none of them publishes, so each sees exactly the stream
-    it would see on a bus of its own.  The analyzer is built only when
-    asked for, because it rejects a non-positive session duration that
-    the logs and the registry accept.
+    false) the :class:`~repro.obs.metrics.SessionMetricsCollector`
+    (which reads the log's bins) and the
+    :class:`~repro.obs.spans.SpanBuilder` listen on one bus; none of them
+    publishes.  The collector's :class:`~repro.energy.model.RadioTimeline`
+    serves the analyzer's energy and the report's radio lanes too.  The
+    analyzer is built only when asked for: it rejects a non-positive
+    session duration that the logs and the registry accept.
     """
 
     def __init__(self, trace: Trace, collect: bool = True):
         from ..dash.events import PlayerEventLog
         from ..mptcp.activity import ActivityLog
         from .metrics import SessionMetricsCollector
+        from .spans import SpanBuilder
 
         self.meta = trace.meta
         bus = EventBus()
@@ -208,9 +215,13 @@ class _Analysis:
         self.activity.attach(bus)
         self.log = PlayerEventLog()
         self.log.attach(bus)
-        self.collector = (SessionMetricsCollector(
-            bus, activity_bin=trace.meta.activity_bin,
-            device=trace.meta.device) if collect else None)
+        self.collector = self.timeline = self.spans = None
+        if collect:
+            self.collector = SessionMetricsCollector(
+                bus, activity_bin=trace.meta.activity_bin,
+                device=trace.meta.device, activity=self.activity)
+            self.timeline = self.collector.timeline
+            self.spans = SpanBuilder(bus).spans
         replay(trace.events, bus)
         self._analyzer = None
 
@@ -224,7 +235,8 @@ class _Analysis:
 
         analyzer = MultipathVideoAnalyzer(
             self.activity, self.log, self.meta.session_duration,
-            DEVICES[self.meta.device] if device is None else device)
+            DEVICES[self.meta.device] if device is None else device,
+            timeline=self.timeline)
         if device is None:
             self._analyzer = analyzer
         return analyzer

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from statistics import fmean, median
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .check import CheckReport, Violation, check_trace
+from .check import CheckReport, Violation, _verdicts
 from .events import (ChunkDownloaded, ChunkRequested, DeadlineMissed,
                      MpDashArmed, MpDashSkipped, PathSampled,
                      PathStateRequested, SchedulerActivated,
@@ -740,7 +740,7 @@ def attributions_from_trace(trace: Trace,
 def _attribute(trace: Trace, report: Optional[CheckReport] = None
                ) -> List[Attribution]:
     if report is None:
-        report = check_trace(trace)
+        report = _verdicts(trace)  # the shared verdicts, read only
     if not report.errors() and not _has_anomaly_events(trace.events):
         return []
     return _Attributor(trace, report).explain()

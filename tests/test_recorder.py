@@ -237,6 +237,63 @@ class TestShardRecorder:
         assert len(payload["records"]) == 2
 
 
+class TestSerializeOnlyWhatIsWritten:
+    """A trace is serialized once per artifact written: never for an
+    oversized capture, never for a reservoir entry that is displaced."""
+
+    @pytest.fixture
+    def dumps(self, monkeypatch):
+        import repro.obs.recorder as recorder_module
+
+        calls = []
+
+        def spy(events, meta):
+            calls.append(len(events))
+            return dumps_jsonl(events, meta)
+
+        monkeypatch.setattr(recorder_module, "dumps_jsonl", spy)
+        return calls
+
+    @staticmethod
+    def artifacts(rec):
+        return [r for r in rec.records if r["artifact"] is not None]
+
+    def test_reservoir_serializes_only_the_survivors(self, tmp_path, dumps):
+        rec = recorder(tmp_path, bottom_k=2, miss_threshold=1)
+        for index, bitrate in enumerate([5.0, 1.0, 3.0, 0.5, 4.0, 0.2]):
+            rec.observe(index, FakeResult(
+                bitrate=bitrate, misses=3 if index == 2 else 0,
+                events=[StallStart(0.1 * index)] * (index + 1)))
+        assert dumps == [3]  # the triggered capture, written at once
+        rec.flush()
+        assert [r["index"] for r in rec.records] == [2, 3, 5]
+        assert len(dumps) == len(self.artifacts(rec)) == 3
+        assert [r["events"] for r in rec.records] == [3, 4, 6]
+
+    def test_oversized_captures_are_never_serialized(self, tmp_path, dumps):
+        rec = recorder(tmp_path, bottom_k=1, miss_threshold=1, max_events=1)
+        events = [StallStart(0.1), StallStart(0.2)]
+        rec.observe(0, FakeResult(misses=5, events=events))
+        rec.observe(1, FakeResult(bitrate=0.1, events=events))
+        rec.flush()
+        assert dumps == [] and self.artifacts(rec) == []
+        assert rec.stats["oversized"] == 2
+        assert [r["events"] for r in rec.records] == [2, 2]
+
+    def test_artifact_bytes_are_the_canonical_trace(self, tmp_path, dumps):
+        rec = recorder(tmp_path, bottom_k=1)
+        events = [StallStart(0.5), StallStart(0.75)]
+        rec.observe(4, FakeResult(bitrate=0.3, events=events))
+        rec.flush()
+        (record,) = rec.records
+        path = os.path.join(str(tmp_path / "records"), record["artifact"])
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        assert blob == gzip_bytes(dumps_jsonl(
+            events, TraceMeta(session_duration=10.0)).encode("utf-8"))
+        assert rec.stats["bytes_written"] == len(blob)
+
+
 class TestStatsHelpers:
     def test_empty_stats_covers_every_reason(self):
         stats = empty_stats()

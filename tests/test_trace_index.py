@@ -106,8 +106,8 @@ def test_views_are_computed_once(text, monkeypatch):
 
 
 def test_report_shares_one_replay_with_the_registry(text, monkeypatch):
-    """Spans replay the trace once and the analyzer's logs and the
-    metrics collector once between them (three replays before)."""
+    """The analyzer's logs, the metrics collector and the span builder
+    share one replay (three replays before, then two)."""
     from repro.obs.bus import EventBus
 
     published = []
@@ -121,7 +121,7 @@ def test_report_shares_one_replay_with_the_registry(text, monkeypatch):
     registry_from_trace(trace)
     session_report_html(trace)
     assert len(trace.events) > 0
-    assert len(published) <= 2 * len(trace.events)
+    assert len(published) == len(trace.events)
 
 
 def test_mutating_returned_views_changes_no_later_view(text, expected):
@@ -259,13 +259,11 @@ def test_index_is_private_to_each_trace(text):
 
 def test_check_alone_builds_no_other_view(text, monkeypatch):
     import repro.obs.metrics as metrics
-    import repro.obs.spans as spans
     import repro.obs.trace_export as trace_export
 
     def forbidden(trace):
         raise AssertionError("built a view nobody asked for")
 
-    monkeypatch.setattr(spans, "_replay_spans", forbidden)
     monkeypatch.setattr(metrics, "collector_from_trace", forbidden)
     monkeypatch.setattr(trace_export, "analyzer_from_trace", forbidden)
     monkeypatch.setattr(trace_export, "_Analysis", forbidden)

@@ -126,7 +126,9 @@ def test_two_records_on_one_line_are_rejected():
 
 @pytest.mark.parametrize("header", [
     "5", '{"meta": 5}', '{"meta": {"session_duration": 1.0, "bogus": 1}}',
-    '{"meta": {"session_duration": 1.0, "version": 9}}'])
+    '{"meta": {"session_duration": 1.0, "version": 9}}',
+    '{"meta": {"session_duration": 1.0, "activity_bin": 0}}',
+    '{"meta": {"session_duration": 1.0, "activity_bin": "0.1"}}'])
 def test_bad_headers_raise_value_error(header):
     with pytest.raises(ValueError):
         loads_jsonl(header + "\n")
