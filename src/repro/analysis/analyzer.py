@@ -88,7 +88,10 @@ class MultipathVideoAnalyzer:
 
     def radio_transitions(self, path: str, until: float
                           ) -> List[Tuple[float, str]]:
-        """``path``'s radio ``(time, state)`` transitions up to ``until``."""
+        """``path``'s radio ``(time, state)`` transitions up to ``until``;
+        none for a path the device has no radio profile for."""
+        if not self.device.covers(path):
+            return []
         timeline = self.timeline or RadioTimeline(self.activity)
         return timeline.transitions(path, self.device.for_interface(path),
                                     until)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
+# numpy is imported inside the functions that use it, so reading a trace
+# never loads it (docs/architecture.md, "Import boundary").
 
 
 def empirical_cdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
@@ -22,6 +23,8 @@ def percentile(values: Sequence[float], p: float) -> float:
         raise ValueError("cannot take a percentile of no values")
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must be in [0, 100]: {p!r}")
+    import numpy as np
+
     return float(np.percentile(np.asarray(values, dtype=float), p))
 
 

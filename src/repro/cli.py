@@ -41,7 +41,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .abr import abr_names
 from .analysis.metrics import SessionMetrics
@@ -64,6 +64,7 @@ from .obs import (EventBus, FleetCheckpointSaved, FleetDashboard,
                   spans_from_trace, stock_checkers,
                   summarize_attributions, trend_document,
                   triage_report_html, write_report)
+from .obs.events import mistyped_field
 from .obs.ledger import ENTRY_KINDS, RunLedger
 from .obs.spans import spans_to_dicts
 from .workloads import (ARRIVAL_MODELS, VIDEO_LADDERS,
@@ -614,6 +615,28 @@ def _load_trace(command: str, path: str, status: int,
         raise _LoadFailed(status) from None
 
 
+def _mistyped_trace(args: argparse.Namespace
+                    ) -> Optional[Tuple[str, str]]:
+    """The first ``--load``/``--diff`` trace holding a field of the wrong
+    type, and that field; ``None`` if there is none.
+
+    The loader does not check field types, so a well-typed trace pays
+    nothing for this: it runs only after a command failed, and reloads
+    the files to see whether one of them explains the failure.
+    """
+    diff = getattr(args, "diff", None)
+    paths = [getattr(args, "load", None)] + (
+        list(diff) if isinstance(diff, list) else [diff])
+    for path in filter(None, paths):
+        try:
+            problem = mistyped_field(load_jsonl(path).events)
+        except (OSError, ValueError):
+            continue
+        if problem is not None:
+            return path, problem
+    return None
+
+
 def _trace_summary(source: str, trace: Trace,
                    metrics: SessionMetrics) -> dict:
     """The structured description ``repro trace`` reports per trace."""
@@ -651,9 +674,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     if args.load is not None:
         trace = _load_trace("trace", args.load, 1)
-        if args.out is not None:
-            dump_jsonl(args.out, trace.events, trace.meta)
         summary = _trace_summary(args.load, trace, metrics_from_trace(trace))
+        if args.out is not None:  # only once the analysis accepted it
+            dump_jsonl(args.out, trace.events, trace.meta)
     else:
         config = SessionConfig(
             video=args.video, abr=args.abr, mpdash=args.mpdash,
@@ -1142,16 +1165,17 @@ def cmd_why(args: argparse.Namespace) -> int:
         return 0
 
     if args.load is not None:
-        trace = _load_trace("why", args.load, 2)
+        attributions = attributions_from_trace(
+            _load_trace("why", args.load, 2))
+        # After the views ran: a field error is the only line printed.
         print(f"attributing {args.load} offline", file=sys.stderr)
     else:
         # The sampler rides along so the network rules (bandwidth-drop,
         # queue-buildup, estimator-drift) have per-path evidence.
         result = run_session(_session_config(
             args, record_trace=True, collect_metrics=True))
-        trace = Trace(meta=result.trace_meta,
-                      events=list(result.events))
-    attributions = attributions_from_trace(trace)
+        attributions = attributions_from_trace(Trace(
+            meta=result.trace_meta, events=list(result.events)))
     if args.json:
         print(json.dumps(
             {"attributions": [a.to_dict() for a in attributions],
@@ -1208,6 +1232,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except _LoadFailed as failure:
         return failure.status
+    except (AttributeError, TypeError, ValueError):
+        found = _mistyped_trace(args)
+        if found is None:
+            raise
+        print(f"repro {args.command}: cannot load {found[0]}: {found[1]}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

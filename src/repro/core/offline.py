@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
+# numpy is imported inside the functions that use it, so reading a trace
+# never loads it (docs/architecture.md, "Import boundary").
 
 from .policy import require_positive
 
@@ -143,6 +144,8 @@ def solve_offline(bandwidths: Dict[str, Sequence[float]],
     capacity = sum(w for _, _, w, _ in items)
     if capacity < size:
         return _everything(items, feasible=False)
+
+    import numpy as np
 
     target = int(np.ceil(size / resolution))
     infinity = float("inf")

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
+# numpy is imported inside the functions that use it, so reading a trace
+# never loads it (docs/architecture.md, "Import boundary").
 
 from ..net.units import mbps
 
@@ -83,6 +84,8 @@ class VideoAsset:
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration!r}")
         num_chunks = max(1, int(round(duration / chunk_duration)))
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         # One shared complexity factor per chunk position.
         sigma = max(vbr_sigma, 1e-6)

@@ -51,6 +51,11 @@ class DevicePowerProfile:
     lte: InterfacePowerProfile
     wifi: InterfacePowerProfile
 
+    def covers(self, interface: str) -> bool:
+        """Whether this device has a radio profile for ``interface``;
+        energy and radio states cover only such interfaces."""
+        return interface in ("cellular", "wifi")
+
     def for_interface(self, interface: str) -> InterfacePowerProfile:
         if interface == "cellular":
             return self.lte

@@ -166,10 +166,12 @@ def radio_state_events(activity: ActivityLog, path: str,
 def session_energy(activity: ActivityLog, device: DevicePowerProfile,
                    session_end: float) -> Dict[str, EnergyBreakdown]:
     """Per-interface energy for a whole session; keys are path names plus
-    ``"total"``."""
+    ``"total"``; a path the device has no radio profile for gets none."""
     result: Dict[str, EnergyBreakdown] = {}
     total = EnergyBreakdown()
     for path in activity.paths():
+        if not device.covers(path):
+            continue
         breakdown = interface_energy(activity, path,
                                      device.for_interface(path), session_end)
         result[path] = breakdown

@@ -21,9 +21,10 @@ import bisect
 import math
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that use it, so reading a trace
+# never loads it (docs/architecture.md, "Import boundary").
 
 from .units import mbps
 
@@ -159,6 +160,8 @@ class BandwidthTrace:
         are drawn.
         """
         count = _sample_count(duration, interval)
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         samples = rng.normal(mean_bytes_per_s,
                              sigma_fraction * mean_bytes_per_s, count)
@@ -180,6 +183,8 @@ class BandwidthTrace:
         mean is negative, when the first sample already is.
         """
         count = _sample_count(duration, interval)
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         sigma = sigma_fraction * mean_bytes_per_s
         innovation = sigma * math.sqrt(max(1e-9, 2 * reversion - reversion ** 2))
@@ -235,6 +240,8 @@ class BandwidthTrace:
         sample first reaches it.
         """
         count = _sample_count(duration, interval)
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         jitter = rng.normal(0.0, jitter_fraction * peak_bytes_per_s,
                             count).tolist()
@@ -406,10 +413,11 @@ class BandwidthTrace:
                 f"loop={self.loop}>")
 
 
-def _walk_blocks(rng: np.random.Generator, count: int, mean: float,
+def _walk_blocks(rng: Any, count: int, mean: float,
                  innovation: float, reversion: float
                  ) -> Iterator[List[float]]:
-    """:meth:`BandwidthTrace.random_walk`'s samples, a block at a time."""
+    """:meth:`BandwidthTrace.random_walk`'s samples, a block at a time,
+    drawn from ``rng`` (a numpy ``Generator``)."""
     low = 0.05 * mean
     high = 2.5 * mean
     level = mean

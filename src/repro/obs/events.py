@@ -482,6 +482,47 @@ def event_from_dict(record: Mapping[str, Any]) -> TraceEvent:
         raise ValueError(f"malformed {name} record: {exc}") from None
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: What each declared field type accepts from a loaded trace.
+_FIELD_TYPES: Dict[str, Any] = {
+    "float": _is_number,
+    "int": _is_int,
+    "bool": lambda value: isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+    "Optional[float]": lambda value: value is None or _is_number(value),
+    "Mapping[str, float]": lambda value: isinstance(value, Mapping) and all(
+        isinstance(key, str) and _is_number(item)
+        for key, item in value.items()),
+}
+
+
+def mistyped_field(events: Iterable[TraceEvent]) -> Optional[str]:
+    """The first event field whose value its declared type rejects, as
+    ``"record <n> (<type>) field <name>: ..."`` (records numbered from 1,
+    after the header); ``None`` when every field is well-typed.
+
+    The loader builds events without checking field types (checking
+    would cost every load), so a hand-edited trace can carry, say, a
+    string byte count; the CLI calls this only after a command over a
+    loaded trace failed, to name the field that explains it.
+    """
+    for number, event in enumerate(events, 1):
+        for spec in fields(event):
+            value = getattr(event, spec.name)
+            if not _FIELD_TYPES[spec.type](value):
+                return (f"record {number} ({type(event).__name__}) field "
+                        f"{spec.name}: expected {spec.type}, got "
+                        f"{type(value).__name__} {value!r}")
+    return None
+
+
 def fast_ctor(cls: type) -> Any:
     """Constructor for a frozen slots event class, without the frozen guard.
 

@@ -752,11 +752,10 @@ class SessionMetricsCollector:
         if device is None:
             return
         for path in self.activity.paths():
-            try:
-                profile = device.for_interface(path)
-            except KeyError:
+            if not device.covers(path):
                 continue  # a path no radio profile covers has no states
-            changes = self.timeline.transitions(path, profile, session_end)
+            changes = self.timeline.transitions(
+                path, device.for_interface(path), session_end)
             # Sum per state first (the same additions, in the same order,
             # as adding to each gauge directly), then look gauges up once.
             residency: Dict[str, float] = {}

@@ -29,9 +29,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-import numpy as np
+# numpy is imported inside the functions that use it, so reading a trace
+# never loads it (docs/architecture.md, "Import boundary").
 
 from .locations import Location, field_study_catalog
 
@@ -119,6 +121,8 @@ class SessionArrivals:
         names = sorted(mix)
         total = sum(mix[name] for name in names)
         self._device_names = names
+        import numpy as np
+
         self._device_cdf = list(np.cumsum(
             [mix[name] / total for name in names]))
         self._hour_cdf: Optional[List[float]] = None
@@ -133,9 +137,12 @@ class SessionArrivals:
             width = min(3600.0, self.horizon - cell * 3600.0)
             weights.append(DIURNAL_CURVE[cell % 24] * width)
         total = sum(weights)
+        import numpy as np
+
         return list(np.cumsum([w / total for w in weights]))
 
-    def _arrival_time(self, rng: np.random.Generator) -> float:
+    def _arrival_time(self, rng: Any) -> float:
+        """An arrival time drawn from ``rng`` (a numpy ``Generator``)."""
         if self._hour_cdf is None:
             # Conditioned on the count, homogeneous-Poisson arrival
             # times are iid uniform over the horizon.
@@ -156,6 +163,8 @@ class SessionArrivals:
         if not 0 <= index < self.sessions:
             raise IndexError(f"session index {index} outside "
                              f"[0, {self.sessions})")
+        import numpy as np
+
         rng = np.random.default_rng((self.seed, index))
         arrival = self._arrival_time(rng)
         location = self._locations[int(rng.integers(len(self._locations)))]

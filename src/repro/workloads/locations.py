@@ -24,7 +24,8 @@ import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
+# numpy is imported inside the functions that use it, so reading a trace
+# never loads it (docs/architecture.md, "Import boundary").
 
 from ..net.link import Path, cellular_path, wifi_path
 from ..net.trace import BandwidthTrace
@@ -120,6 +121,8 @@ def _generate_remaining() -> List[Location]:
                     for s in SCENARIO_COUNTS}
     needed = {s: SCENARIO_COUNTS[s] - named_counts[s]
               for s in SCENARIO_COUNTS}
+    import numpy as np
+
     rng = np.random.default_rng(2016)
     generated: List[Location] = []
     kind_index = 0

@@ -445,6 +445,6 @@ class TestAttributionDeterminism:
             bare = timed(False)
             instrumented = timed(True)
             ratios.append(instrumented / bare)
-        print("BEST", min(ratios)); assert min(ratios) <= 1.10, \
+        assert min(ratios) <= 1.10, \
             f"attribution overhead too high: best pair ratio " \
             f"{min(ratios):.3f} (all: {[f'{r:.3f}' for r in ratios]})"

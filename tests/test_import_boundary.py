@@ -1,0 +1,137 @@
+"""The read side never imports numpy; the simulation imports it at its
+first random draw.
+
+Every ``--load`` command and every derived view of a recorded trace must
+run in a process where ``import numpy`` fails, and give the bytes they
+give with numpy present.  Only the code that draws random numbers, the
+offline DP and ``percentile`` may import it, inside those functions
+(docs/architecture.md, "Import boundary").
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.experiments import SessionConfig, run_session
+
+#: Shared by the test process and the numpy-less child: every
+#: ``trace_views`` view of one trace, then every ``--load`` command's
+#: status, stdout, stderr (and the report it writes).
+READ_SIDE = '''
+import contextlib
+import io
+import json
+import os
+
+
+def read_side(path, out_dir):
+    from repro.cli import main
+    from repro.obs.check import check_trace
+    from repro.obs.metrics import registry_from_trace
+    from repro.obs.report import session_report_html
+    from repro.obs.spans import spans_from_trace, spans_to_dicts
+    from repro.obs.trace_export import dumps_jsonl, load_jsonl
+    from repro.obs.why import attributions_from_trace
+
+    trace = load_jsonl(path)
+    report = check_trace(trace)
+    why = attributions_from_trace(trace, report=report)
+    outputs = {
+        "load": dumps_jsonl(trace.events, trace.meta),
+        "check": json.dumps(report.to_dict(), sort_keys=True),
+        "spans": json.dumps(spans_to_dicts(spans_from_trace(trace)),
+                            sort_keys=True),
+        "why": json.dumps([a.to_dict() for a in why], sort_keys=True),
+        "registry": json.dumps(registry_from_trace(trace).to_dict(),
+                               sort_keys=True),
+        "report": session_report_html(trace),
+    }
+    for command in ("check", "stats", "spans", "why", "report", "trace"):
+        html = os.path.join(out_dir, command + ".html")
+        argv = [command, "--load", path]
+        if command == "report":
+            argv += ["--out", html]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \\
+                contextlib.redirect_stderr(stderr):
+            status = main(argv)
+        result = [status, stdout.getvalue(), stderr.getvalue()]
+        if command == "report":
+            with open(html, encoding="utf-8") as handle:
+                result.append(handle.read())
+        outputs["cli " + command] = result
+    return outputs
+'''
+
+BLOCKED = READ_SIDE + '''
+import sys
+
+sys.modules["numpy"] = None  # any "import numpy" now raises ImportError
+import repro
+import repro.cli
+import repro.experiments.fleet
+
+outputs = read_side(sys.argv[1], sys.argv[2])
+assert sys.modules["numpy"] is None
+print(json.dumps(outputs))
+'''
+
+FRESH = '''
+import sys
+
+import repro
+
+assert "numpy" not in sys.modules, "import repro loaded numpy"
+from repro.experiments import SessionConfig, run_session
+
+assert "numpy" not in sys.modules, "importing the runner loaded numpy"
+result = run_session(SessionConfig(video_duration=8.0, wifi_mbps=4.0,
+                                   lte_mbps=3.0))
+assert "numpy" in sys.modules, "the session drew without numpy"
+print(result.metrics.chunk_count)
+'''
+
+
+def _python(source, *args):
+    """Run ``source`` in a fresh interpreter that imports this ``repro``."""
+    root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", source, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    result = run_session(SessionConfig(
+        video="big_buck_bunny", abr="festive", mpdash=True,
+        wifi_mbps=3.8, lte_mbps=3.0, video_duration=40.0,
+        record_trace=True))
+    path = tmp_path_factory.mktemp("boundary") / "session.jsonl"
+    result.export_trace(str(path))
+    return str(path)
+
+
+def test_read_side_runs_without_numpy_and_gives_the_same_bytes(
+        recorded, tmp_path):
+    namespace = {}
+    exec(READ_SIDE, namespace)
+    expected = namespace["read_side"](recorded, str(tmp_path))
+    assert [expected["cli " + command][0] for command in
+            ("check", "stats", "spans", "why", "report", "trace")] == \
+        [0] * 6
+    blocked = json.loads(_python(BLOCKED, recorded, str(tmp_path)))
+    assert blocked.keys() == expected.keys()
+    for name in expected:
+        assert blocked[name] == expected[name], name
+
+
+def test_import_repro_leaves_numpy_to_the_first_draw():
+    assert int(_python(FRESH)) > 0

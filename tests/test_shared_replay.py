@@ -350,3 +350,44 @@ def test_spans_and_why_survive_what_the_analysis_logs_reject(tmp_path,
     assert main(["spans", "--load", str(path)]) == 0
     assert main(["why", "--load", str(path)]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Paths no radio profile covers
+# ----------------------------------------------------------------------
+def ethernet_trace(with_ethernet=True):
+    events = [PacketSent(0.5, "wifi", 1500.0), SessionClosed(5.0)]
+    if with_ethernet:
+        events.insert(1, PacketSent(0.6, "ethernet", 600.0))
+    return Trace(meta=TraceMeta(session_duration=5.0), events=events)
+
+
+def test_energy_and_radio_lanes_cover_only_profiled_interfaces():
+    """As radio residency does, energy and the report's radio lanes skip
+    a path the device has no radio profile for; its bytes still count."""
+    trace = ethernet_trace()
+    analyzer = analyzer_from_trace(trace)
+    assert analyzer.radio_transitions("ethernet", 5.0) == []
+    assert analyzer.radio_transitions("wifi", 5.0) == \
+        analyzer_from_trace(ethernet_trace(False)).radio_transitions(
+            "wifi", 5.0)
+    assert registry_from_trace(trace).get(
+        "repro_path_bytes_total", {"path": "ethernet"}).value == 600.0
+    metrics = metrics_from_trace(trace)
+    assert metrics.energy_per_path == \
+        metrics_from_trace(ethernet_trace(False)).energy_per_path
+    assert metrics.energy_total == \
+        metrics_from_trace(ethernet_trace(False)).energy_total > 0
+    html = session_report_html(trace)
+    assert "wifi energy" in html and "ethernet energy" not in html
+
+
+def test_report_and_trace_load_a_path_no_radio_profile_covers(tmp_path,
+                                                              capsys):
+    path = tmp_path / "ethernet.jsonl"
+    trace = ethernet_trace()
+    dump_jsonl(str(path), trace.events, trace.meta)
+    assert main(["report", "--out", str(tmp_path / "out.html"),
+                 "--load", str(path)]) == 0
+    assert main(["trace", "--load", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err

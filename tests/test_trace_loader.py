@@ -13,7 +13,8 @@ from repro.cli import main
 from repro.obs import (Trace, attribute_anomaly, dumps_jsonl, load_jsonl,
                        loads_jsonl, render_anomaly_reports, replay_anomaly)
 from repro.obs.events import (EVENT_TYPES, PacketSent, SessionClosed,
-                              event_from_dict, events_from_dicts, fast_ctor)
+                              event_from_dict, events_from_dicts, fast_ctor,
+                              mistyped_field)
 from repro.obs.trace_export import TraceMeta, gzip_bytes
 
 #: A hypothesis strategy per field annotation used by the taxonomy.
@@ -250,6 +251,93 @@ def test_cli_diff_says_cannot_load(damaged, name, clean_text, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.count("cannot load") == 2
     assert "Traceback" not in captured.err
+
+
+# ----------------------------------------------------------------------
+# Fields of the wrong type
+# ----------------------------------------------------------------------
+#: A hand-written three-event trace whose cellular byte count is a string.
+MISTYPED = (
+    '{"meta":{"activity_bin":0.1,"device":"galaxy_note",'
+    '"session_duration":5.0,"version":1}}\n'
+    '{"num_bytes":1500.0,"path":"wifi","time":0.5,"type":"PacketSent"}\n'
+    '{"num_bytes":"600","path":"cellular","time":0.6,"type":"PacketSent"}\n'
+    '{"time":5.0,"type":"SessionClosed"}\n')
+MISTYPED_FIELD = ("record 2 (PacketSent) field num_bytes: expected float, "
+                  "got str '600'")
+
+
+def test_the_loader_accepts_a_field_of_the_wrong_type():
+    """Checking types would cost every load; the CLI names the field
+    after a command fails instead."""
+    trace = loads_jsonl(MISTYPED)
+    assert trace.events[1].num_bytes == "600"
+    assert mistyped_field(trace.events) == MISTYPED_FIELD
+
+
+def test_recorded_sessions_are_well_typed(clean_text):
+    assert mistyped_field(loads_jsonl(clean_text).events) is None
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_TYPES))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_mistyped_field_names_the_first_wrong_field(name, data):
+    cls = EVENT_TYPES[name]
+    payload = data.draw(_payloads(cls))
+    (event,) = events_from_dicts([dict(payload, type=name)])
+    assert mistyped_field([event]) is None
+    spec = data.draw(st.sampled_from(dataclasses.fields(cls)))
+    wrong = 1.5 if spec.type == "str" else "x"
+    (bad,) = events_from_dicts([dict(payload, type=name,
+                                     **{spec.name: wrong})])
+    assert mistyped_field([event, bad]) == (
+        f"record 2 ({name}) field {spec.name}: expected {spec.type}, "
+        f"got {type(wrong).__name__} {wrong!r}")
+
+
+@pytest.mark.parametrize("command,_status", LOAD_COMMANDS)
+def test_cli_load_names_a_field_of_the_wrong_type(command, _status,
+                                                  tmp_path, capsys):
+    path = tmp_path / "mistyped.jsonl"
+    path.write_text(MISTYPED)
+    argv = [arg.format(out=tmp_path / "out.html") for arg in command]
+    assert main(argv + ["--load", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"repro {command[0]}: cannot load {path}: "
+                            f"{MISTYPED_FIELD}\n")
+    assert captured.out == ""
+
+
+def test_trace_out_writes_no_copy_of_a_mistyped_trace(tmp_path):
+    path, copy = tmp_path / "mistyped.jsonl", tmp_path / "copy.jsonl"
+    path.write_text(MISTYPED)
+    assert main(["trace", "--load", str(path), "--out", str(copy)]) == 2
+    assert not copy.exists()
+
+
+def test_cli_diff_names_the_mistyped_trace(clean_text, tmp_path, capsys):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(clean_text)
+    bad.write_text(MISTYPED)
+    assert main(["trace", "--load", str(good), "--diff", str(bad)]) == 2
+    assert main(["why", "--diff", str(good), str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"repro trace: cannot load {bad}: {MISTYPED_FIELD}\n"
+        f"repro why: cannot load {bad}: {MISTYPED_FIELD}\n")
+
+
+def test_cli_reraises_what_a_well_typed_trace_does_not_explain(
+        clean_text, tmp_path, monkeypatch):
+    path = tmp_path / "good.jsonl"
+    path.write_text(clean_text)
+
+    def broken(trace):
+        raise TypeError("a bug in the view")
+
+    monkeypatch.setattr("repro.cli.registry_from_trace", broken)
+    with pytest.raises(TypeError, match="a bug in the view"):
+        main(["stats", "--load", str(path)])
 
 
 @given(data=st.data())
