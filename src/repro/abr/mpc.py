@@ -130,6 +130,9 @@ class Mpc(AbrAlgorithm):
                         level if first is None else first)
 
         recurse(0, ctx.buffer_level, 0.0, current, None)
+        # The closure refers to itself through this cell: clear it, so
+        # each decision's search is freed by reference count.
+        recurse = None
         return best[1]
 
     def _neighbors(self, level: int, num_levels: int,

@@ -80,8 +80,9 @@ class DeadlineAwareScheduler(PathController):
         require_positive(size=size, window=window)
         self._pending = (size, window)
 
-    def bind(self, connection: MptcpConnection) -> None:
-        """Remember the connection this controller steers."""
+    def bind(self, connection: Optional[MptcpConnection]) -> None:
+        """Remember the connection this controller steers (None: forget
+        it)."""
         self._connection = connection
 
     def disarm(self) -> None:

@@ -81,6 +81,15 @@ class MpDashSocket:
             DeadlineDisarmed(self.connection.sim.now))
         self.scheduler.disarm()
 
+    def close(self) -> None:
+        """Unbind the scheduler once the session is over.
+
+        The connection keeps the scheduler as its controller (so its
+        counters stay readable); only the scheduler's pointer back to the
+        connection, which made the pair a reference cycle, is dropped.
+        """
+        self.scheduler.bind(None)
+
     @property
     def active(self) -> bool:
         return self.scheduler.active

@@ -13,7 +13,7 @@ chunk's Content-Length is known.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..net.simulator import Simulator, Timer
 from ..obs.events import (PlaybackEnded, PlaybackStarted, QualitySwitched,
@@ -29,37 +29,46 @@ from .http import HttpClient, HttpResponse
 from .manifest import Manifest
 
 
+def _synced() -> None:
+    """The sync of a buffer whose player has closed: nothing drains."""
+
+
 class _LazyDrainBuffer(PlaybackBuffer):
     """A playback buffer whose occupancy commits lazily.
 
     Between syncs the true occupancy is ``_level - (now - synced_at)``;
-    every public read routes through the owning player's
-    :meth:`DashPlayer._sync_playout` so external readers (the MP-DASH
+    every public read first calls ``sync`` (the owning player's
+    :meth:`DashPlayer._sync_playout`) so external readers (the MP-DASH
     adapter, ABR contexts, tests) always observe the drained value.  The
     player itself reads ``_level`` directly after syncing.
     """
 
-    def __init__(self, capacity: float, player: "DashPlayer"):
+    def __init__(self, capacity: float, sync: Callable[[], None]):
         super().__init__(capacity)
-        self._player = player
+        self._sync = sync
+
+    def detach(self) -> None:
+        """Freeze the occupancy at its last commit and drop the player's
+        sync, the back-pointer that made player and buffer a cycle."""
+        self._sync = _synced
 
     @property
     def level(self) -> float:
-        self._player._sync_playout()
+        self._sync()
         return self._level
 
     @property
     def free(self) -> float:
-        self._player._sync_playout()
+        self._sync()
         return max(0.0, self.capacity - self._level)
 
     @property
     def empty(self) -> bool:
-        self._player._sync_playout()
+        self._sync()
         return self._level <= 1e-9
 
     def fits(self, seconds: float) -> bool:
-        self._player._sync_playout()
+        self._sync()
         return super().fits(seconds)
 
 
@@ -112,7 +121,7 @@ class DashPlayer:
         self.manifest = manifest
         self.abr = abr
         self.addon = addon if addon is not None else PlayerAddon()
-        self.buffer = _LazyDrainBuffer(buffer_capacity, self)
+        self.buffer = _LazyDrainBuffer(buffer_capacity, self._sync_playout)
         default_threshold = min(2 * manifest.chunk_duration,
                                 buffer_capacity / 2)
         self.startup_threshold = (startup_threshold if startup_threshold
@@ -150,6 +159,16 @@ class DashPlayer:
         self._timer = Timer(self.sim, self._on_wake)
         self._synced_at = self.sim.now
         self._maybe_request()
+
+    def close(self) -> None:
+        """End the session: commit the playout up to now, then release the
+        wakeup timer and the buffer's back-pointer, so the player sits in
+        no reference cycle.  ``buffer`` keeps reading the committed
+        occupancy; nothing drains afterwards."""
+        self._sync_playout()
+        self.buffer.detach()
+        if self._timer is not None:
+            self._timer.release()
 
     @property
     def in_startup(self) -> bool:

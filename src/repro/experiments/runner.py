@@ -209,6 +209,15 @@ def run_session(config: SessionConfig, check: bool = False,
 
         RunLedger(ledger).append(session_entry(
             result, wall_clock=perf_counter() - started))
+    # Close what the session opened, so reference counting frees its
+    # graph as soon as the caller drops the result (see "Session
+    # lifetime" in docs/architecture.md).
+    sim.close()
+    player.close()
+    if socket is not None:
+        socket.close()
+    if monitor is not None:
+        monitor.close()
     return result
 
 
@@ -275,6 +284,9 @@ def run_file_download(config: FileDownloadConfig) -> FileDownloadResult:
     device = DEVICES[config.device]
     horizon = duration + device.lte.tail_time
     energy = session_energy(connection.activity, device, horizon)
+    sim.close()
+    if socket is not None:
+        socket.close()
     return FileDownloadResult(
         config=config, duration=duration,
         bytes_per_path=dict(transfer.per_path),

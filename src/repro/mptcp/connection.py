@@ -333,7 +333,8 @@ class MptcpConnection:
         self._queue: Deque[Transfer] = deque()
         self._transfer_count = 0
         self._active: Optional[Transfer] = None
-        self._activating = False
+        # The transfer waiting out its request RTT before data flows.
+        self._activating: Optional[Transfer] = None
         self._closed = False
         # True while inside a kernel callback (controller step, predict)
         # where the watermark is known current: readers skip re-syncing.
@@ -367,17 +368,18 @@ class MptcpConnection:
         return transfer
 
     def _activate_next(self) -> None:
-        if self._active is not None or self._activating or not self._queue:
+        if (self._active is not None or self._activating is not None
+                or not self._queue):
             return
         transfer = self._queue.popleft()
-        self._activating = True
+        self._activating = transfer
         # HTTP request + first response byte: one primary-path RTT.
         delay = max(0.0, transfer.requested_at + self.primary.path.rtt
                     - self.sim.now)
         self.sim.schedule(delay, self._begin, transfer)
 
     def _begin(self, transfer: Transfer) -> None:
-        self._activating = False
+        self._activating = None
         if self._closed:
             return
         self._advance_to(self.sim.now)
@@ -399,7 +401,7 @@ class MptcpConnection:
 
     @property
     def busy(self) -> bool:
-        return (self._active is not None or self._activating
+        return (self._active is not None or self._activating is not None
                 or bool(self._queue))
 
     # ------------------------------------------------------------------
@@ -489,8 +491,11 @@ class MptcpConnection:
             transfer.duration() or 0.0, self.id))
         if self.controller is not None:
             self.controller.on_transfer_complete(now, transfer, self)
-        if transfer.on_complete is not None:
-            transfer.on_complete(transfer)
+        # One-shot: dropped once it fires, so the transfer stops pinning
+        # the requester's closure (which usually holds the transfer).
+        on_complete, transfer.on_complete = transfer.on_complete, None
+        if on_complete is not None:
+            on_complete(transfer)
         self._activate_next()
 
     # ------------------------------------------------------------------
@@ -791,11 +796,23 @@ class MptcpConnection:
         self._open_bins.clear()
 
     def close(self) -> None:
-        """Stop the kernel (ends the connection's simulation activity)."""
+        """Stop the kernel (ends the connection's simulation activity).
+
+        Transfers still in flight are abandoned: their completion
+        callbacks and kernel hooks are released, as is the wakeup timer's
+        hold on this connection, so a closed connection sits in no
+        reference cycle.  Idempotent.
+        """
+        if self._closed:
+            return
         self._sync_state()
-        self._timer.cancel()
+        self._timer.release()
         self.flush_activity()
         self._closed = True
+        for transfer in (*self._queue, self._activating, self._active):
+            if transfer is not None:
+                transfer.on_complete = None
+                transfer._on_available_change = None
 
     def __repr__(self) -> str:
         return (f"<MptcpConnection paths={self.path_names()} "

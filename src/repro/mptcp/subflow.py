@@ -50,7 +50,11 @@ class Subflow:
         self.conn = conn
         self.tcp = TcpState(path.rtt)
         if bus is not None:
-            self.tcp.on_idle_restart = self._publish_restart
+            # A closure over the bus, not a bound method: the subflow holds
+            # its TCP state, so a hook pointing back at it would be a cycle.
+            name = self.name
+            self.tcp.on_idle_restart = lambda now: bus.publish(
+                CwndRestarted(now, name, conn))
         self.estimator = estimator if estimator is not None else HoltWinters()
         self.reconnect_delay = reconnect_delay
         self.total_bytes = 0
@@ -61,9 +65,6 @@ class Subflow:
         self._sample_bytes = 0.0
         self._sample_busy = 0.0
         self._sample_interval = max(path.rtt, MIN_SAMPLE_INTERVAL)
-
-    def _publish_restart(self, now: float) -> None:
-        self.bus.publish(CwndRestarted(now, self.name, self.conn))
 
     def notice_state(self, now: float) -> None:
         """Track enable/disable transitions for reconnect semantics."""

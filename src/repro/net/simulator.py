@@ -159,6 +159,23 @@ class Simulator:
         """Number of scheduled, non-cancelled events."""
         return len(self._heap) - self._cancelled
 
+    def close(self) -> None:
+        """End the session: drop every pending event and bus subscriber.
+
+        Each dropped event is cancelled and releases its callback and
+        arguments, and the bus forgets its handlers, so no back-pointer into the layers built
+        on this simulator outlives the session (see "Session lifetime" in
+        ``docs/architecture.md``).  The clock keeps its final value.
+        """
+        for event in self._heap:
+            event.cancelled = True
+            event._sim = None
+            event.callback = None
+            event.args = ()
+        self._heap.clear()
+        self._cancelled = 0
+        self.bus.clear()
+
     # ------------------------------------------------------------------
     # Heap hygiene
     # ------------------------------------------------------------------
@@ -278,6 +295,16 @@ class Timer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
+
+    def release(self) -> None:
+        """Disarm for good and drop the callback.
+
+        The callback is usually a bound method of the timer's owner, which
+        in turn holds the timer: releasing breaks that cycle when the
+        owner closes.  A released timer must not be set again.
+        """
+        self.cancel()
+        self._callback = None
 
     def _fire(self) -> None:
         self._event = None

@@ -78,6 +78,12 @@ class EventBus:
             self._all.remove(handler)
             self._dispatch.clear()
 
+    def clear(self) -> None:
+        """Drop every subscription (the session that owned them ended)."""
+        self._by_type.clear()
+        self._all.clear()
+        self._dispatch.clear()
+
     def subscriber_count(
             self, event_type: Optional[Type[TraceEvent]] = None) -> int:
         """Subscribers that would see an ``event_type`` event (or, with no

@@ -103,7 +103,7 @@ class Checker:
     def __init__(self) -> None:
         self._monitor: Optional["InvariantMonitor"] = None
 
-    def bind(self, monitor: "InvariantMonitor") -> None:
+    def bind(self, monitor: Optional["InvariantMonitor"]) -> None:
         self._monitor = monitor
 
     def subscriptions(self) -> Mapping[Type[TraceEvent],
@@ -269,6 +269,13 @@ class InvariantMonitor:
                            events=self.index + 1,
                            checkers=[c.name for c in self.checkers])
 
+    def close(self) -> None:
+        """Unbind the checkers once the verdicts are in: each points back
+        at this monitor, which holds them, and that cycle must not outlive
+        the stream.  A closed monitor's checkers record nothing more."""
+        for checker in self.checkers:
+            checker.bind(None)
+
 
 def check_trace(trace, checkers: Optional[Iterable[Checker]] = None
                 ) -> CheckReport:
@@ -298,7 +305,9 @@ def _judge(trace, checkers: Optional[Iterable[Checker]] = None
     for event in trace.events:
         observe(event)
     monitor.finish()
-    return monitor.report()
+    report = monitor.report()
+    monitor.close()
+    return report
 
 
 # ======================================================================

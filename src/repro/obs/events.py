@@ -31,7 +31,7 @@ energy         :class:`RadioStateChange`
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,14 +458,31 @@ EVENT_TYPES: Dict[str, type] = {
 }
 
 
+#: Per event class: its field names and those of its ``Mapping``-typed
+#: fields, read once per class (``fields()`` per event dominated encoding).
+_ENCODE_PLANS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+
+
+def _encode_plan(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    specs = fields(cls)
+    plan = (tuple(spec.name for spec in specs),
+            tuple(spec.name for spec in specs
+                  if "Mapping[" in str(spec.type)))
+    _ENCODE_PLANS[cls] = plan
+    return plan
+
+
 def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
     """Flat JSON-ready dict with a ``type`` discriminator."""
-    record: Dict[str, Any] = {"type": type(event).__name__}
-    for spec in fields(event):
-        value = getattr(event, spec.name)
+    cls = event.__class__
+    names, mappings = _ENCODE_PLANS.get(cls) or _encode_plan(cls)
+    record: Dict[str, Any] = {"type": cls.__name__}
+    for name in names:
+        record[name] = getattr(event, name)
+    for name in mappings:
+        value = record[name]
         if isinstance(value, Mapping):
-            value = dict(value)
-        record[spec.name] = value
+            record[name] = dict(value)
     return record
 
 

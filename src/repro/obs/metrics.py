@@ -789,31 +789,32 @@ class PathSampler:
     """
 
     def __init__(self, sim, connection, interval: float = 1.0):
-        self._sim = sim
-        self._connection = connection
-        self.process = sim.call_every(interval, self._sample)
-
-    def _sample(self) -> None:
-        sim = self._sim
-        connection = self._connection
-        # Deliberately reads without advancing the connection: under the
-        # event-driven kernel the snapshot is the state as of the last
-        # decision point (at most one quiescent span stale — exact
-        # whenever a transfer is in flight).  Forcing an advance here
-        # would split analytic spans at sampling instants and perturb the
-        # simulation at float precision, breaking the attach-a-collector-
-        # changes-nothing guarantee.
-        bus = sim.bus
-        now = sim.now
-        for subflow in connection.subflows:
-            tcp = subflow.tcp
-            estimate = subflow.throughput_estimate()
-            bus.publish(_new_path_sampled(
-                now, subflow.name, tcp.cwnd, tcp.rtt,
-                estimate if estimate is not None else 0.0, connection.id))
+        # The process calls a plain function, not a bound method, so the
+        # sampler and its process form no reference cycle.
+        self.process = sim.call_every(interval, _sample_paths, sim,
+                                      connection)
 
     def stop(self) -> None:
         self.process.stop()
+
+
+def _sample_paths(sim, connection) -> None:
+    """Publish one ``PathSampled`` per subflow of ``connection``."""
+    # Deliberately reads without advancing the connection: under the
+    # event-driven kernel the snapshot is the state as of the last
+    # decision point (at most one quiescent span stale — exact
+    # whenever a transfer is in flight).  Forcing an advance here
+    # would split analytic spans at sampling instants and perturb the
+    # simulation at float precision, breaking the attach-a-collector-
+    # changes-nothing guarantee.
+    bus = sim.bus
+    now = sim.now
+    for subflow in connection.subflows:
+        tcp = subflow.tcp
+        estimate = subflow.throughput_estimate()
+        bus.publish(_new_path_sampled(
+            now, subflow.name, tcp.cwnd, tcp.rtt,
+            estimate if estimate is not None else 0.0, connection.id))
 
 
 def collector_from_trace(trace) -> SessionMetricsCollector:

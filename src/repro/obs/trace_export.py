@@ -88,8 +88,9 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
-def _dump_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per line.
+_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def dumps_jsonl(events: Iterable[TraceEvent], meta: TraceMeta) -> str:
