@@ -16,7 +16,7 @@ equivalent entry point, plus runners for the common experiments::
     python -m repro check --load run.jsonl
     python -m repro report --mpdash --out report.html
     python -m repro report --load run.jsonl --out report.html
-    python -m repro sweep --schemes baseline,rate --live --report sweep.html
+    python -m repro sweep --schemes baseline,rate --report sweep.html
     python -m repro fleet --sessions 1000 --arrival diurnal --jobs 4 \
         --checkpoint-dir .fleet --report fleet.html
     python -m repro why --load run.jsonl
@@ -41,7 +41,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .abr import abr_names
 from .analysis.metrics import SessionMetrics
@@ -51,9 +51,9 @@ from .experiments import (BASELINE, DURATION, FileDownloadConfig, FleetConfig,
                           RATE, SessionConfig, expand_grid, run_file_download,
                           run_fleet, run_schemes, run_session, run_sweep)
 from .experiments.tables import fleet_table, format_table, pct, sweep_table
-from .obs import (EventBus, FleetCheckpointSaved, FleetDashboard,
-                  FleetSessionCaptured, FleetShardCompleted, RecorderConfig,
-                  SweepDashboard, SweepRunFailed, SweepRunFinished, Trace,
+from .obs import (EventBus, FleetCheckpointSaved, FleetSessionCaptured,
+                  FleetShardCompleted, RecorderConfig, SweepRunFailed,
+                  SweepRunFinished, Trace,
                   attribute_anomaly, attributions_from_trace, check_trace,
                   detect_drift, diff_traces, drift_table,
                   dump_chrome_trace, dump_jsonl, gate_ok,
@@ -143,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "failure")
     sweep.add_argument("--json", action="store_true",
                        help="machine-readable report instead of a table")
-    sweep.add_argument("--live", action="store_true",
-                       help="in-place terminal dashboard on stderr while "
-                            "the sweep runs (auto-disabled when not a TTY)")
     sweep.add_argument("--report", metavar="FILE", default=None,
                        help="write the self-contained HTML sweep report "
                             "to FILE")
@@ -263,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--report", metavar="FILE", default=None,
                        help="write the self-contained HTML population "
                             "report to FILE")
-    fleet.add_argument("--live", action="store_true",
-                       help="live stderr dashboard (worker lanes, "
-                            "recorder captures, ETA; TTY only)")
     fleet.add_argument("--record-dir", metavar="DIR", default=None,
                        help="arm the flight recorder: captured traces "
                             "and the triage manifest go under DIR")
@@ -542,14 +536,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     bus = EventBus()
-    dashboard = None
-    if args.live:
-        dashboard = SweepDashboard()
-        dashboard.attach(bus)
-    if not args.json and (dashboard is None or not dashboard.enabled):
+    if not args.json:
         # Progress goes to stderr so stdout carries only the final table
-        # (or, with --json, only the JSON document).  The line-per-run
-        # feed yields to the in-place dashboard when --live is active.
+        # (or, with --json, only the JSON document).
         total = len(configs)
         bus.subscribe(SweepRunFinished, lambda e: print(
             f"[{e.time:8.2f}s] run {e.index + 1}/{total} {e.key[:12]} "
@@ -605,36 +594,23 @@ def _load_trace(command: str, path: str, status: int,
 
     A failure prints ``repro <command>: cannot load <what>: <reason>``
     (``what`` defaults to the path) and makes :func:`main` return
-    ``status``.
+    ``status``.  A trace that loads but holds a field of the wrong type
+    prints ``repro <command>: cannot load <path>: record <n> ...`` and
+    makes :func:`main` return 2: the loader does not check field types,
+    so the check runs here, once per trace named on the command line.
     """
     try:
-        return load_jsonl(path)
+        trace = load_jsonl(path)
     except (OSError, ValueError) as exc:
         print(f"repro {command}: cannot load {what or path}: {exc}",
               file=sys.stderr)
         raise _LoadFailed(status) from None
-
-
-def _mistyped_trace(args: argparse.Namespace
-                    ) -> Optional[Tuple[str, str]]:
-    """The first ``--load``/``--diff`` trace holding a field of the wrong
-    type, and that field; ``None`` if there is none.
-
-    The loader does not check field types, so a well-typed trace pays
-    nothing for this: it runs only after a command failed, and reloads
-    the files to see whether one of them explains the failure.
-    """
-    diff = getattr(args, "diff", None)
-    paths = [getattr(args, "load", None)] + (
-        list(diff) if isinstance(diff, list) else [diff])
-    for path in filter(None, paths):
-        try:
-            problem = mistyped_field(load_jsonl(path).events)
-        except (OSError, ValueError):
-            continue
-        if problem is not None:
-            return path, problem
-    return None
+    problem = mistyped_field(trace.events)
+    if problem is not None:
+        print(f"repro {command}: cannot load {path}: {problem}",
+              file=sys.stderr)
+        raise _LoadFailed(2)
+    return trace
 
 
 def _trace_summary(source: str, trace: Trace,
@@ -844,11 +820,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 2
 
     bus = EventBus()
-    dashboard = None
-    if args.live:
-        dashboard = FleetDashboard()
-        dashboard.attach(bus)
-    if not args.json and (dashboard is None or not dashboard.enabled):
+    if not args.json:
         total = config.total_shards
         bus.subscribe(FleetShardCompleted, lambda e: print(
             f"[{e.time:8.2f}s] shard {e.shard + 1}/{total} "
@@ -1167,7 +1139,6 @@ def cmd_why(args: argparse.Namespace) -> int:
     if args.load is not None:
         attributions = attributions_from_trace(
             _load_trace("why", args.load, 2))
-        # After the views ran: a field error is the only line printed.
         print(f"attributing {args.load} offline", file=sys.stderr)
     else:
         # The sampler rides along so the network rules (bandwidth-drop,
@@ -1232,13 +1203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except _LoadFailed as failure:
         return failure.status
-    except (AttributeError, TypeError, ValueError):
-        found = _mistyped_trace(args)
-        if found is None:
-            raise
-        print(f"repro {args.command}: cannot load {found[0]}: {found[1]}",
-              file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

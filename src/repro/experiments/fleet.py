@@ -49,8 +49,7 @@ from ..energy.devices import DEVICES
 from ..obs.bus import EventBus
 from ..obs.events import (FleetCheckpointSaved, FleetCompleted,
                           FleetSessionCaptured, FleetShardCompleted,
-                          FleetStarted, FleetWorkerHeartbeat)
-from ..obs.ledger import peak_rss_kb
+                          FleetStarted)
 from ..obs.metrics import (Histogram, MetricsRegistry, exponential_buckets,
                            linear_buckets)
 from ..obs.recorder import (RecorderConfig, ShardRecorder, empty_stats,
@@ -305,11 +304,9 @@ def _run_shard(config: FleetConfig, shard: int,
     completed = 0
     sim_seconds = 0.0
     errors: List[str] = []
-    last_index = -1
     began = time.perf_counter()
     for index in config.shard_range(shard):
         draw = workload.draw(index)
-        last_index = index
         cfg = session_config(config, draw)
         if rec is not None:
             cfg = replace(cfg, record_trace=True)
@@ -347,8 +344,6 @@ def _run_shard(config: FleetConfig, shard: int,
             "sim_seconds": sim_seconds,
             "registry": registry.to_dict(),
             "elapsed": time.perf_counter() - began,
-            "worker": os.getpid(), "peak_rss_kb": peak_rss_kb() or 0,
-            "last_index": last_index,
             "recorder": rec.payload() if rec is not None else None}
 
 
@@ -619,7 +614,6 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
     against the capture triggers, write triggered traces as gzip
     artifacts under ``recorder.artifact_dir``, and the parent merges
     stats and anomaly records, republishes them as
-    :class:`~repro.obs.events.FleetWorkerHeartbeat` /
     :class:`~repro.obs.events.FleetSessionCaptured` bus events, and
     maintains the campaign's triage manifest.  Recording is purely
     observational — it never changes ``fleet_key`` or the population
@@ -706,25 +700,13 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
             errors.append(sample)
         shards_done += 1
         uncheckpointed += 1
-        captured = 0
+        bus.publish(FleetShardCompleted(
+            clock(), shard, payload["sessions"],
+            payload["failures"], payload["elapsed"]))
         rec_payload = payload.get("recorder")
         if recorder is not None and rec_payload is not None:
             merge_stats(rec_stats, rec_payload["stats"])
             anomalies.extend(rec_payload["records"])
-            captured = int(rec_payload["stats"].get("captured", 0))
-        bus.publish(FleetShardCompleted(
-            clock(), shard, payload["sessions"],
-            payload["failures"], payload["elapsed"]))
-        bus.publish(FleetWorkerHeartbeat(
-            clock(), worker=int(payload.get("worker", 0)),
-            shard=shard, sessions=payload["sessions"],
-            failures=payload["failures"],
-            sim_seconds=payload["sim_seconds"],
-            elapsed=payload["elapsed"],
-            peak_rss_kb=int(payload.get("peak_rss_kb", 0)),
-            last_index=int(payload.get("last_index", -1)),
-            captured=captured))
-        if recorder is not None and rec_payload is not None:
             for record in rec_payload["records"]:
                 bus.publish(FleetSessionCaptured(
                     clock(), session=record["index"],

@@ -46,7 +46,7 @@ from ..analysis.metrics import SessionMetrics
 from ..net.trace import BandwidthTrace
 from ..obs.bus import EventBus
 from ..obs.events import (SweepCompleted, SweepRunFailed, SweepRunFinished,
-                          SweepRunStarted, SweepRunSummarized, SweepStarted)
+                          SweepRunStarted, SweepStarted)
 from .configs import FileDownloadConfig, SessionConfig
 from .pool import run_units
 from .runner import (FileDownloadResult, SessionResult, run_file_download,
@@ -511,25 +511,6 @@ def merged_histograms(result: SweepResult) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-def _publish_finished(bus: EventBus, clock: Callable[[], float],
-                      run: SweepRun, elapsed: float, cached: bool) -> None:
-    """Announce a finished run and, for a session summary, its headline
-    QoE telemetry for live consumers (the dashboard)."""
-    bus.publish(SweepRunFinished(clock(), run.config_key, run.index,
-                                 elapsed, cached))
-    summary = run.summary
-    metrics = getattr(summary, "metrics", None)
-    if metrics is None:
-        return
-    violations = getattr(summary, "violations", None)
-    bus.publish(SweepRunSummarized(
-        clock(), run.config_key, run.index,
-        bool(getattr(summary, "finished", True)),
-        metrics.mean_bitrate, metrics.stall_count,
-        metrics.cellular_bytes, metrics.radio_energy,
-        sum(violations.values()) if violations else 0))
-
-
 def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
               cache_dir: Optional[str] = None,
               timeout: Optional[float] = None, retries: int = 0,
@@ -586,7 +567,8 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         if hit is not None:
             run.summary = hit
             run.cached = True
-            _publish_finished(bus, clock, run, 0.0, True)
+            bus.publish(SweepRunFinished(clock(), run.config_key,
+                                         run.index, 0.0, True))
         else:
             pending.append(run)
 
@@ -609,7 +591,8 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
                 # finished simulation: keep the in-memory summary and
                 # record the write failure as a warning on the run.
                 run.cache_error = f"{type(exc).__name__}: {exc}"
-        _publish_finished(bus, clock, run, elapsed, False)
+        bus.publish(SweepRunFinished(clock(), run.config_key, run.index,
+                                     elapsed, False))
         return None
 
     def give_up(run: SweepRun, attempts: int, failure: Any) -> None:
@@ -635,7 +618,8 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         if primary.summary is not None:
             run.summary = primary.summary
             run.cached = True  # served without a fresh simulation
-            _publish_finished(bus, clock, run, 0.0, True)
+            bus.publish(SweepRunFinished(clock(), run.config_key,
+                                         run.index, 0.0, True))
         elif primary.failure is not None:
             run.failure = replace(primary.failure, index=run.index)
             bus.publish(SweepRunFailed(

@@ -38,8 +38,7 @@ The presentation layer sits on top of the derived views:
 :mod:`repro.obs.svg` is a dependency-free SVG chart renderer,
 :mod:`repro.obs.report` turns traces, sweep and fleet results, and the
 ledger into self-contained single-file HTML documents (pure functions of their
-inputs — live and offline rendering are byte-identical), and
-:mod:`repro.obs.live` draws a live terminal dashboard during sweeps.
+inputs — live and offline rendering are byte-identical).
 """
 
 from .bus import EventBus
@@ -48,10 +47,8 @@ from .check import ERROR, INFO, WARNING, check_trace, stock_checkers
 from .events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
                      FleetCheckpointSaved, FleetCompleted,
                      FleetSessionCaptured, FleetShardCompleted, FleetStarted,
-                     FleetWorkerHeartbeat, SweepCompleted, SweepRunFailed,
-                     SweepRunFinished, SweepRunStarted, SweepRunSummarized,
-                     SweepStarted)
-from .live import FleetDashboard, SweepDashboard
+                     SweepCompleted, SweepRunFailed, SweepRunFinished,
+                     SweepRunStarted, SweepStarted)
 from .metrics import (MetricsRegistry, SessionMetricsCollector,
                       collector_from_trace, registry_from_trace)
 from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
@@ -70,12 +67,11 @@ from .why import (attribute_anomaly, attributions_from_trace, diff_traces,
 
 __all__ = [
     "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL", "WARNING",
-    "EventBus", "FleetCheckpointSaved", "FleetCompleted", "FleetDashboard",
+    "EventBus", "FleetCheckpointSaved", "FleetCompleted",
     "FleetSessionCaptured", "FleetShardCompleted", "FleetStarted",
-    "FleetWorkerHeartbeat", "MetricsRegistry", "RecorderConfig",
-    "SessionMetricsCollector", "ShardRecorder", "SweepCompleted",
-    "SweepDashboard", "SweepRunFailed", "SweepRunFinished",
-    "SweepRunStarted", "SweepRunSummarized", "SweepStarted", "Trace",
+    "MetricsRegistry", "RecorderConfig", "SessionMetricsCollector",
+    "ShardRecorder", "SweepCompleted", "SweepRunFailed", "SweepRunFinished",
+    "SweepRunStarted", "SweepStarted", "Trace",
     "TraceMeta", "TraceRecorder", "analyzer_from_trace", "attribute_anomaly",
     "attributions_from_trace", "check_trace", "collector_from_trace",
     "detect_drift", "diff_traces", "drift_table", "dump_chrome_trace",

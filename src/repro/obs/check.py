@@ -39,9 +39,8 @@ from .events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL, ChunkDownloaded,
                      RadioStateChange, SchedulerActivated, SessionClosed,
                      StallEnd, StallStart, SubflowReconnected,
                      SubflowStateChange, SweepCompleted, SweepRunFailed,
-                     SweepRunFinished, SweepRunStarted, SweepRunSummarized,
-                     SweepStarted, TraceEvent, TransferCompleted,
-                     TransferStarted)
+                     SweepRunFinished, SweepRunStarted, SweepStarted,
+                     TraceEvent, TransferCompleted, TransferStarted)
 
 #: Violation severities, in increasing order of badness.
 INFO = "info"
@@ -52,7 +51,7 @@ SEVERITIES = (INFO, WARNING, ERROR)
 #: Sweep harness events carry wall-clock times from a different bus; no
 #: session-level invariant applies to them.
 _SWEEP_EVENTS = (SweepStarted, SweepRunStarted, SweepRunFinished,
-                 SweepRunSummarized, SweepRunFailed, SweepCompleted)
+                 SweepRunFailed, SweepCompleted)
 
 #: Events held to per-path (not global) time monotonicity — see
 #: :class:`MonotonicTimeChecker`.  Exact-class membership, matching the

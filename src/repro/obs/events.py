@@ -304,24 +304,6 @@ class SweepRunFinished(TraceEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class SweepRunSummarized(TraceEvent):
-    """Headline QoE figures of one finished session run, published right
-    after its :class:`SweepRunFinished` so live consumers (the terminal
-    dashboard) can show rolling aggregates without touching the result
-    objects.  Only published for full session runs — download-only
-    summaries carry no QoE."""
-
-    key: str
-    index: int
-    finished: bool
-    mean_bitrate: float
-    stall_count: int
-    cellular_bytes: float
-    radio_energy: float
-    violations: int
-
-
-@dataclass(frozen=True, slots=True)
 class SweepRunFailed(TraceEvent):
     """One run exhausted its retries; ``kind`` is ``error`` or ``timeout``."""
 
@@ -386,28 +368,6 @@ class FleetCompleted(TraceEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class FleetWorkerHeartbeat(TraceEvent):
-    """One worker's health snapshot, shipped with each shard result.
-
-    Workers cannot publish onto the parent's bus, so their telemetry
-    rides the existing result channel — the shard payload — and the
-    parent re-publishes it here at commit time.  ``worker`` is the
-    worker process id; ``peak_rss_kb`` is that process's high-water mark
-    (0 where ``resource`` is unavailable); ``captured`` counts traces
-    the flight recorder kept in this shard."""
-
-    worker: int
-    shard: int
-    sessions: int
-    failures: int
-    sim_seconds: float
-    elapsed: float
-    peak_rss_kb: int
-    last_index: int
-    captured: int
-
-
-@dataclass(frozen=True, slots=True)
 class FleetSessionCaptured(TraceEvent):
     """The flight recorder kept one session's full trace.
 
@@ -450,10 +410,9 @@ EVENT_TYPES: Dict[str, type] = {
         ChunkRequested, MpDashArmed, MpDashSkipped, ChunkDownloaded,
         QualitySwitched, PlaybackStarted, StallStart, StallEnd,
         PlaybackEnded, SessionClosed, RadioStateChange, SweepStarted,
-        SweepRunStarted, SweepRunFinished, SweepRunSummarized,
-        SweepRunFailed, SweepCompleted, FleetStarted, FleetShardCompleted,
-        FleetCheckpointSaved, FleetCompleted, FleetWorkerHeartbeat,
-        FleetSessionCaptured,
+        SweepRunStarted, SweepRunFinished, SweepRunFailed, SweepCompleted,
+        FleetStarted, FleetShardCompleted, FleetCheckpointSaved,
+        FleetCompleted, FleetSessionCaptured,
     )
 }
 
@@ -527,8 +486,8 @@ def mistyped_field(events: Iterable[TraceEvent]) -> Optional[str]:
 
     The loader builds events without checking field types (checking
     would cost every load), so a hand-edited trace can carry, say, a
-    string byte count; the CLI calls this only after a command over a
-    loaded trace failed, to name the field that explains it.
+    string byte count; the CLI runs this once on every trace it loads
+    and refuses one that fails it.
     """
     for number, event in enumerate(events, 1):
         for spec in fields(event):

@@ -442,12 +442,9 @@ class TestSweepReportCli:
         assert "Scheme comparison" in html
         assert "mpdash-rate" in html
 
-    def test_live_flag_off_tty_keeps_line_progress(self, tmp_path,
-                                                   capsys):
-        # capsys streams are not TTYs: --live must auto-disable and the
-        # classic progress lines stay.
+    def test_progress_lines_go_to_stderr(self, capsys):
         assert main(["sweep", "--schemes", "baseline", "--duration", "20",
-                     "--wifi", "8", "--lte", "8", "--live"]) == 0
+                     "--wifi", "8", "--lte", "8"]) == 0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "run 1/1" in captured.err

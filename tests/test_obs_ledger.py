@@ -17,7 +17,6 @@ from repro.experiments.fleet import FleetConfig, fleet_key, run_fleet
 from repro.experiments.sweep import config_key, run_sweep
 from repro.cli import main
 from repro.obs.bus import EventBus
-from repro.obs.events import FleetWorkerHeartbeat
 from repro.obs.ledger import (ENTRY_KINDS, LEDGER_SCHEMA, LedgerEntry,
                               RunLedger, canonical_json,
                               environment_fingerprint, fleet_entry,
@@ -266,15 +265,6 @@ class TestPeakRss:
         monkeypatch.setattr(ledger_module, "sys",
                             type("Sys", (), {"platform": platform}))
         assert peak_rss_kb() == expected
-
-    def test_fleet_heartbeats_carry_the_probe(self):
-        bus = EventBus()
-        beats = []
-        bus.subscribe(FleetWorkerHeartbeat, beats.append)
-        run_fleet(FleetConfig(sessions=4, shard_size=2, video_duration=6.0,
-                              seed=7), bus=bus)
-        assert len(beats) == 2
-        assert all(beat.peak_rss_kb > 0 for beat in beats)
 
 
 class TestPerfMetrics:

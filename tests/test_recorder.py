@@ -8,8 +8,8 @@ import os
 import pytest
 
 from repro.experiments.fleet import FleetConfig, fleet_key, run_fleet
-from repro.obs import (EventBus, FleetSessionCaptured, FleetWorkerHeartbeat,
-                       RecorderConfig, ShardRecorder, find_manifests,
+from repro.obs import (EventBus, FleetSessionCaptured, RecorderConfig,
+                       ShardRecorder, find_manifests,
                        load_jsonl, load_manifest, rank_anomalies,
                        render_anomaly_reports, replay_anomaly, save_manifest,
                        triage_table)
@@ -502,31 +502,17 @@ class TestFleetRecorderIntegration:
         assert payload["stats"] == result.recorder
         assert payload["records"] == result.anomalies
 
-    def test_heartbeat_and_capture_events_published(self, tmp_path):
+    def test_capture_events_published(self, tmp_path):
         bus = EventBus()
-        beats, captures = [], []
-        bus.subscribe(FleetWorkerHeartbeat, beats.append)
+        captures = []
         bus.subscribe(FleetSessionCaptured, captures.append)
         config = fleet_config(fault_session=0)
         result = run_fleet(config, bus=bus,
                            recorder=rec_config(tmp_path))
-        assert len(beats) == config.total_shards
-        assert all(beat.worker == os.getpid() for beat in beats)
-        assert beats[0].last_index == 2 and beats[-1].last_index == 7
-        assert sum(beat.captured for beat in beats) == \
-            result.recorder["captured"]
         assert {c.session for c in captures} == \
             {r["index"] for r in result.anomalies}
         faulted = next(c for c in captures if c.session == 0)
         assert faulted.reason == "violation" and faulted.artifact
-
-    def test_heartbeats_flow_without_a_recorder(self):
-        bus = EventBus()
-        beats = []
-        bus.subscribe(FleetWorkerHeartbeat, beats.append)
-        run_fleet(fleet_config(), bus=bus)
-        assert len(beats) == fleet_config().total_shards
-        assert all(beat.captured == 0 for beat in beats)
 
     def test_triage_and_export_report(self, tmp_path):
         config = fleet_config(fault_session=3)

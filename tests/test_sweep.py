@@ -154,8 +154,7 @@ class TestSerialSweep:
         run_sweep([short_config()], bus=bus)
         kinds = [type(e).__name__ for e in seen]
         assert kinds == ["SweepStarted", "SweepRunStarted",
-                        "SweepRunFinished", "SweepRunSummarized",
-                        "SweepCompleted"]
+                        "SweepRunFinished", "SweepCompleted"]
         assert seen[0].total == 1
         assert seen[-1].succeeded == 1
         assert seen[-1].failed == 0

@@ -266,10 +266,33 @@ MISTYPED = (
 MISTYPED_FIELD = ("record 2 (PacketSent) field num_bytes: expected float, "
                   "got str '600'")
 
+#: Mistyped fields no view trips over: only the CLI's type check on
+#: load refuses a trace holding one of them.
+SILENT = [
+    ("MpDashArmed.deadline",
+     '{"deadline":"x","index":0,"time":0.6,"type":"MpDashArmed"}',
+     "record 2 (MpDashArmed) field deadline: expected float, got str 'x'"),
+    ("SubflowStateChange.enabled",
+     '{"enabled":"x","path":"cellular","time":0.6,'
+     '"type":"SubflowStateChange"}',
+     "record 2 (SubflowStateChange) field enabled: expected bool, "
+     "got str 'x'"),
+    ("PathStateRequested.path",
+     '{"enabled":true,"path":1.5,"time":0.6,"type":"PathStateRequested"}',
+     "record 2 (PathStateRequested) field path: expected str, "
+     "got float 1.5"),
+]
+_HEAD, _WIFI, _, _CLOSED = MISTYPED.splitlines(keepends=True)
+#: (trace text, expected field message) for every mistyped trace above.
+MISTYPED_TRACES = [pytest.param(MISTYPED, MISTYPED_FIELD,
+                                id="PacketSent.num_bytes")] + [
+    pytest.param(_HEAD + _WIFI + record + "\n" + _CLOSED, field, id=name)
+    for name, record, field in SILENT]
+
 
 def test_the_loader_accepts_a_field_of_the_wrong_type():
-    """Checking types would cost every load; the CLI names the field
-    after a command fails instead."""
+    """Checking types would cost every load; the CLI checks the traces
+    it loads instead."""
     trace = loads_jsonl(MISTYPED)
     assert trace.events[1].num_bytes == "600"
     assert mistyped_field(trace.events) == MISTYPED_FIELD
@@ -297,16 +320,44 @@ def test_mistyped_field_names_the_first_wrong_field(name, data):
 
 
 @pytest.mark.parametrize("command,_status", LOAD_COMMANDS)
-def test_cli_load_names_a_field_of_the_wrong_type(command, _status,
-                                                  tmp_path, capsys):
+@pytest.mark.parametrize("text,field", MISTYPED_TRACES)
+def test_cli_load_names_a_field_of_the_wrong_type(text, field, command,
+                                                  _status, tmp_path, capsys):
     path = tmp_path / "mistyped.jsonl"
-    path.write_text(MISTYPED)
+    path.write_text(text)
     argv = [arg.format(out=tmp_path / "out.html") for arg in command]
     assert main(argv + ["--load", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == (f"repro {command[0]}: cannot load {path}: "
-                            f"{MISTYPED_FIELD}\n")
+                            f"{field}\n")
     assert captured.out == ""
+
+
+#: A well-typed value per field annotation, for hand-built records.
+_WELL_TYPED = {"float": 1.0, "int": 1, "str": "wifi", "bool": True,
+               "Mapping[str, float]": {"wifi": 1.0},
+               "Optional[float]": None}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_TYPES))
+def test_cli_load_refuses_every_mistyped_field(name, tmp_path, capsys):
+    """Each field of each event type, alone of the wrong type, makes
+    ``stats --load`` exit 2 with the one line naming it, whether or not
+    a view would have tripped over it."""
+    specs = dataclasses.fields(EVENT_TYPES[name])
+    payload = {spec.name: _WELL_TYPED[spec.type] for spec in specs}
+    path = tmp_path / "mistyped.jsonl"
+    for spec in specs:
+        wrong = 1.5 if spec.type == "str" else "x"
+        record = dict(payload, type=name, **{spec.name: wrong})
+        path.write_text(_HEAD + _WIFI + json.dumps(record) + "\n" + _CLOSED)
+        assert main(["stats", "--load", str(path)]) == 2, spec.name
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro stats: cannot load {path}: record 2 ({name}) field "
+            f"{spec.name}: expected {spec.type}, got "
+            f"{type(wrong).__name__} {wrong!r}\n")
+        assert captured.out == ""
 
 
 def test_trace_out_writes_no_copy_of_a_mistyped_trace(tmp_path):
@@ -325,6 +376,20 @@ def test_cli_diff_names_the_mistyped_trace(clean_text, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"repro trace: cannot load {bad}: {MISTYPED_FIELD}\n"
         f"repro why: cannot load {bad}: {MISTYPED_FIELD}\n")
+
+
+@pytest.mark.parametrize("text,field", MISTYPED_TRACES[1:])
+def test_cli_diff_names_a_silently_mistyped_trace(text, field, clean_text,
+                                                  tmp_path, capsys):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(clean_text)
+    bad.write_text(text)
+    assert main(["trace", "--load", str(good), "--diff", str(bad)]) == 2
+    assert main(["why", "--diff", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"repro trace: cannot load {bad}: {field}\n"
+                            f"repro why: cannot load {bad}: {field}\n")
+    assert captured.out == ""
 
 
 def test_cli_reraises_what_a_well_typed_trace_does_not_explain(
