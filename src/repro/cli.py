@@ -588,21 +588,20 @@ class _LoadFailed(Exception):
         self.status = status
 
 
-def _load_trace(command: str, path: str, status: int,
-                what: Optional[str] = None) -> Trace:
+def _load_trace(command: str, path: str, status: int) -> Trace:
     """Load a ``--load``/``--diff`` trace, or report why not and bail out.
 
-    A failure prints ``repro <command>: cannot load <what>: <reason>``
-    (``what`` defaults to the path) and makes :func:`main` return
-    ``status``.  A trace that loads but holds a field of the wrong type
-    prints ``repro <command>: cannot load <path>: record <n> ...`` and
-    makes :func:`main` return 2: the loader does not check field types,
-    so the check runs here, once per trace named on the command line.
+    A failure prints ``repro <command>: cannot load <path>: <reason>``
+    and makes :func:`main` return ``status``.  A trace that loads but
+    holds a field of the wrong type prints ``repro <command>: cannot
+    load <path>: record <n> ...`` and makes :func:`main` return 2: the
+    loader does not check field types, so the check runs here, once per
+    trace named on the command line.
     """
     try:
         trace = load_jsonl(path)
     except (OSError, ValueError) as exc:
-        print(f"repro {command}: cannot load {what or path}: {exc}",
+        print(f"repro {command}: cannot load {path}: {exc}",
               file=sys.stderr)
         raise _LoadFailed(status) from None
     problem = mistyped_field(trace.events)
@@ -648,10 +647,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--load`` to re-run the analyzer offline on an exported trace, and
     ``--diff`` to compare a second trace's metrics against the first.
     """
-    if args.load is not None:
-        trace = _load_trace("trace", args.load, 1)
+    trace = None if args.load is None else _load_trace("trace", args.load, 1)
+    other = None if args.diff is None else _load_trace("trace", args.diff, 1)
+    if trace is not None:
         summary = _trace_summary(args.load, trace, metrics_from_trace(trace))
-        if args.out is not None:  # only once the analysis accepted it
+        if args.out is not None:  # only once every input is accepted
             dump_jsonl(args.out, trace.events, trace.meta)
     else:
         config = SessionConfig(
@@ -666,8 +666,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         trace = Trace(meta=result.trace_meta, events=result.events)
         summary = _trace_summary("live", trace, result.metrics)
 
-    if args.diff is not None:
-        other = _load_trace("trace", args.diff, 1)
+    if other is not None:
         other_summary = _trace_summary(args.diff, other,
                                        metrics_from_trace(other))
         scalars = ("energy_total", "stall_count", "total_stall_time",
@@ -686,9 +685,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 [[key, summary["metrics"][key], other_summary["metrics"][key],
                   delta[key]] for key in scalars],
                 title="trace diff (b - a)"))
-        return 0
-
-    if args.json:
+    elif args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
         _print_trace_summary(summary)
@@ -1093,8 +1090,8 @@ def cmd_why(args: argparse.Namespace) -> int:
     """
     if args.diff is not None:
         path_a, path_b = args.diff
-        trace_a = _load_trace("why", path_a, 2, what="trace")
-        trace_b = _load_trace("why", path_b, 2, what="trace")
+        trace_a = _load_trace("why", path_a, 2)
+        trace_b = _load_trace("why", path_b, 2)
         diff = diff_traces(trace_a, trace_b)
         if args.json:
             print(json.dumps(diff.to_dict(), sort_keys=True))

@@ -10,10 +10,8 @@ engines share one set of fault semantics.  ``docs/architecture.md``
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import (FIRST_COMPLETED, Executor, Future,
-                                ProcessPoolExecutor, wait)
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_all_start_methods, get_context
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Executor,
+                                Future, wait)
 from typing import Any, Callable, Dict, Optional, Sequence, TypeVar
 
 U = TypeVar("U")
@@ -38,6 +36,10 @@ class _InlinePool(Executor):
 def _open_pool(jobs: int, workers: int) -> Executor:
     if jobs == 1:
         return _InlinePool()
+    # Imported here so that jobs=1 runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_all_start_methods, get_context
+
     # Fork keeps module-level runners defined in caller scripts picklable
     # by reference and inherits sys.path; fall back where absent.
     method = "fork" if "fork" in get_all_start_methods() else None
@@ -98,7 +100,7 @@ def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
                     started(units[pos], attempts[pos])
                 try:
                     future = pool.submit(work, units[pos])
-                except BrokenProcessPool:
+                except BrokenExecutor:
                     # The pool died since the last round; this unit never
                     # reached a worker, so the attempt is uncharged.
                     attempts[pos] -= 1
@@ -115,7 +117,7 @@ def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
                     pos = flying.pop(future)
                     try:
                         outcomes[pos] = (future.result(), None)
-                    except BrokenProcessPool as exc:
+                    except BrokenExecutor as exc:
                         broken = True
                         outcomes[pos] = (None, f"worker process died: {exc}")
                     except Exception as exc:

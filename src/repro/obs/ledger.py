@@ -39,7 +39,6 @@ import hashlib
 import json
 import math
 import os
-import platform
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -66,6 +65,8 @@ def canonical_json(payload: Any) -> str:
 
 def environment_fingerprint() -> Dict[str, str]:
     """The run's environment: python version, platform and machine."""
+    import platform
+
     return {"python": platform.python_version(),
             "platform": platform.platform(),
             "machine": platform.machine()}

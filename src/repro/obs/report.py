@@ -26,15 +26,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 from .check import ERROR, INFO, WARNING, CheckReport, _verdicts
 from .events import StallEnd, StallStart
 from .metrics import Histogram, MetricsRegistry, registry_from_trace
 from .spans import STATUS_MISSED, Span
 from .svg import (LaneSegment, Series, StripCell, bar_chart, cdf_chart,
-                  flame_lanes, histogram_chart, legend_html, line_chart,
-                  series_class, strip_chart)
+                  escape, flame_lanes, histogram_chart, legend_html,
+                  line_chart, series_class, strip_chart)
 from .trace_export import Trace, _analysis
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
-from xml.sax.saxutils import escape
 
 #: Categorical CSS classes in fixed assignment order (never cycled: a
 #: ninth series folds into the eighth slot rather than inventing a hue).
@@ -34,6 +33,16 @@ SERIES_CLASSES = ("s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8")
 
 #: Chart margins (left, top, right, bottom) around the plot area.
 _MARGINS = (52, 10, 14, 30)
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` as ``xml.sax.saxutils.escape`` does.
+
+    Local so the reports need not import ``xml.sax.saxutils``, which
+    pulls in ``urllib.request``, ``http.client``, ``email`` and ``ssl``.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace(
+        "<", "&lt;")
 
 
 def fmt(value: float) -> str:

@@ -67,9 +67,9 @@ deadline misses: WiFi dip" breakdowns.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from statistics import fmean, median
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .check import CheckReport, Violation, _verdicts
@@ -163,6 +163,19 @@ _MIN_WINDOW_SAMPLES = 2
 
 def _mbps(bytes_per_second: float) -> float:
     return bytes_per_second * 8.0 / 1e6
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``statistics.fmean``: one correctly rounded sum over the count."""
+    return math.fsum(values) / len(values)
+
+
+def _median(values: Sequence[float]) -> float:
+    """``statistics.median``: the middle value, or the mean of two."""
+    ordered, middle = sorted(values), len(values) // 2
+    if len(values) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +507,7 @@ class _Attributor:
                   if sample[2] > 0]
         if len(values) < _MIN_BASELINE_SAMPLES:
             return None
-        return median(values)
+        return _median(values)
 
     def _rule_bandwidth_drop(self, ctx) -> Optional[_RuleHit]:
         """The preferred path dipped well below its own baseline."""
@@ -506,7 +519,7 @@ class _Attributor:
             path, ctx["start_time"], ctx["time"], column=2)
         if len(window) < _MIN_WINDOW_SAMPLES:
             return None
-        current = fmean(value for _, value in window)
+        current = _mean([value for _, value in window])
         if current >= _BANDWIDTH_DROP_FRACTION * baseline:
             return None
         saved = None
@@ -548,7 +561,7 @@ class _Attributor:
         if not prior:
             return None
         recent_entries = prior[-_RECENT_DOWNLOADS:]
-        recent = fmean(entry[3] for entry in recent_entries)
+        recent = _mean([entry[3] for entry in recent_entries])
         if recent <= 0:
             return None
         required = size / window
@@ -617,13 +630,13 @@ class _Attributor:
                 if sample[3] > 0]
         if len(rtts) < _MIN_BASELINE_SAMPLES:
             return None
-        baseline_rtt = median(rtts)
+        baseline_rtt = _median(rtts)
         window = self.evidence.window_samples(
             path, ctx["start_time"], ctx["time"], column=3)
         window = [(index, value) for index, value in window if value > 0]
         if len(window) < _MIN_WINDOW_SAMPLES or baseline_rtt <= 0:
             return None
-        current_rtt = fmean(value for _, value in window)
+        current_rtt = _mean([value for _, value in window])
         ratio = current_rtt / baseline_rtt
         if ratio < _QUEUE_RTT_INFLATION:
             return None
@@ -667,7 +680,7 @@ class _Attributor:
             window = self.evidence.window_samples(
                 path, time - _STALL_PROBE_WINDOW, time, column=2)
             if len(window) >= _MIN_WINDOW_SAMPLES:
-                current = fmean(value for _, value in window)
+                current = _mean([value for _, value in window])
                 if current < _BANDWIDTH_DROP_FRACTION * baseline:
                     return Attribution(
                         kind=KIND_STALL, anomaly_index=index,

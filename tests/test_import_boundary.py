@@ -1,22 +1,37 @@
 """The read side never imports numpy; the simulation imports it at its
-first random draw.
+first random draw; no path imports a standard-library stack it does not
+use.
 
 Every ``--load`` command and every derived view of a recorded trace must
 run in a process where ``import numpy`` fails, and give the bytes they
 give with numpy present.  Only the code that draws random numbers, the
-offline DP and ``percentile`` may import it, inside those functions
-(docs/architecture.md, "Import boundary").
+offline DP and ``percentile`` may import it, inside those functions.
+Nothing a ``jobs=1`` fleet campaign or its views run loads the network,
+TLS, XML, multiprocessing or ``statistics`` stacks (docs/architecture.md,
+"Import boundary").
 """
 
 import json
 import os
+import statistics
 import subprocess
 import sys
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.experiments import SessionConfig, run_session
+from repro.obs.svg import escape
+from repro.obs.why import _mean, _median
+
+#: Standard-library modules no ``repro`` path on a ``jobs=1`` run uses;
+#: ``xml.sax.saxutils`` alone would pull in the first four.
+UNUSED_STDLIB = ("ssl", "http.client", "email", "urllib.request", "xml.sax",
+                 "multiprocessing", "concurrent.futures.process",
+                 "statistics", "platform")
 
 #: Shared by the test process and the numpy-less child: every
 #: ``trace_views`` view of one trace, then every ``--load`` command's
@@ -96,6 +111,48 @@ print(result.metrics.chunk_count)
 '''
 
 
+LEAN = READ_SIDE + '''
+import importlib
+import pkgutil
+import sys
+
+out, unused = sys.argv[1], json.loads(sys.argv[2])
+
+
+def loaded():
+    return [name for name in unused if name in sys.modules]
+
+
+import repro
+import repro.cli
+import repro.experiments.fleet
+import repro.obs
+
+for module in pkgutil.iter_modules(repro.obs.__path__):
+    importlib.import_module("repro.obs." + module.name)
+assert loaded() == [], f"importing repro loaded {loaded()}"
+
+# The simulation draws with numpy, which imports platform itself.
+import numpy
+
+unused = [name for name in unused if name not in sys.modules]
+from repro.experiments.fleet import FleetConfig, run_fleet
+from repro.obs.recorder import RecorderConfig
+
+result = run_fleet(FleetConfig(sessions=8, shard_size=3, video_duration=6.0,
+                               seed=7, fault_session=3), jobs=1,
+                   recorder=RecorderConfig(os.path.join(out, "records")))
+result.export_report(os.path.join(out, "fleet.html"), triage_top=3)
+capture = next(record for record in result.anomalies
+               if record["reason"] == "violation")
+outputs = read_side(os.path.join(result.record_dir, capture["artifact"]),
+                    out)
+print(json.dumps({"loaded": loaded(), "unused": unused,
+                  "reports": sorted(os.listdir(out)),
+                  "why": json.loads(outputs["why"])}))
+'''
+
+
 def _python(source, *args):
     """Run ``source`` in a fresh interpreter that imports this ``repro``."""
     root = os.path.dirname(os.path.dirname(repro.__file__))
@@ -135,3 +192,28 @@ def test_read_side_runs_without_numpy_and_gives_the_same_bytes(
 
 def test_import_repro_leaves_numpy_to_the_first_draw():
     assert int(_python(FRESH)) > 0
+
+
+def test_a_jobs1_fleet_and_its_views_load_no_unused_stdlib_stack(tmp_path):
+    done = json.loads(_python(LEAN, str(tmp_path),
+                              json.dumps(UNUSED_STDLIB)))
+    assert done["loaded"] == []
+    assert set(UNUSED_STDLIB) - set(done["unused"]) <= {"platform"}
+    assert "fleet.html" in done["reports"]
+    assert any(name.startswith("anomaly-") for name in done["reports"])
+    assert done["why"], "the capture's views explained nothing"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_escape_matches_the_stdlib_escape(text):
+    assert escape(text) == sax_escape(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          min_value=-1e100, max_value=1e100)
+                | st.integers(-2**60, 2**60), min_size=1))
+def test_mean_and_median_match_statistics(values):
+    assert repr(_mean(values)) == repr(statistics.fmean(values))
+    assert repr(_median(values)) == repr(statistics.median(values))

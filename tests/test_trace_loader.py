@@ -243,14 +243,32 @@ def test_cli_load_says_cannot_load(damaged, name, command, status,
 @pytest.mark.parametrize("name", NAMES)
 def test_cli_diff_says_cannot_load(damaged, name, clean_text, tmp_path,
                                    capsys):
-    good = tmp_path / "good.jsonl"
+    good, copy = tmp_path / "good.jsonl", tmp_path / "copy.jsonl"
+    bad = damaged[name]
     good.write_text(clean_text)
-    assert main(["trace", "--load", str(good), "--diff",
-                 damaged[name]]) == 1
-    assert main(["why", "--diff", str(good), damaged[name]]) == 2
+    assert main(["trace", "--load", str(good), "--out", str(copy),
+                 "--diff", bad]) == 1
+    assert not copy.exists()
+    assert main(["why", "--diff", str(good), bad]) == 2
+    assert main(["why", "--diff", bad, str(good)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("cannot load") == 2
-    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    for command, line in zip(("trace", "why", "why"), lines):
+        assert line.startswith(f"repro {command}: cannot load {bad}: ")
+    assert captured.out == ""
+
+
+def test_trace_diff_writes_the_copy_and_says_so(clean_text, tmp_path,
+                                                capsys):
+    good, copy = tmp_path / "good.jsonl", tmp_path / "copy.jsonl"
+    good.write_text(clean_text)
+    assert main(["trace", "--load", str(good), "--out", str(copy),
+                 "--diff", str(good), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)["delta"].values()) == {0}
+    assert captured.err == f"trace written to {copy}\n"
+    assert copy.read_text() == clean_text
 
 
 # ----------------------------------------------------------------------
