@@ -41,7 +41,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .abr import abr_names
 from .analysis.metrics import SessionMetrics
@@ -51,9 +51,7 @@ from .experiments import (BASELINE, DURATION, FileDownloadConfig, FleetConfig,
                           RATE, SessionConfig, expand_grid, run_file_download,
                           run_fleet, run_schemes, run_session, run_sweep)
 from .experiments.tables import fleet_table, format_table, pct, sweep_table
-from .obs import (EventBus, FleetCheckpointSaved, FleetSessionCaptured,
-                  FleetShardCompleted, RecorderConfig, SweepRunFailed,
-                  SweepRunFinished, Trace,
+from .obs import (RecorderConfig, Trace,
                   attribute_anomaly, attributions_from_trace, check_trace,
                   detect_drift, diff_traces, drift_table,
                   dump_chrome_trace, dump_jsonl, gate_ok,
@@ -412,13 +410,7 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_stream(args: argparse.Namespace) -> int:
-    config = SessionConfig(
-        video=args.video, abr=args.abr, mpdash=args.mpdash,
-        deadline_mode=args.deadline_mode, alpha=args.alpha,
-        wifi_mbps=args.wifi, lte_mbps=args.lte,
-        wifi_rtt_ms=args.wifi_rtt, lte_rtt_ms=args.lte_rtt,
-        video_duration=args.duration)
-    result = run_session(config, ledger=args.ledger)
+    result = run_session(_session_config(args), ledger=args.ledger)
     metrics = result.metrics
     # Human-oriented tables go to stderr (the stats/spans/check
     # convention): stdout stays machine-parseable for every command.
@@ -519,6 +511,16 @@ def _sweep_report(result) -> dict:
             "cache_hits": result.cache_hits, "runs": runs}
 
 
+def _progress(args: argparse.Namespace
+              ) -> Optional[Callable[[str], None]]:
+    """The engines' progress callback: print each line to stderr, so
+    stdout carries only the final table (or, with ``--json``, only the
+    JSON document, and then no progress at all)."""
+    if args.json:
+        return None
+    return lambda line: print(line, file=sys.stderr)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
@@ -535,22 +537,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
 
-    bus = EventBus()
-    if not args.json:
-        # Progress goes to stderr so stdout carries only the final table
-        # (or, with --json, only the JSON document).
-        total = len(configs)
-        bus.subscribe(SweepRunFinished, lambda e: print(
-            f"[{e.time:8.2f}s] run {e.index + 1}/{total} {e.key[:12]} "
-            f"{'cached' if e.cached else f'done in {e.elapsed:.2f}s'}",
-            file=sys.stderr))
-        bus.subscribe(SweepRunFailed, lambda e: print(
-            f"[{e.time:8.2f}s] run {e.index + 1}/{total} {e.key[:12]} "
-            f"FAILED ({e.kind}, {e.attempts} attempt(s)): {e.error}",
-            file=sys.stderr))
     result = run_sweep(configs, jobs=args.jobs, cache_dir=args.cache_dir,
-                       timeout=args.timeout, retries=args.retries, bus=bus,
-                       ledger=args.ledger)
+                       timeout=args.timeout, retries=args.retries,
+                       progress=_progress(args), ledger=args.ledger)
     if args.json:
         print(json.dumps(_sweep_report(result), sort_keys=True))
     else:
@@ -654,13 +643,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if args.out is not None:  # only once every input is accepted
             dump_jsonl(args.out, trace.events, trace.meta)
     else:
-        config = SessionConfig(
-            video=args.video, abr=args.abr, mpdash=args.mpdash,
-            deadline_mode=args.deadline_mode, alpha=args.alpha,
-            wifi_mbps=args.wifi, lte_mbps=args.lte,
-            wifi_rtt_ms=args.wifi_rtt, lte_rtt_ms=args.lte_rtt,
-            video_duration=args.duration, record_trace=True)
-        result = run_session(config)
+        result = run_session(_session_config(args, record_trace=True))
         if args.out is not None:
             result.export_trace(args.out)
         trace = Trace(meta=result.trace_meta, events=result.events)
@@ -816,26 +799,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"repro fleet: {exc}", file=sys.stderr)
         return 2
 
-    bus = EventBus()
-    if not args.json:
-        total = config.total_shards
-        bus.subscribe(FleetShardCompleted, lambda e: print(
-            f"[{e.time:8.2f}s] shard {e.shard + 1}/{total} "
-            f"({e.sessions} sessions, {e.failures} failed) "
-            f"in {e.elapsed:.2f}s", file=sys.stderr))
-        bus.subscribe(FleetCheckpointSaved, lambda e: print(
-            f"[{e.time:8.2f}s] checkpoint @ {e.shards_done} shards "
-            f"-> {e.path}", file=sys.stderr))
-        if recorder is not None:
-            bus.subscribe(FleetSessionCaptured, lambda e: print(
-                f"[{e.time:8.2f}s] captured session {e.session} "
-                f"({e.reason}, score {e.score:.2f})", file=sys.stderr))
     try:
         result = run_fleet(
             config, jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every, resume=args.resume,
-            stop_after=args.stop_after, retries=args.retries, bus=bus,
-            recorder=recorder, ledger=args.ledger)
+            stop_after=args.stop_after, retries=args.retries,
+            progress=_progress(args), recorder=recorder, ledger=args.ledger)
     except ValueError as exc:
         print(f"repro fleet: {exc}", file=sys.stderr)
         return 2

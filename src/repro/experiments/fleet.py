@@ -46,10 +46,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..analysis.metrics import SessionMetrics
 from ..energy.devices import DEVICES
-from ..obs.bus import EventBus
-from ..obs.events import (FleetCheckpointSaved, FleetCompleted,
-                          FleetSessionCaptured, FleetShardCompleted,
-                          FleetStarted)
 from ..obs.metrics import (Histogram, MetricsRegistry, exponential_buckets,
                            linear_buckets)
 from ..obs.recorder import (RecorderConfig, ShardRecorder, empty_stats,
@@ -590,7 +586,7 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
               checkpoint_dir: Optional[str] = None,
               checkpoint_every: int = 10, resume: bool = False,
               stop_after: Optional[int] = None, retries: int = 1,
-              bus: Optional[EventBus] = None,
+              progress: Optional[Callable[[str], None]] = None,
               runner: Optional[Callable[[SessionConfig], Any]] = None,
               recorder: Optional[RecorderConfig] = None,
               ledger: Optional[str] = None) -> FleetResult:
@@ -613,9 +609,8 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
     ``recorder`` arms the flight recorder: workers judge every session
     against the capture triggers, write triggered traces as gzip
     artifacts under ``recorder.artifact_dir``, and the parent merges
-    stats and anomaly records, republishes them as
-    :class:`~repro.obs.events.FleetSessionCaptured` bus events, and
-    maintains the campaign's triage manifest.  Recording is purely
+    stats and anomaly records, reports each capture as a progress line,
+    and maintains the campaign's triage manifest.  Recording is purely
     observational — it never changes ``fleet_key`` or the population
     registry.
 
@@ -634,12 +629,11 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
         raise ValueError(f"retries cannot be negative: {retries!r}")
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires checkpoint_dir")
-    if bus is None:
-        bus = EventBus()
     start = time.perf_counter()
 
-    def clock() -> float:
-        return time.perf_counter() - start
+    def report(line: str) -> None:
+        if progress is not None:
+            progress(f"[{time.perf_counter() - start:8.2f}s] {line}")
 
     key = fleet_key(config)
     total = config.total_shards
@@ -676,7 +670,6 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
     end_shard = total
     if stop_after is not None:
         end_shard = min(total, shards_done + stop_after)
-    bus.publish(FleetStarted(0.0, config.sessions, total, jobs))
 
     uncheckpointed = 0
 
@@ -700,19 +693,17 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
             errors.append(sample)
         shards_done += 1
         uncheckpointed += 1
-        bus.publish(FleetShardCompleted(
-            clock(), shard, payload["sessions"],
-            payload["failures"], payload["elapsed"]))
+        report(f"shard {shard + 1}/{total} ({payload['sessions']} sessions, "
+               f"{payload['failures']} failed) in "
+               f"{payload['elapsed']:.2f}s")
         rec_payload = payload.get("recorder")
         if recorder is not None and rec_payload is not None:
             merge_stats(rec_stats, rec_payload["stats"])
             anomalies.extend(rec_payload["records"])
             for record in rec_payload["records"]:
-                bus.publish(FleetSessionCaptured(
-                    clock(), session=record["index"],
-                    shard=record["shard"], reason=record["reason"],
-                    score=float(record.get("score") or 0.0),
-                    artifact=record.get("artifact") or ""))
+                report(f"captured session {record['index']} "
+                       f"({record['reason']}, score "
+                       f"{float(record.get('score') or 0.0):.2f})")
         if ckpt_file is not None and (uncheckpointed >= checkpoint_every
                                       or shards_done == end_shard):
             save_checkpoint(ckpt_file, key, shards_done, sessions,
@@ -720,8 +711,7 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
                             error_total=error_total,
                             recorder_state=recorder_state())
             uncheckpointed = 0
-            bus.publish(FleetCheckpointSaved(clock(), shards_done,
-                                             ckpt_file))
+            report(f"checkpoint @ {shards_done} shards -> {ckpt_file}")
             if recorder is not None:
                 save_manifest(recorder.artifact_dir, key, rec_stats,
                               anomalies)
@@ -741,7 +731,6 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
     if recorder is not None:
         save_manifest(recorder.artifact_dir, key, rec_stats, anomalies)
     wall = time.perf_counter() - start
-    bus.publish(FleetCompleted(wall, sessions, failures, shards_done))
     result = FleetResult(
         config=config, registry=registry, sessions=sessions,
         failures=failures, shards_done=shards_done, total_shards=total,

@@ -15,12 +15,9 @@ times.  This module turns those loops into *sweeps*: lists of configs
   ``timeout``, is retried up to ``retries`` times and then recorded as a
   structured :class:`RunFailure` — the sweep always completes and reports
   every config.
-* **Live telemetry.**  Run lifecycle events
-  (:class:`~repro.obs.events.SweepRunStarted` /
-  :class:`~repro.obs.events.SweepRunFinished` /
-  :class:`~repro.obs.events.SweepRunFailed` …) are published on a
-  :class:`~repro.obs.bus.EventBus` so callers can render progress without
-  polling.
+* **Progress lines.**  Every settled run (done, cached or FAILED) is
+  reported as one human-readable line to an optional ``progress``
+  callback, which the CLI prints to stderr.
 
 The unit of exchange across the process boundary is a
 :class:`SessionSummary` or :class:`DownloadSummary` — a picklable,
@@ -44,9 +41,6 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 
 from ..analysis.metrics import SessionMetrics
 from ..net.trace import BandwidthTrace
-from ..obs.bus import EventBus
-from ..obs.events import (SweepCompleted, SweepRunFailed, SweepRunFinished,
-                          SweepRunStarted, SweepStarted)
 from .configs import FileDownloadConfig, SessionConfig
 from .pool import run_units
 from .runner import (FileDownloadResult, SessionResult, run_file_download,
@@ -514,25 +508,25 @@ def merged_histograms(result: SweepResult) -> Dict[str, Any]:
 def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
               cache_dir: Optional[str] = None,
               timeout: Optional[float] = None, retries: int = 0,
-              bus: Optional[EventBus] = None,
+              progress: Optional[Callable[[str], None]] = None,
               runner: Optional[Callable[[Any], RunSummary]] = None,
               ledger: Optional[str] = None) -> SweepResult:
     """Run every config, in parallel, reusing cached results.
 
-    ``jobs=1`` runs in-process (no pickling, exact tracebacks in events);
-    ``jobs>1`` fans out over a process pool (see
-    :mod:`repro.experiments.pool` for the crash semantics).  Identical
-    configs within one sweep are deduplicated by :func:`config_key` —
-    simulated once, with the outcome (summary or failure) shared by every
-    duplicate.  ``cache_dir`` enables the on-disk result cache;
-    ``timeout`` bounds each run's wall-clock seconds; a run that fails
-    (raises, times out, or loses its worker) is retried up to ``retries``
-    times, then recorded as a :class:`RunFailure`.  ``runner`` replaces
-    :func:`default_runner` (it must be a picklable, module-level callable
-    when ``jobs > 1``) — the hook the failure-injection tests and custom
-    harnesses use.  Lifecycle telemetry is published on ``bus``.
-    ``ledger`` appends the finished sweep's headline record to the run
-    ledger at that path (see :mod:`repro.obs.ledger`).
+    ``jobs=1`` runs in-process (no pickling); ``jobs>1`` fans out over a
+    process pool (see :mod:`repro.experiments.pool` for the crash
+    semantics).  Identical configs within one sweep are deduplicated by
+    :func:`config_key` — simulated once, with the outcome (summary or
+    failure) shared by every duplicate.  ``cache_dir`` enables the
+    on-disk result cache; ``timeout`` bounds each run's wall-clock
+    seconds; a run that fails (raises, times out, or loses its worker)
+    is retried up to ``retries`` times, then recorded as a
+    :class:`RunFailure`.  ``runner`` replaces :func:`default_runner` (it
+    must be a picklable, module-level callable when ``jobs > 1``) — the
+    hook the failure-injection tests and custom harnesses use.
+    ``progress`` receives one line per settled run (done, cached or
+    FAILED).  ``ledger`` appends the finished sweep's headline record to
+    the run ledger at that path (see :mod:`repro.obs.ledger`).
     """
     configs = list(configs)
     if jobs < 1:
@@ -541,16 +535,20 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         raise ValueError(f"retries cannot be negative: {retries!r}")
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive: {timeout!r}")
-    if bus is None:
-        bus = EventBus()
     start = time.perf_counter()
-
-    def clock() -> float:
-        return time.perf_counter() - start
-
     runs = [SweepRun(index=i, config=config, config_key=config_key(config))
             for i, config in enumerate(configs)]
-    bus.publish(SweepStarted(0.0, len(runs), jobs))
+
+    def report(run: SweepRun, outcome: str) -> None:
+        if progress is not None:
+            progress(f"[{time.perf_counter() - start:8.2f}s] run "
+                     f"{run.index + 1}/{len(runs)} {run.config_key[:12]} "
+                     f"{outcome}")
+
+    def failed(run: SweepRun) -> None:
+        failure = run.failure
+        report(run, f"FAILED ({failure.kind}, {failure.attempts} "
+                    f"attempt(s)): {failure.error}")
 
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     pending: List[SweepRun] = []
@@ -567,15 +565,12 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         if hit is not None:
             run.summary = hit
             run.cached = True
-            bus.publish(SweepRunFinished(clock(), run.config_key,
-                                         run.index, 0.0, True))
+            report(run, "cached")
         else:
             pending.append(run)
 
     def started(run: SweepRun, attempt: int) -> None:
         run.attempts = attempt
-        bus.publish(SweepRunStarted(clock(), run.config_key, run.index,
-                                    attempt))
 
     def done(run: SweepRun, outcome: tuple) -> Optional[tuple]:
         status, summary, elapsed = outcome
@@ -591,8 +586,7 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
                 # finished simulation: keep the in-memory summary and
                 # record the write failure as a warning on the run.
                 run.cache_error = f"{type(exc).__name__}: {exc}"
-        bus.publish(SweepRunFinished(clock(), run.config_key, run.index,
-                                     elapsed, False))
+        report(run, f"done in {elapsed:.2f}s")
         return None
 
     def give_up(run: SweepRun, attempts: int, failure: Any) -> None:
@@ -603,8 +597,7 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         run.failure = RunFailure(config_key=run.config_key, index=run.index,
                                  kind=kind, error=error, attempts=attempts,
                                  elapsed=run.elapsed)
-        bus.publish(SweepRunFailed(clock(), run.config_key, run.index, kind,
-                                   error, attempts))
+        failed(run)
 
     # Unordered: runs are indexed, and a slow head-of-line config must
     # not idle the pool on a heterogeneous grid.
@@ -618,19 +611,12 @@ def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
         if primary.summary is not None:
             run.summary = primary.summary
             run.cached = True  # served without a fresh simulation
-            bus.publish(SweepRunFinished(clock(), run.config_key,
-                                         run.index, 0.0, True))
+            report(run, "cached")
         elif primary.failure is not None:
             run.failure = replace(primary.failure, index=run.index)
-            bus.publish(SweepRunFailed(
-                clock(), run.config_key, run.index, run.failure.kind,
-                run.failure.error, run.failure.attempts))
+            failed(run)
 
     wall = time.perf_counter() - start
-    succeeded = sum(1 for run in runs if run.ok)
-    cache_hits = sum(1 for run in runs if run.cached)
-    bus.publish(SweepCompleted(wall, len(runs), succeeded,
-                               len(runs) - succeeded, cache_hits))
     result = SweepResult(runs=runs, jobs=jobs, wall_clock=wall,
                          cache_dir=cache_dir)
     if ledger is not None:

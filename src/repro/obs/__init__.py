@@ -44,11 +44,7 @@ inputs — live and offline rendering are byte-identical).
 from .bus import EventBus
 from .drift import detect_drift, drift_table, gate_ok, trend_document
 from .check import ERROR, INFO, WARNING, check_trace, stock_checkers
-from .events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
-                     FleetCheckpointSaved, FleetCompleted,
-                     FleetSessionCaptured, FleetShardCompleted, FleetStarted,
-                     SweepCompleted, SweepRunFailed, SweepRunFinished,
-                     SweepRunStarted, SweepStarted)
+from .events import RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL
 from .metrics import (MetricsRegistry, SessionMetricsCollector,
                       collector_from_trace, registry_from_trace)
 from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
@@ -67,12 +63,9 @@ from .why import (attribute_anomaly, attributions_from_trace, diff_traces,
 
 __all__ = [
     "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL", "WARNING",
-    "EventBus", "FleetCheckpointSaved", "FleetCompleted",
-    "FleetSessionCaptured", "FleetShardCompleted", "FleetStarted",
-    "MetricsRegistry", "RecorderConfig", "SessionMetricsCollector",
-    "ShardRecorder", "SweepCompleted", "SweepRunFailed", "SweepRunFinished",
-    "SweepRunStarted", "SweepStarted", "Trace",
-    "TraceMeta", "TraceRecorder", "analyzer_from_trace", "attribute_anomaly",
+    "EventBus", "MetricsRegistry", "RecorderConfig",
+    "SessionMetricsCollector", "ShardRecorder", "Trace", "TraceMeta",
+    "TraceRecorder", "analyzer_from_trace", "attribute_anomaly",
     "attributions_from_trace", "check_trace", "collector_from_trace",
     "detect_drift", "diff_traces", "drift_table", "dump_chrome_trace",
     "dump_jsonl", "dumps_jsonl", "find_manifests", "fleet_report_html",

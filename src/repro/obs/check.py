@@ -38,20 +38,14 @@ from .events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL, ChunkDownloaded,
                      PathSampled, PathStateRequested, QualitySwitched,
                      RadioStateChange, SchedulerActivated, SessionClosed,
                      StallEnd, StallStart, SubflowReconnected,
-                     SubflowStateChange, SweepCompleted, SweepRunFailed,
-                     SweepRunFinished, SweepRunStarted, SweepStarted,
-                     TraceEvent, TransferCompleted, TransferStarted)
+                     SubflowStateChange, TraceEvent, TransferCompleted,
+                     TransferStarted)
 
 #: Violation severities, in increasing order of badness.
 INFO = "info"
 WARNING = "warning"
 ERROR = "error"
 SEVERITIES = (INFO, WARNING, ERROR)
-
-#: Sweep harness events carry wall-clock times from a different bus; no
-#: session-level invariant applies to them.
-_SWEEP_EVENTS = (SweepStarted, SweepRunStarted, SweepRunFinished,
-                 SweepRunFailed, SweepCompleted)
 
 #: Events held to per-path (not global) time monotonicity — see
 #: :class:`MonotonicTimeChecker`.  Exact-class membership, matching the
@@ -240,7 +234,7 @@ class InvariantMonitor:
         """Dispatch one event to every interested checker."""
         self.index += 1
         cls = event.__class__
-        if cls not in _SWEEP_EVENTS and event.time > self._last_time:
+        if event.time > self._last_time:
             self._last_time = event.time
         handlers = self._dispatch.get(cls)
         if handlers is None:
@@ -335,8 +329,6 @@ class MonotonicTimeChecker(Checker):
 
     def _on_event(self, event: TraceEvent) -> None:
         cls = event.__class__
-        if cls in _SWEEP_EVENTS:
-            return  # wall-clock times of the sweep harness, not the sim
         time = event.time
         # Hot path first: this handler sees every event of every checked
         # session, and almost all of them just advance the watermark.

@@ -270,119 +270,6 @@ class SessionClosed(TraceEvent):
 
 
 # ----------------------------------------------------------------------
-# Experiment sweeps (repro.experiments.sweep)
-# ----------------------------------------------------------------------
-# Sweep events describe the *harness*, not a simulation: ``time`` is
-# wall-clock seconds since the sweep started, and ``key`` the run's
-# deterministic config hash (see :func:`repro.experiments.sweep.config_key`).
-@dataclass(frozen=True, slots=True)
-class SweepStarted(TraceEvent):
-    """A sweep of ``total`` configs began on ``jobs`` workers."""
-
-    total: int
-    jobs: int
-
-
-@dataclass(frozen=True, slots=True)
-class SweepRunStarted(TraceEvent):
-    """One run (or retry ``attempt`` of it) was handed to a worker."""
-
-    key: str
-    index: int
-    attempt: int
-
-
-@dataclass(frozen=True, slots=True)
-class SweepRunFinished(TraceEvent):
-    """One run produced a summary, freshly (``elapsed`` seconds of worker
-    time) or straight from the on-disk cache."""
-
-    key: str
-    index: int
-    elapsed: float
-    cached: bool
-
-
-@dataclass(frozen=True, slots=True)
-class SweepRunFailed(TraceEvent):
-    """One run exhausted its retries; ``kind`` is ``error`` or ``timeout``."""
-
-    key: str
-    index: int
-    kind: str
-    error: str
-    attempts: int
-
-
-@dataclass(frozen=True, slots=True)
-class SweepCompleted(TraceEvent):
-    """The sweep drained; every config is accounted for."""
-
-    total: int
-    succeeded: int
-    failed: int
-    cache_hits: int
-
-
-# ----------------------------------------------------------------------
-# Fleet campaigns (repro.experiments.fleet)
-# ----------------------------------------------------------------------
-# Fleet events, like sweep events, describe the harness: ``time`` is
-# wall-clock seconds since the campaign (re)started.
-@dataclass(frozen=True, slots=True)
-class FleetStarted(TraceEvent):
-    """A fleet campaign of ``sessions`` sessions in ``shards`` shards
-    began on ``jobs`` workers."""
-
-    sessions: int
-    shards: int
-    jobs: int
-
-
-@dataclass(frozen=True, slots=True)
-class FleetShardCompleted(TraceEvent):
-    """One shard's folded registry was merged into the population."""
-
-    shard: int
-    sessions: int
-    failures: int
-    elapsed: float
-
-
-@dataclass(frozen=True, slots=True)
-class FleetCheckpointSaved(TraceEvent):
-    """The population state through ``shards_done`` shards was atomically
-    written to ``path``."""
-
-    shards_done: int
-    path: str
-
-
-@dataclass(frozen=True, slots=True)
-class FleetCompleted(TraceEvent):
-    """The campaign drained (or hit its ``stop_after`` bound)."""
-
-    sessions: int
-    failures: int
-    shards: int
-
-
-@dataclass(frozen=True, slots=True)
-class FleetSessionCaptured(TraceEvent):
-    """The flight recorder kept one session's full trace.
-
-    ``artifact`` is the path relative to the recorder's artifact root
-    (empty for trace-less failure records); ``score`` is the reason-
-    specific badness used by triage ranking."""
-
-    session: int
-    shard: int
-    reason: str
-    score: float
-    artifact: str
-
-
-# ----------------------------------------------------------------------
 # Energy (repro.energy)
 # ----------------------------------------------------------------------
 #: Radio power states for :class:`RadioStateChange`.
@@ -409,10 +296,7 @@ EVENT_TYPES: Dict[str, type] = {
         DeadlineMissed, HttpRequestSent, HttpResponseReceived,
         ChunkRequested, MpDashArmed, MpDashSkipped, ChunkDownloaded,
         QualitySwitched, PlaybackStarted, StallStart, StallEnd,
-        PlaybackEnded, SessionClosed, RadioStateChange, SweepStarted,
-        SweepRunStarted, SweepRunFinished, SweepRunFailed, SweepCompleted,
-        FleetStarted, FleetShardCompleted, FleetCheckpointSaved,
-        FleetCompleted, FleetSessionCaptured,
+        PlaybackEnded, SessionClosed, RadioStateChange,
     )
 }
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .check import ERROR, check_trace
+from .events import mistyped_field
 from .trace_export import Trace, dumps_jsonl, gzip_bytes, load_jsonl
 from .why import attributions_from_trace, summarize_attributions
 
@@ -419,23 +420,44 @@ def rank_anomalies(records: Sequence[Mapping[str, Any]],
     return ranked if top is None else ranked[:top]
 
 
+def load_capture(artifact_dir: str, artifact: str) -> Trace:
+    """Load one captured trace from under the recorder root.
+
+    Every triage view reads captures through here.  The field types are
+    checked once (:func:`~repro.obs.events.mistyped_field`, the check the
+    CLI runs on every ``--load``), so a damaged capture is refused up
+    front instead of crashing or fooling a view.  Raises ``OSError`` when
+    the artifact cannot be read and ``ValueError`` naming it when it does
+    not parse or holds a mistyped field.
+    """
+    path = os.path.join(artifact_dir, artifact)
+    try:
+        trace = load_jsonl(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    problem = mistyped_field(trace.events)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
+    return trace
+
+
 def replay_anomaly(artifact_dir: str,
                    record: Mapping[str, Any]) -> Dict[str, Any]:
     """Re-judge one captured trace through the offline pipeline.
 
-    Loads the gzip artifact, replays it through
+    Loads the gzip artifact (:func:`load_capture`), replays it through
     :func:`~repro.obs.check.check_trace`, and reports the offline
     verdict counts alongside the recorded ones — live == offline is the
     observability layer's standing identity, and this is where a fleet
     operator verifies it per anomaly.  Trace-less records (failures) and
-    unreadable artifacts degrade to an ``error`` entry, never a raise.
+    unreadable or damaged artifacts degrade to an ``error`` entry, never
+    a raise.
     """
     artifact = record.get("artifact")
     if not artifact:
         return {"replayed": False, "error": "no artifact (trace-less)"}
-    path = os.path.join(artifact_dir, artifact)
     try:
-        trace = load_jsonl(path)
+        trace = load_capture(artifact_dir, artifact)
     except (OSError, ValueError) as exc:
         return {"replayed": False,
                 "error": f"{type(exc).__name__}: {exc}"}
@@ -458,9 +480,9 @@ def render_anomaly_reports(artifact_dir: str,
     ``anomaly-<index>.html`` (the full single-session report via
     :func:`~repro.obs.report.session_report_html`, derived offline from
     the captured trace) into ``out_dir`` and returns ``{session index:
-    filename}`` for linking.  Trace-less and unreadable records are
-    skipped — triage must degrade, not raise, on a partially scrubbed
-    artifact directory.
+    filename}`` for linking.  Trace-less, unreadable and damaged
+    records are skipped — triage must degrade, not raise, on a
+    partially scrubbed artifact directory.
     """
     from .report import session_report_html, write_report
 
@@ -471,7 +493,7 @@ def render_anomaly_reports(artifact_dir: str,
         if not artifact:
             continue
         try:
-            trace = load_jsonl(os.path.join(artifact_dir, artifact))
+            trace = load_capture(artifact_dir, artifact)
         except (OSError, ValueError):
             continue
         index = int(record["index"])

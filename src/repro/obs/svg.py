@@ -14,10 +14,10 @@ deterministic pure function of its inputs:
 * no timestamps, ids, or randomness ever enter the output.
 
 Chart forms: :func:`line_chart` (line/step timeseries with optional
-shaded windows), :func:`stacked_area`, :func:`bar_chart`,
-:func:`histogram_chart`, :func:`cdf_chart`, :func:`strip_chart` (the
-Figure-8 categorical strip), and :func:`flame_lanes` (span/radio-state
-lanes).  :func:`legend_html` renders the matching HTML legend row.
+shaded windows), :func:`bar_chart`, :func:`histogram_chart`,
+:func:`cdf_chart`, :func:`strip_chart` (the Figure-8 categorical strip),
+and :func:`flame_lanes` (span/radio-state lanes).  :func:`legend_html`
+renders the matching HTML legend row.
 """
 
 from __future__ import annotations
@@ -286,42 +286,6 @@ def line_chart(series: Sequence[Series], *, width: int = 720,
                     f'cy="{fmt(frame.sy(y))}" r="4">'
                     f'<title>{escape(one.label)}: '
                     f'{tick_label(y)} @ {tick_label(x)}</title></circle>')
-    return _svg(width, height, parts, title=title)
-
-
-def stacked_area(series: Sequence[Series], *, width: int = 720,
-                 height: int = 220, x_label: str = "", y_label: str = "",
-                 title: str = "") -> str:
-    """Stacked area chart of aligned series (shared x grid).
-
-    Series are stacked in the given order, bottom first; x values are
-    aligned by position (extra points beyond the shortest series are
-    dropped).
-    """
-    series = [s for s in series if len(s.points)]
-    if not series:
-        return _empty(width, height, "no samples")
-    length = min(len(s.points) for s in series)
-    xs = [x for x, _ in series[0].points[:length]]
-    stacks: List[List[float]] = []
-    running = [0.0] * length
-    for one in series:
-        running = [running[i] + one.points[i][1] for i in range(length)]
-        stacks.append(list(running))
-    frame = _Frame(width, height, min(xs), max(xs), 0.0,
-                   max(max(running), 1e-9))
-    parts = frame.chrome(x_label, y_label)
-    for index in range(len(series) - 1, -1, -1):
-        top = stacks[index]
-        base = stacks[index - 1] if index > 0 else [0.0] * length
-        coords = [f"{fmt(frame.sx(xs[i]))},{fmt(frame.sy(top[i]))}"
-                  for i in range(length)]
-        coords.extend(f"{fmt(frame.sx(xs[i]))},{fmt(frame.sy(base[i]))}"
-                      for i in range(length - 1, -1, -1))
-        parts.append(f'<polygon class="area {series_class(index)}" '
-                     f'points="{" ".join(coords)}">'
-                     f'<title>{escape(series[index].label)}</title>'
-                     f'</polygon>')
     return _svg(width, height, parts, title=title)
 
 

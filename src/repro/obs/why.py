@@ -68,7 +68,6 @@ deadline misses: WiFi dip" breakdowns.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -79,7 +78,7 @@ from .events import (ChunkDownloaded, ChunkRequested, DeadlineMissed,
                      SessionClosed, StallStart, TransferCompleted,
                      TransferStarted)
 from .spans import spans_from_trace, transfer_chunk_map
-from .trace_export import Trace, load_jsonl
+from .trace_export import Trace
 
 # ----------------------------------------------------------------------
 # Vocabulary
@@ -814,22 +813,23 @@ def attribute_anomaly(artifact_dir: str,
     """Attribute one flight-recorder capture from its artifact on disk.
 
     The ``repro why --record-dir`` path: loads the record's gzip
-    artifact relative to the recorder root and runs the same pure
-    attribution the live run would have produced.  Failures are
-    reported, not raised (mirrors
-    :func:`~repro.obs.recorder.replay_anomaly`)."""
+    artifact through :func:`~repro.obs.recorder.load_capture` and runs
+    the same pure attribution the live run would have produced.
+    Failures, a damaged capture included, are reported, not raised
+    (mirrors :func:`~repro.obs.recorder.replay_anomaly`)."""
+    from .recorder import load_capture  # the recorder imports this module
+
     artifact = record.get("artifact")
     if not artifact:
         return {"attributed": False, "attributions": [],
                 "summary": None,
                 "error": "record has no trace artifact"}
-    path = os.path.join(artifact_dir, artifact)
     try:
-        trace = load_jsonl(path)
-        attributions = attributions_from_trace(trace)
+        attributions = attributions_from_trace(
+            load_capture(artifact_dir, artifact))
     except (OSError, ValueError) as exc:
         return {"attributed": False, "attributions": [],
-                "summary": None, "error": f"{path}: {exc}"}
+                "summary": None, "error": f"{type(exc).__name__}: {exc}"}
     return {"attributed": True,
             "attributions": [a.to_dict() for a in attributions],
             "summary": summarize_attributions(attributions),

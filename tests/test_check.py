@@ -22,8 +22,8 @@ from repro.obs.events import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
                               PathStateRequested, QualitySwitched,
                               RadioStateChange, SchedulerActivated,
                               SessionClosed, StallEnd, StallStart,
-                              SubflowStateChange, SweepStarted,
-                              TransferCompleted, TransferStarted)
+                              SubflowStateChange, TransferCompleted,
+                              TransferStarted)
 
 
 def short_config(**kwargs):
@@ -141,12 +141,6 @@ class TestMonotonicTime:
             [PacketSent(2.0, "wifi", 10.0), PacketSent(1.0, "wifi", 5.0)],
             [MonotonicTimeChecker()])
         assert len(dirty.violations) == 1
-
-    def test_sweep_events_exempt(self):
-        report = run_events(
-            [StallStart(100.0), SweepStarted(0.5, 4, 2)],
-            [MonotonicTimeChecker()])
-        assert not report.violations
 
     def test_nan_and_negative_times_flagged(self):
         report = run_events(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from tests.test_recorder import mistype_capture
 
 
 class TestParser:
@@ -243,6 +244,51 @@ class TestSessionArgs:
         assert expected["load"] == "run.jsonl"
         assert expected["alpha"] == 0.5
 
+
+
+class TestSessionConfigFromArgs:
+    """``stream`` and ``trace`` build their session from the shared
+    block: each flag reaches its own :class:`SessionConfig` field and no
+    other."""
+
+    FLAGS = [
+        (["--video", "tears_of_steel"], "video", "tears_of_steel"),
+        (["--abr", "bba-c"], "abr", "bba-c"),
+        (["--mpdash"], "mpdash", True),
+        (["--deadline-mode", "duration"], "deadline_mode", "duration"),
+        (["--alpha", "0.5"], "alpha", 0.5),
+        (["--wifi", "2.2"], "wifi_mbps", 2.2),
+        (["--lte", "1.2"], "lte_mbps", 1.2),
+        (["--wifi-rtt", "30"], "wifi_rtt_ms", 30.0),
+        (["--lte-rtt", "70"], "lte_rtt_ms", 70.0),
+        (["--duration", "20"], "video_duration", 20.0),
+    ]
+
+    class Built(Exception):
+        """Raised by the stand-in ``run_session`` once it holds the
+        config, so no session is simulated."""
+
+    @pytest.mark.parametrize("command", ["stream", "trace"])
+    @pytest.mark.parametrize("flag,field,value", FLAGS,
+                             ids=[field for _, field, _ in FLAGS])
+    def test_flag_sets_its_field(self, monkeypatch, command, flag, field,
+                                 value):
+        from dataclasses import replace
+
+        built = []
+
+        def capture(config, **kwargs):
+            built.append(config)
+            raise self.Built
+
+        monkeypatch.setattr("repro.cli.run_session", capture)
+        for argv in ([command], [command] + flag):
+            with pytest.raises(self.Built):
+                main(argv)
+        defaults, flagged = built
+        assert defaults.record_trace is (command == "trace")
+        assert getattr(defaults, field) != value
+        assert flagged == replace(defaults, **{field: value})
 
 class TestStats:
     def test_prometheus_on_stdout(self, capsys):
@@ -600,6 +646,36 @@ class TestFleetRecorderCli:
         capsys.readouterr()
         assert main(["triage", "--record-dir", records]) == 2
         assert "pick one with --fleet-key" in capsys.readouterr().err
+
+    def test_damaged_capture_degrades_triage_and_why(self, tmp_path,
+                                                     capsys):
+        assert main(self.record_args(tmp_path, ["--json"])) == 0
+        payload = json.loads(capsys.readouterr().out)
+        artifact = next(r["artifact"] for r in payload["anomalies"]
+                        if r["index"] == 2)
+        records = str(tmp_path / "records")
+        mistype_capture(f"{records}/{artifact}")
+        assert main(["triage", "--record-dir", records, "--json"]) == 0
+        out = capsys.readouterr()
+        triaged = {r["index"]: r for r in json.loads(out.out)["records"]}
+        replay = triaged[2]["replay"]
+        assert replay["replayed"] is False
+        assert artifact in replay["error"]
+        assert "(ChunkDownloaded) field level" in replay["error"]
+        assert any(r["replay"]["replayed"] for r in triaged.values())
+        html = tmp_path / "triage" / "triage.html"
+        html.parent.mkdir()
+        assert main(["triage", "--record-dir", records,
+                     "--html", str(html)]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and html.is_file()
+        assert not (html.parent / "anomaly-00000002.html").exists()
+        assert main(["why", "--record-dir", records, "--json"]) == 0
+        why = {r["index"]: r["why"]
+               for r in json.loads(capsys.readouterr().out)["records"]}
+        assert why[2]["attributed"] is False
+        assert artifact in why[2]["error"]
+        assert "field level" in why[2]["error"]
 
     def test_bad_recorder_args_exit_2(self, capsys):
         assert main(self.ARGS + ["--record-dir", "x",
@@ -1030,3 +1106,82 @@ class TestHistoryDeterminism:
         assert live_out.err == copy_out.err
         assert self._trend_bytes(live, capsys) == self._trend_bytes(
             copy, capsys)
+
+
+class TestProgressLines:
+    """The stderr progress lines of ``sweep`` and ``fleet``, exactly.
+
+    Wall-clock stamps and elapsed seconds are masked; everything else
+    (order, counts, keys, reasons, paths) is compared line for line.
+    """
+
+    # 300 s sessions take tens of ms, far beyond the 1 ms timeout below.
+    SWEEP = ["sweep", "--abr", "gpac", "--duration", "300",
+             "--wifi", "8", "--lte", "8", "--grid", "wifi_mbps=6,8,6"]
+    FLEET = ["fleet", "--sessions", "6", "--shard-size", "3",
+             "--duration", "8", "--seed", "3"]
+
+    @staticmethod
+    def progress(err, *paths):
+        import re
+
+        lines = []
+        for line in err.splitlines():
+            if not re.match(r"\[ *\d+\.\d\ds\] ", line):
+                continue
+            line = re.sub(r"^\[ *\d+\.\d\ds\]", "[t]", line)
+            line = re.sub(r"in \d+\.\d\ds", "in <s>", line)
+            for name, path in paths:
+                line = line.replace(path, name)
+            lines.append(line)
+        return lines
+
+    def test_sweep_fresh_cached_and_failed(self, tmp_path, capsys):
+        assert main(self.SWEEP + ["--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""  # --json prints no progress line
+        keys = [run["key"][:12] for run in
+                json.loads(captured.out)["runs"]]
+        assert keys[0] == keys[2] != keys[1]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(self.SWEEP + cache) == 0
+        assert self.progress(capsys.readouterr().err) == [
+            f"[t] run 1/3 {keys[0]} done in <s>",
+            f"[t] run 2/3 {keys[1]} done in <s>",
+            f"[t] run 3/3 {keys[2]} cached",
+        ]
+        assert main(self.SWEEP + cache) == 0
+        assert self.progress(capsys.readouterr().err) == [
+            f"[t] run 1/3 {keys[0]} cached",
+            f"[t] run 2/3 {keys[1]} cached",
+            f"[t] run 3/3 {keys[2]} cached",
+        ]
+        assert main(self.SWEEP + ["--timeout", "0.001"]) == 0
+        assert self.progress(capsys.readouterr().err) == [
+            f"[t] run 1/3 {keys[0]} FAILED (timeout, 1 attempt(s)): "
+            f"run exceeded 0.001s",
+            f"[t] run 2/3 {keys[1]} FAILED (timeout, 1 attempt(s)): "
+            f"run exceeded 0.001s",
+            f"[t] run 3/3 {keys[2]} FAILED (timeout, 1 attempt(s)): "
+            f"run exceeded 0.001s",
+        ]
+
+    def test_fleet_shards_checkpoints_and_captures(self, tmp_path, capsys):
+        ckpt, records = str(tmp_path / "ckpt"), str(tmp_path / "records")
+        argv = self.FLEET + ["--checkpoint-dir", ckpt,
+                             "--checkpoint-every", "1",
+                             "--record-dir", records,
+                             "--fault-session", "2"]
+        assert main(argv + ["--json"]) == 0
+        assert capsys.readouterr().err == ""  # --json: no progress line
+        assert main(argv) == 0
+        saved = "checkpoint @ %d shards -> <ckpt>/fleet-checkpoint.json"
+        assert self.progress(capsys.readouterr().err, ("<ckpt>", ckpt)) == [
+            "[t] shard 1/2 (3 sessions, 0 failed) in <s>",
+            "[t] captured session 0 (bottom_qoe, score -0.80)",
+            "[t] captured session 2 (violation, score 4.00)",
+            "[t] " + saved % 1,
+            "[t] shard 2/2 (3 sessions, 0 failed) in <s>",
+            "[t] captured session 3 (bottom_qoe, score -0.80)",
+            "[t] " + saved % 2,
+        ]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import time
 import xml.etree.ElementTree as ET
@@ -16,8 +17,7 @@ from repro.experiments.fleet import (FleetConfig, checkpoint_path,
 from repro.experiments.pool import REORDER_WINDOWS
 from repro.experiments.sweep import config_key
 from repro.experiments.tables import fleet_table
-from repro.obs import (EventBus, FleetCheckpointSaved, FleetCompleted,
-                       FleetShardCompleted, FleetStarted, fleet_report_html)
+from repro.obs import fleet_report_html
 from repro.workloads import (ARRIVAL_DIURNAL, DIURNAL_CURVE,
                              SessionArrivals, field_study_locations)
 
@@ -411,29 +411,23 @@ class TestUnpicklableRunner:
         assert "after 2 attempt(s)" in str(info.value)
 
 
-class TestFleetEvents:
-    def test_lifecycle_events_published(self, tmp_path):
-        bus = EventBus()
-        seen = []
-        bus.subscribe_all(seen.append)
+class TestFleetProgress:
+    def test_progress_lines(self, tmp_path):
+        lines = []
         config = small_fleet()
-        run_fleet(config, checkpoint_dir=str(tmp_path / "ckpt"),
-                  checkpoint_every=1, bus=bus)
-        kinds = [type(e).__name__ for e in seen]
-        assert kinds[0] == "FleetStarted" and kinds[-1] == "FleetCompleted"
-        assert kinds.count("FleetShardCompleted") == config.total_shards
-        assert kinds.count("FleetCheckpointSaved") == config.total_shards
-        started = next(e for e in seen if isinstance(e, FleetStarted))
-        assert started.sessions == 8 and started.shards == 3
-        completed = seen[-1]
-        assert isinstance(completed, FleetCompleted)
-        assert completed.sessions == 8 and completed.failures == 0
-        shard = next(e for e in seen
-                     if isinstance(e, FleetShardCompleted))
-        assert shard.shard == 0 and shard.sessions == 3
-        saved = next(e for e in seen
-                     if isinstance(e, FleetCheckpointSaved))
-        assert saved.path.endswith("fleet-checkpoint.json")
+        result = run_fleet(config, checkpoint_dir=str(tmp_path / "ckpt"),
+                           checkpoint_every=1, progress=lines.append)
+        assert result.sessions == 8 and result.failures == 0
+        shards = [line for line in lines if "] shard " in line]
+        saved = [line for line in lines if "] checkpoint @ " in line]
+        assert len(shards) == len(saved) == config.total_shards == 3
+        assert len(lines) == 2 * config.total_shards
+        assert re.search(r"\] shard 1/3 \(3 sessions, 0 failed\) in "
+                         r"\d+\.\d\ds$", lines[0])
+        assert sum(int(re.search(r"\((\d+) sessions", line).group(1))
+                   for line in shards) == 8
+        assert "] checkpoint @ 1 shards -> " in lines[1]
+        assert lines[1].endswith("fleet-checkpoint.json")
 
 
 class TestFleetOutputs:

@@ -8,14 +8,14 @@ import os
 import pytest
 
 from repro.experiments.fleet import FleetConfig, fleet_key, run_fleet
-from repro.obs import (EventBus, FleetSessionCaptured, RecorderConfig,
-                       ShardRecorder, find_manifests,
+from repro.obs import (RecorderConfig, ShardRecorder, find_manifests,
                        load_jsonl, load_manifest, rank_anomalies,
                        render_anomaly_reports, replay_anomaly, save_manifest,
                        triage_table)
 from repro.obs.events import StallStart
 from repro.obs.recorder import (REASON_ORDER, artifact_name, empty_stats,
-                                key_dir, merge_stats)
+                                key_dir, load_capture, merge_stats)
+from repro.obs.why import attribute_anomaly
 from repro.obs.trace_export import TraceMeta, dumps_jsonl, gzip_bytes
 
 
@@ -502,17 +502,20 @@ class TestFleetRecorderIntegration:
         assert payload["stats"] == result.recorder
         assert payload["records"] == result.anomalies
 
-    def test_capture_events_published(self, tmp_path):
-        bus = EventBus()
-        captures = []
-        bus.subscribe(FleetSessionCaptured, captures.append)
+    def test_capture_progress_lines(self, tmp_path):
+        lines = []
         config = fleet_config(fault_session=0)
-        result = run_fleet(config, bus=bus,
+        result = run_fleet(config, progress=lines.append,
                            recorder=rec_config(tmp_path))
-        assert {c.session for c in captures} == \
+        captures = [line for line in lines if "] captured session " in line]
+        assert len(captures) == len(result.anomalies)
+        assert {int(line.split("captured session ")[1].split()[0])
+                for line in captures} == \
             {r["index"] for r in result.anomalies}
-        faulted = next(c for c in captures if c.session == 0)
-        assert faulted.reason == "violation" and faulted.artifact
+        assert any("captured session 0 (violation, score " in line
+                   for line in captures)
+        faulted = next(r for r in result.anomalies if r["index"] == 0)
+        assert faulted["reason"] == "violation" and faulted["artifact"]
 
     def test_triage_and_export_report(self, tmp_path):
         config = fleet_config(fault_session=3)
@@ -540,3 +543,106 @@ class TestFleetRecorderIntegration:
         assert payload["recorder"]["captured"] >= 1
         assert any(r["index"] == 1 for r in payload["anomalies"])
         assert payload["error_total"] == 0
+
+
+def mistype_capture(path, kind="ChunkDownloaded", field="level", value="x"):
+    """Rewrite one capture with ``field`` of its first ``kind`` record
+    set to ``value`` (the string ``"x"`` by default), as a hand edit
+    would."""
+    with gzip.open(path, "rt", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    for number, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("type") == kind:
+            record[field] = value
+            lines[number] = json.dumps(record, sort_keys=True)
+            break
+    else:
+        raise AssertionError(f"no {kind} record in {path}")
+    with open(path, "wb") as handle:
+        handle.write(gzip_bytes(("\n".join(lines) + "\n").encode("utf-8")))
+
+
+class TestDamagedCapture:
+    """A capture with a mistyped field degrades every triage view."""
+
+    #: One (kind, field, wrong value) per event kind a fleet capture
+    #: holds, so every layer's records pass through the capture check.
+    EVERY_CAPTURED_KIND = [
+        ("ChunkRequested", "buffer_level", "x"),
+        ("HttpRequestSent", "url", 7),
+        ("DeadlineDisarmed", "time", "x"),
+        ("MpDashSkipped", "index", 1.5),
+        ("TransferStarted", "size", "x"),
+        ("SchedulerActivated", "window", None),
+        ("PathStateRequested", "enabled", "x"),
+        ("PacketSent", "num_bytes", "x"),
+        ("TransferCompleted", "duration", [1.0]),
+        ("HttpResponseReceived", "status", "200"),
+        ("ChunkDownloaded", "bytes_per_path", {"wifi": "x"}),
+        ("SubflowStateChange", "path", 0),
+        ("QualitySwitched", "to_level", "x"),
+        ("PlaybackStarted", "time", None),
+        ("PlaybackEnded", "time", "x"),
+        ("SessionClosed", "time", True),
+    ]
+
+    @staticmethod
+    def _campaign(tmp_path):
+        result = run_fleet(fleet_config(fault_session=2),
+                           recorder=rec_config(tmp_path))
+        records = {r["index"]: r for r in result.anomalies if r["artifact"]}
+        assert 2 in records and len(records) > 1
+        return result.record_dir, records
+
+    @pytest.fixture
+    def campaign(self, tmp_path):
+        root, records = self._campaign(tmp_path)
+        mistype_capture(os.path.join(root, records[2]["artifact"]))
+        return root, records
+
+    def test_load_capture_names_artifact_record_and_field(self, campaign):
+        root, records = campaign
+        with pytest.raises(ValueError) as error:
+            load_capture(root, records[2]["artifact"])
+        message = str(error.value)
+        assert records[2]["artifact"] in message
+        assert "(ChunkDownloaded) field level: expected int" in message
+        other = next(i for i in records if i != 2)
+        assert load_capture(root, records[other]["artifact"]).events
+
+    def test_replay_and_why_report_the_damage(self, campaign):
+        root, records = campaign
+        replayed = replay_anomaly(root, records[2])
+        assert replayed["replayed"] is False
+        attributed = attribute_anomaly(root, records[2])
+        assert attributed["attributed"] is False
+        for error in (replayed["error"], attributed["error"]):
+            assert error.startswith("ValueError: ")
+            assert records[2]["artifact"] in error
+            assert "field level" in error
+
+    def test_damaged_record_gets_no_mini_report(self, campaign, tmp_path):
+        root, records = campaign
+        links = render_anomaly_reports(root, list(records.values()),
+                                       str(tmp_path / "out"))
+        assert 2 not in links
+        assert set(links) == set(records) - {2}
+
+    @pytest.mark.parametrize("kind,field,value", EVERY_CAPTURED_KIND,
+                             ids=[kind for kind, _, _ in EVERY_CAPTURED_KIND])
+    def test_every_captured_kind_is_checked(self, tmp_path, kind, field,
+                                            value):
+        root, records = self._campaign(tmp_path)
+        mistype_capture(os.path.join(root, records[2]["artifact"]),
+                        kind=kind, field=field, value=value)
+        with pytest.raises(ValueError) as error:
+            load_capture(root, records[2]["artifact"])
+        assert f"({kind}) field {field}: expected" in str(error.value)
+        replayed = replay_anomaly(root, records[2])
+        attributed = attribute_anomaly(root, records[2])
+        assert replayed["replayed"] is False
+        assert attributed["attributed"] is False
+        for message in (replayed["error"], attributed["error"]):
+            assert records[2]["artifact"] in message
+            assert f"({kind}) field {field}" in message

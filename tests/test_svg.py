@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 from repro.obs.svg import (SERIES_CLASSES, LaneSegment, Series, StripCell,
                            bar_chart, cdf_chart, flame_lanes, fmt,
                            histogram_chart, legend_html, line_chart,
-                           nice_ticks, series_class, stacked_area,
-                           strip_chart, tick_label)
+                           nice_ticks, series_class, strip_chart,
+                           tick_label)
 
 
 def well_formed(svg: str) -> ET.Element:
@@ -98,17 +98,6 @@ class TestLineChart:
 
     def test_flat_series_does_not_divide_by_zero(self):
         well_formed(line_chart([Series("a", [(0, 5.0), (1, 5.0)])]))
-
-
-class TestStackedArea:
-    def test_empty_fallback(self):
-        assert "no samples" in stacked_area([])
-
-    def test_polygon_per_series(self):
-        svg = stacked_area([Series("a", [(0, 1), (1, 1)]),
-                            Series("b", [(0, 2), (1, 2)])])
-        assert svg.count("<polygon") == 2
-        well_formed(svg)
 
 
 class TestBarChart:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import time
 
@@ -17,8 +18,6 @@ from repro.experiments.sweep import (FAILED_ERROR, FAILED_TIMEOUT,
 from repro.experiments.tables import sweep_table
 from repro.net.trace import BandwidthTrace
 from repro.net.units import mbps
-from repro.obs import (EventBus, SweepCompleted, SweepRunFailed,
-                       SweepRunFinished, SweepRunStarted, SweepStarted)
 
 
 def short_config(**overrides):
@@ -147,17 +146,14 @@ class TestSerialSweep:
         assert isinstance(sweep.runs[0].summary, DownloadSummary)
         assert not sweep.runs[0].summary.missed_deadline
 
-    def test_lifecycle_events_published(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe_all(seen.append)
-        run_sweep([short_config()], bus=bus)
-        kinds = [type(e).__name__ for e in seen]
-        assert kinds == ["SweepStarted", "SweepRunStarted",
-                        "SweepRunFinished", "SweepCompleted"]
-        assert seen[0].total == 1
-        assert seen[-1].succeeded == 1
-        assert seen[-1].failed == 0
+    def test_progress_line_per_run(self):
+        lines = []
+        sweep = run_sweep([short_config()], progress=lines.append)
+        key = sweep.runs[0].config_key[:12]
+        assert len(lines) == 1
+        assert re.fullmatch(rf"\[ *\d+\.\d\ds\] run 1/1 {key} "
+                            r"done in \d+\.\d\ds", lines[0])
+        assert sweep.ok and not sweep.failures
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -263,14 +259,13 @@ class TestFaultIsolation:
         assert sweep.runs[0].failure is not None
         assert sweep.runs[0].failure.kind == FAILED_TIMEOUT
 
-    def test_failed_events_published(self):
-        bus = EventBus()
-        failed = []
-        bus.subscribe(SweepRunFailed, failed.append)
-        run_sweep([short_config()], runner=crash_runner, bus=bus)
-        assert len(failed) == 1
-        assert failed[0].kind == FAILED_ERROR
-        assert "injected crash" in failed[0].error
+    def test_failed_progress_line(self):
+        lines = []
+        run_sweep([short_config()], runner=crash_runner,
+                  progress=lines.append)
+        assert len(lines) == 1
+        assert f"FAILED ({FAILED_ERROR}, 1 attempt(s)): " in lines[0]
+        assert "injected crash" in lines[0]
 
     def test_rerun_after_partial_failure_serves_cache(self, tmp_path):
         """The acceptance scenario: one crashing run, sweep completes,
@@ -468,12 +463,13 @@ class TestDuplicateConfigs:
         assert sweep.runs[0].failure.index == 0
         assert "injected crash" in sweep.runs[1].failure.error
 
-    def test_duplicate_events_published_per_run(self):
-        bus = EventBus()
-        finished = []
-        bus.subscribe(SweepRunFinished, finished.append)
-        run_sweep([short_config()] * 3, bus=bus)
-        assert sorted(e.index for e in finished) == [0, 1, 2]
+    def test_duplicate_progress_line_per_run(self):
+        lines = []
+        run_sweep([short_config()] * 3, progress=lines.append)
+        runs = sorted(re.search(r"run (\d)/3 ", line).group(1)
+                      for line in lines)
+        assert runs == ["1", "2", "3"]
+        assert sum(line.endswith(" cached") for line in lines) == 2
 
     def test_dedup_in_pool(self):
         sweep = run_sweep([short_config()] * 3, jobs=2)
