@@ -65,20 +65,6 @@ class MultipathVideoAnalyzer:
         self.session_duration = session_duration
         self.device = device
 
-    @classmethod
-    def from_trace(cls, trace, device: Optional[DevicePowerProfile] = None
-                   ) -> "MultipathVideoAnalyzer":
-        """Rebuild the analyzer offline from an exported JSONL trace.
-
-        ``trace`` is a :class:`repro.obs.trace_export.Trace` (as returned
-        by ``load_jsonl``): the event stream is replayed into fresh
-        bus-subscribed logs, so the offline analyzer sees exactly what the
-        live one did.
-        """
-        from ..obs.trace_export import analyzer_from_trace
-
-        return analyzer_from_trace(trace, device)
-
     # ------------------------------------------------------------------
     def metrics(self, steady_state_fraction: float = 0.0) -> SessionMetrics:
         energy = session_energy(self.timeline or self.activity, self.device,

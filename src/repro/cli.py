@@ -16,7 +16,6 @@ equivalent entry point, plus runners for the common experiments::
     python -m repro check --load run.jsonl
     python -m repro report --mpdash --out report.html
     python -m repro report --load run.jsonl --out report.html
-    python -m repro sweep --schemes baseline,rate --report sweep.html
     python -m repro fleet --sessions 1000 --arrival diurnal --jobs 4 \
         --checkpoint-dir .fleet --report fleet.html
     python -m repro why --load run.jsonl
@@ -141,9 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "failure")
     sweep.add_argument("--json", action="store_true",
                        help="machine-readable report instead of a table")
-    sweep.add_argument("--report", metavar="FILE", default=None,
-                       help="write the self-contained HTML sweep report "
-                            "to FILE")
     sweep.add_argument("--ledger", metavar="FILE", default=None,
                        help="append the sweep's headline record to this "
                             "run-ledger JSONL file")
@@ -544,9 +540,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(json.dumps(_sweep_report(result), sort_keys=True))
     else:
         print(sweep_table(result), file=sys.stderr)
-    if args.report is not None:
-        result.export_report(args.report)
-        print(f"sweep report written to {args.report}", file=sys.stderr)
     # Failures are data, not harness errors: the sweep completed.
     return 0
 
@@ -755,7 +748,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     With ``--load`` the report is a pure function of the JSONL trace —
     byte-identical to the one a live ``run_session(report=...)`` writes
     for the same session.  Without it, one session is run (recording a
-    trace, the metrics registry, and spans) and rendered directly.
+    trace and the metrics registry's path samples) and rendered directly.
     """
     if args.load is not None:
         trace = _load_trace("report", args.load, 1)
@@ -764,8 +757,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"(from {args.load}, {len(trace.events)} events)",
               file=sys.stderr)
     else:
-        run_session(_session_config(args, collect_metrics=True,
-                                    collect_spans=True),
+        run_session(_session_config(args, collect_metrics=True),
                     report=args.out)
         print(f"session report written to {args.out}", file=sys.stderr)
     return 0

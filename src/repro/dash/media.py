@@ -131,15 +131,6 @@ class VideoAsset:
         """Nominal bitrates (bytes/second), lowest first."""
         return [lv.bitrate for lv in self.levels]
 
-    def highest_sustainable_level(self, throughput: float) -> int:
-        """Highest level whose nominal bitrate fits within ``throughput``
-        (bytes/second); level 0 if even the lowest does not fit."""
-        best = 0
-        for level in self.levels:
-            if level.bitrate <= throughput:
-                best = level.index
-        return best
-
     def _check(self, level: int, index: int) -> None:
         if not 0 <= level < self.num_levels:
             raise IndexError(f"level {level} out of range "

@@ -1,9 +1,8 @@
 """Parallel, cached, fault-tolerant experiment sweeps.
 
-:func:`~repro.experiments.runner.run_session` and
-:func:`~repro.experiments.runner.run_file_download` execute one simulation
-in-process; every paper table and parameter study re-runs them dozens of
-times.  This module turns those loops into *sweeps*: lists of configs
+:func:`~repro.experiments.runner.run_session` executes one streaming
+session in-process; every paper table and parameter study re-runs it dozens
+of times.  This module turns those loops into *sweeps*: lists of configs
 (usually built with :func:`expand_grid`) fanned out over a process pool by
 :func:`run_sweep`, with three properties the serial loops lacked:
 
@@ -20,9 +19,10 @@ times.  This module turns those loops into *sweeps*: lists of configs
   callback, which the CLI prints to stderr.
 
 The unit of exchange across the process boundary is a
-:class:`SessionSummary` or :class:`DownloadSummary` — a picklable,
-JSON-round-trippable projection of the live result objects, which hold a
-connection, player, and analyzer and therefore never cross processes.
+:class:`SessionSummary` — a picklable, JSON-round-trippable projection of
+the live :class:`SessionResult`, which holds a connection, player, and
+analyzer and therefore never crosses processes.  A custom ``runner=`` may
+sweep any config type, as long as it returns such a summary.
 """
 
 from __future__ import annotations
@@ -37,17 +37,13 @@ import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Union)
+                    Sequence)
 
 from ..analysis.metrics import SessionMetrics
 from ..net.trace import BandwidthTrace
-from .configs import FileDownloadConfig, SessionConfig
+from .configs import SessionConfig
 from .pool import run_units
-from .runner import (FileDownloadResult, SessionResult, run_file_download,
-                     run_session)
-
-#: Any config the default runner understands.
-SweepConfig = Union[SessionConfig, FileDownloadConfig]
+from .runner import SessionResult, run_session
 
 #: Failure discriminators carried by :class:`RunFailure`.
 FAILED_ERROR = "error"
@@ -89,7 +85,7 @@ _RETIRED_FIELDS: Dict[str, Dict[str, str]] = {
 }
 
 
-def config_key(config: SweepConfig) -> str:
+def config_key(config: Any) -> str:
     """Deterministic hash naming one run: equal configs ⇒ equal keys.
 
     The key doubles as the cache filename, so it also embeds the config's
@@ -104,8 +100,7 @@ def config_key(config: SweepConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
-def expand_grid(base: SweepConfig,
-                grid: Mapping[str, Sequence]) -> List[SweepConfig]:
+def expand_grid(base: Any, grid: Mapping[str, Sequence]) -> List[Any]:
     """Cartesian product of field overrides applied to ``base``.
 
     ``grid`` maps config field names to value lists; the special key
@@ -123,7 +118,7 @@ def expand_grid(base: SweepConfig,
             raise ValueError(
                 f"unknown {type(base).__name__} field {name!r} "
                 f"(known: {sorted(known)})")
-    configs: List[SweepConfig] = []
+    configs: List[Any] = []
     for combo in itertools.product(*(grid[name] for name in names)):
         overrides = dict(zip(names, combo))
         scheme = overrides.pop("scheme", None)
@@ -151,11 +146,6 @@ class SessionSummary:
     session_duration: float
     metrics: SessionMetrics
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
-    #: Serialized :class:`~repro.obs.metrics.Histogram` dicts keyed by
-    #: exposition name, populated when the run collected metrics.  Plain
-    #: dicts (not Histogram objects) so the summary stays a JSON value;
-    #: :func:`merged_histograms` revives and folds them per grid point.
-    histograms: Dict[str, Any] = field(default_factory=dict)
     #: Invariant-violation counts by severity (see
     #: :mod:`repro.obs.check`); ``None`` when the run was not checked,
     #: an empty dict when checked and clean.
@@ -167,88 +157,26 @@ class SessionSummary:
                 "session_duration": self.session_duration,
                 "metrics": asdict(self.metrics),
                 "scheduler_stats": dict(self.scheduler_stats),
-                "histograms": dict(self.histograms),
                 "violations": (dict(self.violations)
                                if self.violations is not None else None)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SessionSummary":
-        # .get: artifacts cached by pre-histogram versions still load.
+        # Cached artifacts may lack "violations" or carry keys this
+        # summary does not read ("histograms"); both must still load.
         violations = payload.get("violations")
         return cls(config_key=payload["config_key"],
                    finished=payload["finished"],
                    session_duration=payload["session_duration"],
                    metrics=SessionMetrics(**payload["metrics"]),
                    scheduler_stats=dict(payload["scheduler_stats"]),
-                   histograms=dict(payload.get("histograms", {})),
                    violations=(dict(violations) if violations is not None
                                else None))
-
-
-@dataclass
-class DownloadSummary:
-    """What survives of a :class:`FileDownloadResult` across processes."""
-
-    config_key: str
-    duration: float
-    bytes_per_path: Dict[str, float]
-    missed_deadline: bool
-    radio_energy: float
-
-    @property
-    def cellular_bytes(self) -> float:
-        return self.bytes_per_path.get("cellular", 0.0)
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(self.bytes_per_path.values())
-
-    @property
-    def cellular_fraction(self) -> float:
-        total = self.total_bytes
-        return self.cellular_bytes / total if total > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "download", "config_key": self.config_key,
-                "duration": self.duration,
-                "bytes_per_path": dict(self.bytes_per_path),
-                "missed_deadline": self.missed_deadline,
-                "radio_energy": self.radio_energy}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DownloadSummary":
-        return cls(config_key=payload["config_key"],
-                   duration=payload["duration"],
-                   bytes_per_path=dict(payload["bytes_per_path"]),
-                   missed_deadline=payload["missed_deadline"],
-                   radio_energy=payload["radio_energy"])
-
-
-RunSummary = Union[SessionSummary, DownloadSummary]
-
-_SUMMARY_KINDS = {"session": SessionSummary, "download": DownloadSummary}
-
-
-def summary_from_dict(payload: Mapping[str, Any]) -> RunSummary:
-    """Inverse of ``summary.to_dict()`` for either summary kind."""
-    kind = payload.get("kind")
-    cls = _SUMMARY_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown summary kind {kind!r}")
-    return cls.from_dict(payload)
 
 
 def summarize_session(result: SessionResult,
                       key: Optional[str] = None) -> SessionSummary:
     """Project a live :class:`SessionResult` onto the picklable boundary."""
-    histograms: Dict[str, Any] = {}
-    if result.metrics_registry is not None:
-        for histogram in result.metrics_registry.histograms():
-            name = histogram.name
-            if histogram.labels:
-                rendered = ",".join(f"{k}={v}" for k, v in histogram.labels)
-                name = f"{name}{{{rendered}}}"
-            histograms[name] = histogram.to_dict()
     violations: Optional[Dict[str, int]] = None
     if result.check_report is not None:
         violations = {}
@@ -261,23 +189,11 @@ def summarize_session(result: SessionResult,
         session_duration=result.session_duration,
         metrics=result.metrics,
         scheduler_stats=dict(result.scheduler_stats),
-        histograms=histograms,
         violations=violations)
 
 
-def summarize_download(result: FileDownloadResult,
-                       key: Optional[str] = None) -> DownloadSummary:
-    """Project a live :class:`FileDownloadResult` onto the boundary."""
-    return DownloadSummary(
-        config_key=key if key is not None else config_key(result.config),
-        duration=result.duration,
-        bytes_per_path=dict(result.bytes_per_path),
-        missed_deadline=result.missed_deadline,
-        radio_energy=result.radio_energy)
-
-
-def default_runner(config: SweepConfig) -> RunSummary:
-    """Run one config with the matching runner and summarize the result.
+def default_runner(config: Any) -> SessionSummary:
+    """Run one :class:`SessionConfig` and summarize the result.
 
     Sessions run with the stock invariant checkers attached (see
     :mod:`repro.obs.check`), so every sweep doubles as a consistency
@@ -286,8 +202,6 @@ def default_runner(config: SweepConfig) -> RunSummary:
     """
     if isinstance(config, SessionConfig):
         return summarize_session(run_session(config, check=True))
-    if isinstance(config, FileDownloadConfig):
-        return summarize_download(run_file_download(config))
     raise TypeError(
         f"no default runner for {type(config).__name__}; pass runner=")
 
@@ -304,8 +218,8 @@ def _alarm_available() -> bool:
             and threading.current_thread() is threading.main_thread())
 
 
-def _call_with_timeout(runner: Callable[[Any], RunSummary], config: Any,
-                       timeout: Optional[float]) -> RunSummary:
+def _call_with_timeout(runner: Callable[[Any], SessionSummary], config: Any,
+                       timeout: Optional[float]) -> SessionSummary:
     """Invoke ``runner`` under a SIGALRM deadline when one is enforceable.
 
     Workers are fresh processes whose main thread runs the simulation, so
@@ -327,7 +241,7 @@ def _call_with_timeout(runner: Callable[[Any], RunSummary], config: Any,
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute(runner: Optional[Callable[[Any], RunSummary]],
+def _execute(runner: Optional[Callable[[Any], SessionSummary]],
              run: "SweepRun", timeout: Optional[float]) -> tuple:
     """Run one config and report ``(status, payload, elapsed)``.
 
@@ -354,8 +268,9 @@ class ResultCache:
     """One JSON artifact per config key under ``root``.
 
     Writes are atomic (temp file + rename), so a sweep killed mid-write
-    never leaves a truncated artifact; unreadable or malformed entries are
-    treated as misses, never as errors.
+    never leaves a truncated artifact; unreadable or malformed entries
+    (and artifacts that hold no session summary) are treated as misses,
+    never as errors.
     """
 
     def __init__(self, root: str):
@@ -365,15 +280,15 @@ class ResultCache:
     def path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
 
-    def load(self, key: str) -> Optional[RunSummary]:
+    def load(self, key: str) -> Optional[SessionSummary]:
         try:
             with open(self.path(key), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            return summary_from_dict(payload)
+            return SessionSummary.from_dict(payload)
         except (OSError, ValueError, TypeError, KeyError):
             return None
 
-    def store(self, key: str, summary: RunSummary) -> None:
+    def store(self, key: str, summary: SessionSummary) -> None:
         final = self.path(key)
         tmp = f"{final}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -408,7 +323,7 @@ class SweepRun:
     index: int
     config: Any
     config_key: str
-    summary: Optional[RunSummary] = None
+    summary: Optional[SessionSummary] = None
     failure: Optional[RunFailure] = None
     cached: bool = False
     attempts: int = 0
@@ -441,7 +356,7 @@ class SweepResult:
         return iter(self.runs)
 
     @property
-    def summaries(self) -> List[RunSummary]:
+    def summaries(self) -> List[SessionSummary]:
         return [run.summary for run in self.runs if run.summary is not None]
 
     @property
@@ -463,53 +378,15 @@ class SweepResult:
         """True when every run produced a summary."""
         return all(run.ok for run in self.runs)
 
-    def export_report(self, path: str) -> None:
-        """Write the self-contained HTML sweep report to ``path``."""
-        from ..obs.report import sweep_report_html, write_report
-
-        write_report(path, sweep_report_html(self))
-
-
-def merged_histograms(result: SweepResult) -> Dict[str, Any]:
-    """Fold every run's histograms into one distribution per name.
-
-    Runs must have been swept with ``collect_metrics=True`` configs (the
-    summaries then carry serialized histograms); runs without histograms
-    are skipped.  Returns exposition name →
-    :class:`~repro.obs.metrics.Histogram`, so e.g. the sweep-wide p95
-    deadline slack is
-    ``merged_histograms(r)["repro_deadline_slack_seconds"].quantile(0.95)``.
-    """
-    from ..obs.metrics import Histogram
-
-    merged: Dict[str, Any] = {}
-    for summary in result.summaries:
-        for name, payload in getattr(summary, "histograms", {}).items():
-            histogram = Histogram.from_dict(payload)
-            if name in merged:
-                try:
-                    merged[name].merge(histogram)
-                except ValueError as exc:
-                    # Mismatched layouts would silently misfold into
-                    # nonsense quantiles; name the series and both
-                    # layouts instead.
-                    raise ValueError(
-                        f"sweep histograms for {name!r} (run "
-                        f"{summary.config_key[:12]}) have mismatched "
-                        f"bucket layouts: {exc}") from None
-            else:
-                merged[name] = histogram
-    return merged
-
 
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-def run_sweep(configs: Iterable[SweepConfig], jobs: int = 1,
+def run_sweep(configs: Iterable[Any], jobs: int = 1,
               cache_dir: Optional[str] = None,
               timeout: Optional[float] = None, retries: int = 0,
               progress: Optional[Callable[[str], None]] = None,
-              runner: Optional[Callable[[Any], RunSummary]] = None,
+              runner: Optional[Callable[[Any], SessionSummary]] = None,
               ledger: Optional[str] = None) -> SweepResult:
     """Run every config, in parallel, reusing cached results.
 

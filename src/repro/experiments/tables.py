@@ -75,23 +75,17 @@ def mbps_str(bytes_per_second: float, digits: int = 2) -> str:
 def sweep_table(result) -> str:
     """One row per run of a :class:`~repro.experiments.sweep.SweepResult`.
 
-    Session rows report the evaluation metrics; download rows the transfer
-    outcome; failed rows carry the failure kind and message instead.  Runs
-    swept with ``collect_metrics=True`` additionally report their p95
-    deadline slack, and the table footer shows the sweep-wide merged
-    distribution (see :func:`~repro.experiments.sweep.merged_histograms`).
+    Session rows report the evaluation metrics; failed rows carry the
+    failure kind and message instead.
     """
-    from ..obs.metrics import Histogram
-    from .sweep import (DownloadSummary, SessionSummary,  # avoid cycle
-                        merged_histograms)
+    from .sweep import SessionSummary  # avoid cycle
 
-    slack_name = "repro_deadline_slack_seconds"
     rows = []
     for run in result.runs:
         status = ("cached" if run.cached
                   else "ok" if run.ok
                   else f"failed:{run.failure.kind}")
-        cell_mb = energy = bitrate = stalls = slack = viol = "-"
+        cell_mb = energy = bitrate = stalls = viol = "-"
         summary = run.summary
         if isinstance(summary, SessionSummary):
             metrics = summary.metrics
@@ -100,34 +94,17 @@ def sweep_table(result) -> str:
             bitrate = f"{metrics.mean_bitrate_mbps:.2f}"
             stalls = str(metrics.stall_count)
             viol = _violation_cell(summary.violations)
-            payload = summary.histograms.get(slack_name)
-            if payload is not None and payload["count"] > 0:
-                p95 = Histogram.from_dict(payload).quantile(0.95)
-                slack = f"{p95:.2f}"
-        elif isinstance(summary, DownloadSummary):
-            cell_mb = f"{summary.cellular_bytes / 1e6:.2f}"
-            bitrate = f"{summary.duration:.2f}s"
-            stalls = "miss" if summary.missed_deadline else "met"
         detail = run.failure.error if run.failure is not None else ""
         rows.append([run.index, run.config_key[:12], status,
                      f"{run.elapsed:.2f}", cell_mb, energy, bitrate, stalls,
-                     slack, viol, detail])
+                     viol, detail])
     title = (f"sweep: {len(result.runs)} runs, "
              f"{len(result.failures)} failed, "
              f"{result.cache_hits} cached, "
              f"wall {result.wall_clock:.2f}s on {result.jobs} job(s)")
-    table = format_table(
+    return format_table(
         ["run", "key", "status", "time s", "cell MB", "energy J",
-         "bitrate", "stalls", "p95 slack", "viol", "detail"], rows,
-        title=title)
-    merged = merged_histograms(result)
-    slack_hist = merged.get(slack_name)
-    if slack_hist is not None and slack_hist.count > 0:
-        table += (f"\nmerged deadline slack: n={slack_hist.count} "
-                  f"mean={slack_hist.mean:.2f}s "
-                  f"p50={slack_hist.quantile(0.5):.2f}s "
-                  f"p95={slack_hist.quantile(0.95):.2f}s")
-    return table
+         "bitrate", "stalls", "viol", "detail"], rows, title=title)
 
 
 def fleet_table(result) -> str:

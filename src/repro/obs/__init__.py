@@ -36,9 +36,9 @@ performance harness.
 
 The presentation layer sits on top of the derived views:
 :mod:`repro.obs.svg` is a dependency-free SVG chart renderer,
-:mod:`repro.obs.report` turns traces, sweep and fleet results, and the
-ledger into self-contained single-file HTML documents (pure functions of their
-inputs — live and offline rendering are byte-identical).
+:mod:`repro.obs.report` turns traces, fleet results, anomaly captures and
+the ledger into self-contained single-file HTML documents (pure functions of
+their inputs — live and offline rendering are byte-identical).
 """
 
 from .bus import EventBus
@@ -51,8 +51,7 @@ from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
                        load_manifest, rank_anomalies, render_anomaly_reports,
                        replay_anomaly, save_manifest, triage_table)
 from .report import (fleet_report_html, history_report_html,
-                     session_report_html, sweep_report_html,
-                     triage_report_html, write_report)
+                     session_report_html, triage_report_html, write_report)
 from .spans import dump_chrome_trace, render_span_tree, spans_from_trace
 from .trace_export import (Trace, TraceMeta, TraceRecorder,
                            analyzer_from_trace, dump_jsonl, dumps_jsonl,
@@ -74,6 +73,6 @@ __all__ = [
     "registry_from_trace", "render_anomaly_reports", "render_attributions",
     "render_span_tree", "replay", "replay_anomaly", "save_manifest",
     "session_report_html", "spans_from_trace", "stock_checkers",
-    "summarize_attributions", "sweep_report_html", "trend_document",
+    "summarize_attributions", "trend_document",
     "triage_report_html", "triage_table", "write_report"
 ]

@@ -72,12 +72,6 @@ class EventBus:
             handlers.remove(handler)
             self._dispatch.clear()
 
-    def unsubscribe_all(self, handler: Handler) -> None:
-        """Remove a wildcard subscription; no-op if absent."""
-        if handler in self._all:
-            self._all.remove(handler)
-            self._dispatch.clear()
-
     def clear(self) -> None:
         """Drop every subscription (the session that owned them ended)."""
         self._by_type.clear()

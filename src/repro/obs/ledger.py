@@ -288,8 +288,7 @@ def sweep_entry(result: Any, label: str = "") -> LedgerEntry:
     keys = sorted({run.config_key for run in result.runs})
     key = hashlib.sha256(
         canonical_json(keys).encode("utf-8")).hexdigest()[:24]
-    sessions = [s for s in result.summaries
-                if hasattr(s, "metrics")]  # downloads carry no QoE
+    sessions = result.summaries
     metrics: Dict[str, float] = {
         "runs": float(len(result.runs)),
         "failures": float(len(result.failures)),

@@ -5,11 +5,11 @@ per-path throughput, stall durations, radio-state residency — not on
 single numbers.  This module computes them *online*, as bus subscribers,
 with three properties the downstream tooling needs:
 
-* **Mergeable.**  Every primitive supports ``merge``; a sweep can combine
-  the histograms of a hundred runs into one distribution per grid axis.
+* **Mergeable.**  Every primitive supports ``merge``; a fleet combines
+  the histograms of thousands of sessions into one distribution each.
 * **Picklable / JSON-able.**  Primitives are plain attributes and
-  round-trip through ``to_dict`` / ``from_dict``, so they cross the sweep
-  engine's process boundary and live in its on-disk cache.
+  round-trip through ``to_dict`` / ``from_dict``, so they cross the fleet
+  engine's process boundary and live in its checkpoints.
 * **Offline-reconstructible.**  :class:`SessionMetricsCollector` consumes
   only bus events, so replaying a PR-1 JSONL trace through a fresh
   collector (:func:`collector_from_trace`) reproduces the live registry
@@ -230,7 +230,7 @@ class Histogram:
 
     def merge(self, other: "Histogram") -> None:
         # Name both layouts: "which two runs disagree and how" is the
-        # whole diagnosis when a sweep folds mismatched histograms.
+        # whole diagnosis when a fleet folds mismatched histograms.
         if list(other.bounds) != list(self.bounds):
             raise ValueError(
                 f"cannot merge histograms with mismatched bucket "
@@ -392,11 +392,8 @@ class MetricsRegistry:
             ) -> Optional[Any]:
         return self._metrics.get((name, _labels(labels)))
 
-    def histograms(self) -> List[Histogram]:
-        return [m for m in self._ordered() if isinstance(m, Histogram)]
-
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (sweep aggregation)."""
+        """Fold ``other`` into this registry (fleet aggregation)."""
         for key, metric in sorted(other._metrics.items()):
             mine = self._metrics.get(key)
             if mine is None:

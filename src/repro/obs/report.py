@@ -16,14 +16,14 @@ The main generators:
   the Figure-8 chunk strip, per-path throughput/cwnd/RTT timelines,
   buffer occupancy with stall shading, the deadline-slack distribution,
   the radio-state/energy timeline, invariant verdicts, and span lanes.
-* :func:`sweep_report_html` — a whole
-  :class:`~repro.experiments.sweep.SweepResult`: run table, QoE
-  scheme-comparison grid, merged sweep-wide distributions, and
-  failures.
+* :func:`fleet_report_html`, :func:`triage_report_html` and
+  :func:`history_report_html` — a fleet campaign's population
+  distributions, its recorded anomalies, and the run ledger's trends.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -547,180 +547,6 @@ def session_report_html(trace: Trace) -> str:
         _attribution_panel(trace),
         _spans_panel(spans, duration),
     ])
-
-
-# ----------------------------------------------------------------------
-# Sweep report
-# ----------------------------------------------------------------------
-def _scheme_name(config: Any) -> str:
-    mpdash = getattr(config, "mpdash", None)
-    if mpdash is False:
-        return "baseline"
-    if mpdash is True:
-        mode = getattr(config, "deadline_mode", None)
-        return f"mpdash-{mode}" if mode else "mpdash"
-    return type(config).__name__
-
-
-def _violation_text(violations: Optional[Mapping[str, int]]) -> str:
-    if violations is None:
-        return "-"
-    parts = [f"{violations[s]}{s[0].upper()}"
-             for s in (ERROR, WARNING, INFO) if violations.get(s)]
-    return "+".join(parts) if parts else "0"
-
-
-def _p95_slack(summary: Any) -> Optional[float]:
-    payload = getattr(summary, "histograms", {}).get(
-        "repro_deadline_slack_seconds")
-    if not payload or not payload.get("count"):
-        return None
-    return Histogram.from_dict(payload).quantile(0.95)
-
-
-def _sweep_runs_table(result: Any) -> str:
-    rows = []
-    for run in result.runs:
-        if run.failure is not None:
-            status = (f'<span class="badge critical">'
-                      f"{escape(run.failure.kind)}</span>")
-        elif run.cached:
-            status = '<span class="badge info">cached</span>'
-        else:
-            status = '<span class="badge good">ok</span>'
-        summary = run.summary
-        metrics = getattr(summary, "metrics", None)
-        if metrics is not None:
-            slack = _p95_slack(summary)
-            cells = [f"{metrics.cellular_bytes / 1e6:.1f}",
-                     f"{metrics.mean_bitrate_mbps:.2f}",
-                     f"{metrics.radio_energy:.0f}",
-                     f"{metrics.stall_count}",
-                     "-" if slack is None else f"{slack:.2f}",
-                     escape(_violation_text(
-                         getattr(summary, "violations", None)))]
-        elif summary is not None:  # download-only summary
-            cells = [f"{summary.cellular_bytes / 1e6:.1f}",
-                     "-", f"{summary.radio_energy:.0f}", "-", "-", "-"]
-        else:
-            cells = ["-"] * 6
-        rows.append([
-            f"{run.index}",
-            f'<span class="mono">{escape(run.config_key[:10])}</span>',
-            status, f"{run.elapsed:.2f}"] + cells)
-    return _table(
-        [("run", True), ("key", False), ("status", False),
-         ("time (s)", True), ("cell MB", True), ("Mbit/s", True),
-         ("energy J", True), ("stalls", True), ("p95 slack", True),
-         ("viol", True)], rows)
-
-
-def _scheme_panel(result: Any) -> str:
-    """Per-scheme QoE means: the paper's four-metric comparison."""
-    groups: Dict[str, List[Any]] = {}
-    for run in result.runs:
-        metrics = getattr(run.summary, "metrics", None)
-        if metrics is not None:
-            groups.setdefault(_scheme_name(run.config), []).append(metrics)
-    if not groups:
-        return _panel("Scheme comparison",
-                      _note("no session summaries to compare"))
-    schemes = sorted(groups)
-
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
-    def chart(label: str, fmt: str, pick: Any) -> str:
-        return bar_chart(schemes,
-                         [mean([pick(m) for m in groups[s]])
-                          for s in schemes],
-                         width=352, height=190, y_label=label,
-                         value_format=fmt, title=label)
-
-    counts = ", ".join(f"{scheme}: {len(groups[scheme])} run(s)"
-                       for scheme in schemes)
-    grid = ('<div class="row">'
-            + chart("cellular data (MB)", "{:.1f}",
-                    lambda m: m.cellular_bytes / 1e6)
-            + chart("mean bitrate (Mbit/s)", "{:.2f}",
-                    lambda m: m.mean_bitrate_mbps)
-            + chart("radio energy (J)", "{:.0f}",
-                    lambda m: m.radio_energy)
-            + chart("stalls", "{:.1f}", lambda m: float(m.stall_count))
-            + "</div>")
-    legend = legend_html([(series_class(i), scheme)
-                          for i, scheme in enumerate(schemes)])
-    return _panel("Scheme comparison", _note(f"means over {counts}"),
-                  legend, grid)
-
-
-def _merged_histogram_panel(result: Any) -> str:
-    from ..experiments.sweep import merged_histograms
-
-    merged = merged_histograms(result)
-    parts: List[str] = []
-    slack = merged.get("repro_deadline_slack_seconds")
-    if slack is not None and slack.count:
-        payload = slack.to_dict()
-        parts.append(_note(
-            f"deadline slack over {slack.count} deadlines across all "
-            f"runs (p95 = {slack.quantile(0.95):.2f}s)"))
-        parts.append('<div class="row">'
-                     + histogram_chart(payload, x_label="slack (s)",
-                                       refs=(0.0,),
-                                       title="sweep-wide slack")
-                     + cdf_chart(payload, x_label="slack (s)",
-                                 refs=(0.0,),
-                                 title="sweep-wide slack CDF")
-                     + "</div>")
-    download = merged.get("repro_chunk_download_seconds")
-    if download is not None and download.count:
-        parts.append(histogram_chart(
-            download.to_dict(), width=352, x_label="download time (s)",
-            css="s2", title="chunk download time"))
-    if not parts:
-        parts.append(_note(
-            "no histograms in the summaries (sweep the configs with "
-            "session metrics to aggregate distributions)"))
-    return _panel("Merged distributions", *parts)
-
-
-def _failures_panel(result: Any) -> Optional[str]:
-    failures = result.failures
-    if not failures:
-        return None
-    rows = [[f"{f.index}",
-             f'<span class="mono">{escape(f.config_key[:10])}</span>',
-             f'<span class="badge critical">{escape(f.kind)}</span>',
-             f"{f.attempts}", f"{f.elapsed:.2f}", escape(f.error)]
-            for f in failures]
-    return _panel("Failures", _table(
-        [("run", True), ("key", False), ("kind", False),
-         ("attempts", True), ("time (s)", True), ("error", False)], rows))
-
-
-def sweep_report_html(result: Any) -> str:
-    """Render a :class:`~repro.experiments.sweep.SweepResult` comparison."""
-    succeeded = sum(1 for run in result.runs if run.ok)
-    overview = _panel("Sweep overview", _tiles([
-        (f"{len(result.runs)}", "", "runs"),
-        (f"{succeeded}", "", "succeeded"),
-        (f"{len(result.runs) - succeeded}", "", "failed"),
-        (f"{result.cache_hits}", "", "cache hits"),
-        (f"{result.jobs}", "", "workers"),
-        (f"{result.wall_clock:.1f}", "s", "wall clock"),
-    ]))
-    sections = [overview,
-                _panel("Runs", _sweep_runs_table(result)),
-                _scheme_panel(result),
-                _merged_histogram_panel(result)]
-    failures = _failures_panel(result)
-    if failures is not None:
-        sections.append(failures)
-    subtitle = (f"{len(result.runs)} configurations | {result.jobs} "
-                f"worker(s) | cache "
-                f"{'off' if result.cache_dir is None else 'on'}")
-    return _document("MP-DASH sweep report", subtitle, sections)
 
 
 # ----------------------------------------------------------------------
@@ -1264,6 +1090,10 @@ def history_report_html(entries: Sequence[Any],
 
 
 def write_report(path: str, html: str) -> None:
-    """Write a rendered report to ``path`` (UTF-8)."""
+    """Write a rendered report to ``path`` (UTF-8), creating its
+    directory when missing."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(html)

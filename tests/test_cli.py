@@ -104,7 +104,11 @@ class TestSweep:
                      "--schemes", "baseline,rate"]) == 0
         captured = capsys.readouterr()
         assert "2 runs" in captured.err
-        assert "status" in captured.err
+        header = next(line for line in captured.err.splitlines()
+                      if line.lstrip().startswith("run "))
+        assert header.split() == [
+            "run", "key", "status", "time", "s", "cell", "MB", "energy",
+            "J", "bitrate", "stalls", "viol", "detail"]
         assert captured.out == ""
 
     def test_sweep_table_reports_violations(self, capsys):
@@ -122,6 +126,9 @@ class TestSweep:
         for run in report["runs"]:
             # Checked and clean: present, empty.
             assert run["summary"]["violations"] == {}
+            assert sorted(run["summary"]) == [
+                "config_key", "finished", "kind", "metrics",
+                "scheduler_stats", "session_duration", "violations"]
 
     def test_sweep_cache_rerun_hits(self, tmp_path, capsys):
         argv = ["sweep", "--abr", "gpac", "--duration", "20",
@@ -469,6 +476,14 @@ class TestReportCommand:
         assert "session report written to" in capsys.readouterr().err
         assert "Path timelines" in open(out).read()
 
+    def test_load_into_missing_directory(self, tmp_path, capsys):
+        trace = str(tmp_path / "run.jsonl")
+        assert main(["trace", "--duration", "20", "--out", trace]) == 0
+        out = tmp_path / "not" / "yet" / "report.html"
+        assert main(["report", "--load", trace, "--out", str(out)]) == 0
+        assert "session report written to" in capsys.readouterr().err
+        assert "Session overview" in out.read_text()
+
     def test_missing_trace_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")
         assert main(["report", "--load", missing]) == 1
@@ -476,17 +491,16 @@ class TestReportCommand:
 
 
 class TestSweepReportCli:
-    def test_sweep_writes_html_report(self, tmp_path, capsys):
-        out = str(tmp_path / "sweep.html")
-        assert main(["sweep", "--schemes", "baseline,rate",
-                     "--duration", "20", "--wifi", "8", "--lte", "8",
-                     "--report", out]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "sweep report written to" in captured.err
-        html = open(out).read()
-        assert "Scheme comparison" in html
-        assert "mpdash-rate" in html
+    def test_report_flag_is_a_usage_error(self, tmp_path, capsys):
+        """The sweep's outputs are its table and its JSON; ``--report``
+        is an unknown argument, refused before anything runs."""
+        out = tmp_path / "sweep.html"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--schemes", "baseline", "--duration", "20",
+                  "--report", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --report" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_progress_lines_go_to_stderr(self, capsys):
         assert main(["sweep", "--schemes", "baseline", "--duration", "20",
@@ -522,6 +536,12 @@ class TestFleet:
         assert main(self.ARGS + ["--json", "--report", str(report)]) == 0
         assert report.stat().st_size > 1000
         assert "fleet report written" in capsys.readouterr().err
+
+    def test_fleet_report_into_missing_directory(self, tmp_path, capsys):
+        report = tmp_path / "out" / "fleet.html"
+        assert main(self.ARGS + ["--json", "--report", str(report)]) == 0
+        assert "fleet report written" in capsys.readouterr().err
+        assert report.read_text().startswith("<!DOCTYPE html>")
 
     def test_fleet_checkpoint_resume(self, tmp_path, capsys):
         ckpt = str(tmp_path / "ckpt")

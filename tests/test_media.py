@@ -100,14 +100,3 @@ class TestValidation:
             asset.chunk_size(0, 9999)
         with pytest.raises(IndexError):
             asset.level(99)
-
-
-class TestSustainableLevel:
-    def test_highest_fitting_level(self):
-        asset = make_asset(bitrates_mbps=[1.0, 2.0, 4.0])
-        assert asset.highest_sustainable_level(mbps(3.0)) == 1
-        assert asset.highest_sustainable_level(mbps(10.0)) == 2
-
-    def test_floor_at_lowest_level(self):
-        asset = make_asset()
-        assert asset.highest_sustainable_level(0.0) == 0

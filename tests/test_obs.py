@@ -48,15 +48,6 @@ class TestSubscription:
         # Unsubscribing twice is a no-op.
         bus.unsubscribe(StallStart, handler)
 
-    def test_unsubscribe_all(self):
-        bus = EventBus()
-        seen = []
-        handler = bus.subscribe_all(seen.append)
-        bus.publish(StallStart(0.0))
-        bus.unsubscribe_all(handler)
-        bus.publish(StallStart(1.0))
-        assert len(seen) == 1
-
     def test_subscribe_rejects_non_event_types(self):
         bus = EventBus()
         with pytest.raises(TypeError):

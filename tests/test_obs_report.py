@@ -4,11 +4,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.experiments import SessionConfig, run_session, run_sweep
-from repro.experiments.sweep import expand_grid
+from repro.experiments import SessionConfig, run_session
 from repro.obs import (Trace, dumps_jsonl, loads_jsonl,
-                       session_report_html, sweep_report_html,
-                       triage_report_html, write_report)
+                       session_report_html, triage_report_html, write_report)
 from repro.obs.trace_export import TraceMeta
 
 #: Markers of external references a self-contained report must not have.
@@ -42,13 +40,6 @@ def session_html(session_trace):
     return session_report_html(session_trace)
 
 
-@pytest.fixture(scope="module")
-def sweep_result():
-    base = SessionConfig(video="big_buck_bunny", abr="festive",
-                         wifi_mbps=8.0, lte_mbps=8.0, video_duration=20.0)
-    return run_sweep(expand_grid(base, {"scheme": ["baseline", "rate"]}))
-
-
 class TestSessionReport:
     def test_well_formed_and_self_contained(self, session_html):
         parse_document(session_html)
@@ -80,63 +71,11 @@ class TestSessionReport:
         assert_self_contained(html)
         assert "no chunks" in html
 
-    def test_write_report(self, tmp_path, session_html):
-        out = tmp_path / "r.html"
+    @pytest.mark.parametrize("name", ["r.html", "new/nested/r.html"])
+    def test_write_report(self, tmp_path, session_html, name):
+        out = tmp_path / name
         write_report(str(out), session_html)
         assert out.read_text() == session_html
-
-
-class TestSweepReport:
-    def test_well_formed_and_self_contained(self, sweep_result):
-        html = sweep_report_html(sweep_result)
-        parse_document(html)
-        assert_self_contained(html)
-
-    def test_panels_present(self, sweep_result):
-        html = sweep_report_html(sweep_result)
-        for panel in ("Sweep overview", "Scheme comparison",
-                      "Merged distributions", "Runs"):
-            assert panel in html, panel
-        assert "baseline" in html and "mpdash-rate" in html
-
-    def test_no_failures_no_failure_panel(self, sweep_result):
-        assert not sweep_result.failures
-        assert "Failures" not in sweep_report_html(sweep_result)
-
-    def test_overview_shows_wall_clock(self, sweep_result):
-        html = sweep_report_html(sweep_result)
-        assert "wall clock" in html
-        assert f"{sweep_result.wall_clock:.1f}" in html
-
-    def test_export_report_method(self, sweep_result, tmp_path):
-        out = tmp_path / "sweep.html"
-        sweep_result.export_report(str(out))
-        assert out.read_text() == sweep_report_html(sweep_result)
-
-    def test_failures_panel_rendered(self):
-        from repro.experiments.sweep import run_sweep as sweep
-
-        def crash(config):
-            raise RuntimeError("injected crash")
-
-        result = sweep([SessionConfig(video="big_buck_bunny",
-                                      abr="festive", video_duration=20.0)],
-                       runner=crash)
-        html = sweep_report_html(result)
-        parse_document(html)
-        assert "Failures" in html
-        assert "injected crash" in html
-
-    def test_download_runs_tabulated_without_qoe(self):
-        from repro.experiments import FileDownloadConfig
-
-        result = run_sweep([FileDownloadConfig(
-            size=1e6, deadline=10.0, wifi_mbps=8.0, lte_mbps=8.0)])
-        html = sweep_report_html(result)
-        parse_document(html)
-        assert "Runs" in html
-        # Download summaries carry no session QoE: no scheme panel data.
-        assert "means over" not in html
 
 
 class TestTriageReportHtml:

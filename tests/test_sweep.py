@@ -11,10 +11,9 @@ import pytest
 from repro.experiments import (FileDownloadConfig, SessionConfig, run_schemes,
                                run_session)
 from repro.experiments.sweep import (FAILED_ERROR, FAILED_TIMEOUT,
-                                     DownloadSummary, ResultCache,
-                                     SessionSummary, config_key,
+                                     ResultCache, SessionSummary, config_key,
                                      default_runner, expand_grid, run_sweep,
-                                     summarize_session, summary_from_dict)
+                                     summarize_session)
 from repro.experiments.tables import sweep_table
 from repro.net.trace import BandwidthTrace
 from repro.net.units import mbps
@@ -114,19 +113,10 @@ class TestSummaries:
         result = run_session(short_config())
         summary = summarize_session(result)
         payload = json.loads(json.dumps(summary.to_dict()))
-        again = summary_from_dict(payload)
+        again = SessionSummary.from_dict(payload)
         assert isinstance(again, SessionSummary)
         assert again == summary
         assert again.metrics.cellular_bytes == result.metrics.cellular_bytes
-
-    def test_download_summary_round_trip(self):
-        summary = DownloadSummary(config_key="k", duration=3.0,
-                                  bytes_per_path={"wifi": 5e6,
-                                                  "cellular": 1e6},
-                                  missed_deadline=False, radio_energy=12.0)
-        again = summary_from_dict(json.loads(json.dumps(summary.to_dict())))
-        assert again == summary
-        assert again.cellular_fraction == pytest.approx(1.0 / 6.0)
 
 
 class TestSerialSweep:
@@ -139,12 +129,12 @@ class TestSerialSweep:
             assert run.summary.metrics == direct.metrics
             assert run.summary.finished == direct.finished
 
-    def test_download_configs_use_the_download_runner(self):
+    def test_download_configs_have_no_default_runner(self):
         sweep = run_sweep([FileDownloadConfig(size=2e6, deadline=8.0,
                                               wifi_mbps=4.0, lte_mbps=4.0)])
-        assert sweep.ok
-        assert isinstance(sweep.runs[0].summary, DownloadSummary)
-        assert not sweep.runs[0].summary.missed_deadline
+        failure = sweep.runs[0].failure
+        assert failure is not None and failure.kind == FAILED_ERROR
+        assert "no default runner for FileDownloadConfig" in failure.error
 
     def test_progress_line_per_run(self):
         lines = []
@@ -321,85 +311,51 @@ class TestRunSchemesOnEngine:
             run_schemes(base, schemes=("baseline",))
 
 
-class TestSweepHistograms:
-    def _metric_config(self, **overrides):
-        # Constrained links so MP-DASH actually arms deadlines and the
-        # slack histogram has samples.
-        defaults = dict(mpdash=True, collect_metrics=True, wifi_mbps=3.8,
-                        lte_mbps=3.0, video_duration=40.0)
-        defaults.update(overrides)
-        return short_config(**defaults)
+class TestOlderCacheArtifacts:
+    """Cache directories written before summaries lost their histograms
+    and the download kind must keep working: the session artifact is a
+    hit, the download artifact a miss."""
 
-    def test_summary_carries_serialized_histograms(self):
-        result = run_session(self._metric_config())
-        summary = summarize_session(result)
-        assert "repro_deadline_slack_seconds" in summary.histograms
-        payload = json.loads(json.dumps(summary.to_dict()))
-        again = summary_from_dict(payload)
-        assert again.histograms == summary.histograms
+    def _older_cache(self, tmp_path, config):
+        from repro.obs.metrics import Histogram
 
-    def test_pre_histogram_payloads_still_load(self):
-        """Cache artifacts written before histograms existed have no
-        'histograms' key; loading them must not fail."""
-        summary = summarize_session(run_session(short_config()))
-        payload = json.loads(json.dumps(summary.to_dict()))
-        del payload["histograms"]
-        again = summary_from_dict(payload)
-        assert again.histograms == {}
-        assert again.metrics == summary.metrics
+        cache_dir = str(tmp_path / "cache")
+        first = run_sweep([config], cache_dir=cache_dir)
+        cache = ResultCache(cache_dir)
+        slack = Histogram("repro_deadline_slack_seconds", [0.0, 1.0, 5.0])
+        for value in (-0.5, 0.4, 2.0):
+            slack.observe(value)
+        path = cache.path(first.runs[0].config_key)
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["histograms"] = {slack.name: slack.to_dict()}
+        with open(path, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        download = FileDownloadConfig(size=2e6, deadline=8.0)
+        with open(cache.path(config_key(download)), "w") as handle:
+            json.dump({"kind": "download",
+                       "config_key": config_key(download),
+                       "duration": 3.0,
+                       "bytes_per_path": {"wifi": 1.5e6, "cellular": 5e5},
+                       "missed_deadline": False, "radio_energy": 12.0},
+                      handle, sort_keys=True)
+        return cache_dir, first, download
 
-    def test_histograms_survive_the_cache(self, tmp_path):
-        from repro.experiments.sweep import merged_histograms
+    def test_session_artifact_with_histograms_is_a_hit(self, tmp_path):
+        cache_dir, first, _ = self._older_cache(tmp_path, short_config())
+        again = run_sweep([short_config()], cache_dir=cache_dir)
+        assert again.runs[0].cached
+        assert again.runs[0].summary == first.runs[0].summary
+        assert "histograms" not in again.runs[0].summary.to_dict()
 
-        configs = [self._metric_config(),
-                   self._metric_config(wifi_mbps=6.0)]
-        cache = str(tmp_path / "cache")
-        first = run_sweep(configs, cache_dir=cache)
-        second = run_sweep(configs, cache_dir=cache)
-        assert second.cache_hits == 2
-        for fresh, cached in zip(first.runs, second.runs):
-            assert cached.summary.histograms == fresh.summary.histograms
-        merged = merged_histograms(second)
-        slack = merged["repro_deadline_slack_seconds"]
-        assert slack.count == sum(
-            run.summary.histograms["repro_deadline_slack_seconds"]["count"]
-            for run in second.runs)
-        assert slack.quantile(0.95) is not None
-
-    def test_merged_histograms_skips_runs_without_metrics(self):
-        from repro.experiments.sweep import merged_histograms
-
-        sweep = run_sweep([short_config()])
-        assert merged_histograms(sweep) == {}
-
-    def test_merged_histograms_names_series_and_run_on_mismatch(self):
-        from repro.experiments.sweep import merged_histograms
-
-        sweep = run_sweep([self._metric_config(),
-                           self._metric_config(wifi_mbps=6.0)])
-        bad = sweep.summaries[1]
-        name = "repro_deadline_slack_seconds"
-        payload = dict(bad.histograms[name])
-        payload["bounds"] = [b * 2.0 for b in payload["bounds"]]
-        bad.histograms[name] = payload
-        with pytest.raises(ValueError,
-                           match="mismatched bucket layouts") as excinfo:
-            merged_histograms(sweep)
-        message = str(excinfo.value)
-        assert name in message
-        assert bad.config_key[:12] in message
-
-    def test_sweep_table_reports_slack(self):
-        sweep = run_sweep([self._metric_config()])
-        table = sweep_table(sweep)
-        assert "p95 slack" in table
-        assert "merged deadline slack" in table
-
-    def test_sweep_table_without_metrics_has_no_footer(self):
-        sweep = run_sweep([short_config()])
-        table = sweep_table(sweep)
-        assert "p95 slack" in table  # the column is always present
-        assert "merged deadline slack" not in table
+    def test_download_artifact_is_a_miss(self, tmp_path):
+        cache_dir, _, download = self._older_cache(tmp_path,
+                                                   short_config())
+        assert ResultCache(cache_dir).load(config_key(download)) is None
+        sweep = run_sweep([download], cache_dir=cache_dir)
+        run = sweep.runs[0]
+        assert not run.cached and sweep.cache_hits == 0
+        assert run.failure is not None
 
 
 # Module-level kill runners for the broken-pool tests (picklable).

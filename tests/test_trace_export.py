@@ -4,7 +4,6 @@ import io
 
 import pytest
 
-from repro.analysis.analyzer import MultipathVideoAnalyzer
 from repro.energy.devices import GALAXY_NOTE
 from repro.energy.model import radio_state_events
 from repro.experiments import SessionConfig, run_session
@@ -14,6 +13,7 @@ from repro.obs import (RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL, EventBus,
                        dumps_jsonl, gzip_bytes, load_jsonl, loads_jsonl,
                        metrics_from_trace, replay)
 from repro.obs.events import PacketSent, StallStart
+from repro.obs.trace_export import analyzer_from_trace
 
 
 def _short_session(**overrides):
@@ -100,7 +100,7 @@ class TestRoundTrip:
     def test_analyzer_from_trace_rebuilds_views(self):
         result = _short_session()
         trace = loads_jsonl(dumps_jsonl(result.events, result.trace_meta))
-        offline = MultipathVideoAnalyzer.from_trace(trace)
+        offline = analyzer_from_trace(trace)
         live = result.analyzer
         assert offline.session_duration == live.session_duration
         for path in live.activity.paths():
