@@ -633,6 +633,17 @@ class TestFleetRecorderCli:
         assert html.stat().st_size > 500
         assert (tmp_path / "triage" / "anomaly-00000002.html").is_file()
 
+    def test_triage_html_into_missing_directory(self, tmp_path, capsys):
+        assert main(self.record_args(tmp_path, ["--json"])) == 0
+        capsys.readouterr()
+        html = tmp_path / "not" / "yet" / "triage.html"
+        assert main(["triage", "--record-dir",
+                     str(tmp_path / "records"), "--top", "2",
+                     "--html", str(html)]) == 0
+        assert "triage report written" in capsys.readouterr().err
+        assert html.read_text().startswith("<!DOCTYPE html>")
+        assert (html.parent / "anomaly-00000002.html").is_file()
+
     def test_triage_accepts_campaign_dir_and_key_prefix(self, tmp_path,
                                                         capsys):
         assert main(self.record_args(tmp_path, ["--json"])) == 0
@@ -983,6 +994,15 @@ class TestHistory:
         text = open(html).read()
         assert "MP-DASH run history" in text
         assert "deadline_misses" in text
+        assert "written to" in capsys.readouterr().err
+
+    def test_trend_html_into_missing_directory(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.jsonl")
+        _seed_ledger(path)
+        html = tmp_path / "not" / "yet" / "trend.html"
+        assert main(["history", "trend", "--ledger", path,
+                     "--html", str(html)]) == 0
+        assert "MP-DASH run history" in html.read_text()
         assert "written to" in capsys.readouterr().err
 
     def test_gate_passes_on_stable_history(self, tmp_path, capsys):

@@ -443,6 +443,25 @@ class TestSweepEntry:
         assert e.metrics["peak_rss_kb"] > 0
 
 
+    def test_failed_runs_carry_no_session_headlines(self):
+        from repro.experiments import FileDownloadConfig
+
+        ok = short_config()
+        result = run_sweep([ok, FileDownloadConfig(size=2e6,
+                                                   deadline=8.0)])
+        e = sweep_entry(result)
+        assert e.metrics["runs"] == 2.0
+        assert e.metrics["failures"] == 1.0
+        alone = sweep_entry(run_sweep([ok]))
+        for name in ("qoe", "bitrate_mbps", "cellular_mbytes",
+                     "energy_joules"):
+            assert e.metrics[name] == alone.metrics[name], name
+        only_failed = sweep_entry(run_sweep([FileDownloadConfig(
+            size=2e6, deadline=8.0)]))
+        assert only_failed.metrics["failures"] == 1.0
+        assert "qoe" not in only_failed.metrics
+
+
 class TestFleetEntry:
     def test_population_quantiles_and_registry_digest(self):
         result = run_fleet(FleetConfig(sessions=6, shard_size=3,

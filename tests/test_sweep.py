@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import (FileDownloadConfig, SessionConfig, run_schemes,
                                run_session)
+from repro.experiments.fleet import FleetConfig
 from repro.experiments.sweep import (FAILED_ERROR, FAILED_TIMEOUT,
                                      ResultCache, SessionSummary, config_key,
                                      default_runner, expand_grid, run_sweep,
@@ -136,6 +137,18 @@ class TestSerialSweep:
         assert failure is not None and failure.kind == FAILED_ERROR
         assert "no default runner for FileDownloadConfig" in failure.error
 
+    @pytest.mark.parametrize("config", [
+        pytest.param(FileDownloadConfig(size=2e6, deadline=8.0),
+                     id="download"),
+        pytest.param(FleetConfig(sessions=2), id="fleet"),
+        pytest.param({"video": "big_buck_bunny"}, id="mapping"),
+    ])
+    def test_default_runner_refuses_non_session_configs(self, config):
+        with pytest.raises(TypeError) as excinfo:
+            default_runner(config)
+        assert str(excinfo.value) == (
+            f"no default runner for {type(config).__name__}; pass runner=")
+
     def test_progress_line_per_run(self):
         lines = []
         sweep = run_sweep([short_config()], progress=lines.append)
@@ -198,6 +211,32 @@ class TestCaching:
         assert sweep.cache_hits == 0
         # The rerun healed the artifact.
         assert cache.load(config_key(config)) is not None
+
+    @pytest.mark.parametrize("name", [
+        "config_key", "finished", "session_duration", "metrics",
+        "scheduler_stats", "metrics.unknown"])
+    def test_artifact_with_a_bad_field_is_a_miss(self, tmp_path, name):
+        """An artifact lacking a field the summary needs, or whose metrics
+        carry one SessionMetrics does not have, is re-simulated (and the
+        artifact healed), never an error."""
+        cache_dir = str(tmp_path / "cache")
+        config = short_config()
+        first = run_sweep([config], cache_dir=cache_dir)
+        cache = ResultCache(cache_dir)
+        path = cache.path(config_key(config))
+        with open(path) as handle:
+            payload = json.load(handle)
+        if name == "metrics.unknown":
+            payload["metrics"]["unknown"] = 1.0
+        else:
+            del payload[name]
+        with open(path, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        assert cache.load(config_key(config)) is None
+        again = run_sweep([config], cache_dir=cache_dir)
+        assert again.ok and again.cache_hits == 0
+        assert again.runs[0].summary == first.runs[0].summary
+        assert cache.load(config_key(config)) == first.runs[0].summary
 
     def test_failures_are_never_cached(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -282,6 +321,18 @@ class TestSweepTable:
         assert "boom" in text
         assert "2 runs, 1 failed" in text
 
+    def test_session_row_reports_summary_metrics(self):
+        sweep = run_sweep([short_config(lte_mbps=3.0)])
+        run = sweep.runs[0]
+        metrics = run.summary.metrics
+        row = sweep_table(sweep).splitlines()[3].split()
+        assert row == [
+            "0", run.config_key[:12], "ok", f"{run.elapsed:.2f}",
+            f"{metrics.cellular_bytes / 1e6:.2f}",
+            f"{metrics.radio_energy:.1f}",
+            f"{metrics.mean_bitrate_mbps:.2f}", str(metrics.stall_count),
+            "0"]
+
 
 class TestRunSchemesOnEngine:
     def test_comparison_still_works(self):
@@ -347,6 +398,33 @@ class TestOlderCacheArtifacts:
         assert again.runs[0].cached
         assert again.runs[0].summary == first.runs[0].summary
         assert "histograms" not in again.runs[0].summary.to_dict()
+
+    @pytest.mark.parametrize("form", [
+        "empty-histograms", "no-violations", "null-violations"])
+    def test_older_session_forms_are_hits(self, tmp_path, form):
+        """Older session artifacts: the common form with no histograms
+        collected, and forms from before violation counts existed."""
+        cache_dir = str(tmp_path / "cache")
+        config = short_config()
+        first = run_sweep([config], cache_dir=cache_dir)
+        path = ResultCache(cache_dir).path(config_key(config))
+        with open(path) as handle:
+            payload = json.load(handle)
+        if form == "empty-histograms":
+            payload["histograms"] = {}
+        elif form == "no-violations":
+            del payload["violations"]
+        else:
+            payload["violations"] = None
+        with open(path, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        again = run_sweep([config], cache_dir=cache_dir)
+        run = again.runs[0]
+        assert run.cached and again.cache_hits == 1
+        assert run.summary.metrics == first.runs[0].summary.metrics
+        assert run.summary.config_key == first.runs[0].config_key
+        expected = {} if form == "empty-histograms" else None
+        assert run.summary.violations == expected
 
     def test_download_artifact_is_a_miss(self, tmp_path):
         cache_dir, _, download = self._older_cache(tmp_path,
