@@ -58,37 +58,52 @@ def interface_energy(activity: ActivityLog, path: str,
     if session_end <= 0:
         raise ValueError(f"session_end must be positive: {session_end!r}")
     width = activity.bin_width
-    breakdown = EnergyBreakdown()
+    # The profile's constants read once, and active_power inlined: bursts
+    # carry bytes > 0 only, so its negative-throughput guard never fires.
+    # Each accumulator must add its terms in this order, so that every
+    # sum keeps its bits (tests/test_energy_walk.py holds the reference).
+    active_base = profile.active_base
+    downlink_per_mbps = profile.downlink_per_mbps
+    tail_time = profile.tail_time
+    tail_power = profile.tail_power
+    idle_power = profile.idle_power
+    promotion_energy = profile.promotion_energy
+    active = tail_energy = idle = promotion = 0.0
 
-    #: End of the current high-power window (active burst + its tail).
-    promoted_until = 0.0
     last_burst_end = None
     for start, num_bytes in activity.bursts(path, session_end):
-        end = start + width
-        if last_burst_end is None or start > promoted_until:
-            # Entering active from idle: promotion, and close the previous
-            # tail (charged fully below when we know the gap).
-            breakdown.promotion += profile.promotion_energy
-        if last_burst_end is not None:
-            gap = max(0.0, start - last_burst_end)
-            tail = min(gap, profile.tail_time)
-            breakdown.tail += tail * profile.tail_power
-            breakdown.idle += max(0.0, gap - tail) * profile.idle_power
+        if last_burst_end is None:
+            # Entering active from idle for the first time.
+            promotion += promotion_energy
+            idle += max(0.0, start) * idle_power
         else:
-            breakdown.idle += max(0.0, start) * profile.idle_power
+            if start > promoted_until:
+                # Entering active from idle: promotion, and close the
+                # previous tail (charged fully here now the gap is known).
+                promotion += promotion_energy
+            # max(0.0, x) and min(gap, tail_time) spelled out, with the
+            # same outcomes: each keeps its first argument unless the
+            # second compares strictly beyond it.
+            gap = start - last_burst_end
+            gap = gap if gap > 0.0 else 0.0
+            tail = tail_time if tail_time < gap else gap
+            tail_energy += tail * tail_power
+            rest = gap - tail
+            idle += (rest if rest > 0.0 else 0.0) * idle_power
         throughput_mbps = num_bytes * 8.0 / 1e6 / width
-        breakdown.active += profile.active_power(throughput_mbps) * width
-        last_burst_end = end
-        promoted_until = end + profile.tail_time
+        active += (active_base + downlink_per_mbps * throughput_mbps) * width
+        last_burst_end = start + width
+        # End of the current high-power window (active burst + its tail).
+        promoted_until = last_burst_end + tail_time
 
     if last_burst_end is None:
-        breakdown.idle += session_end * profile.idle_power
+        idle += session_end * idle_power
     else:
         gap = max(0.0, session_end - last_burst_end)
-        tail = min(gap, profile.tail_time)
-        breakdown.tail += tail * profile.tail_power
-        breakdown.idle += max(0.0, gap - tail) * profile.idle_power
-    return breakdown
+        tail = min(gap, tail_time)
+        tail_energy += tail * tail_power
+        idle += max(0.0, gap - tail) * idle_power
+    return EnergyBreakdown(active, tail_energy, idle, promotion)
 
 
 def radio_transitions(activity: ActivityLog, path: str,

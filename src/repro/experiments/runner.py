@@ -139,17 +139,19 @@ def run_session(config: SessionConfig, check: bool = False,
     monitor = None
     if check or checkers is not None:
         monitor = InvariantMonitor(checkers, bus=sim.bus)
-    collector = None
-    if config.collect_metrics:
-        collector = SessionMetricsCollector(
-            sim.bus, device=config.device)
     span_builder = SpanBuilder(sim.bus) if config.collect_spans else None
     paths = _build_paths(config)
     connection = MptcpConnection(
         sim, paths, tick_interval=config.tick_interval,
         signaling_delay=config.signaling_delay,
         subflow_reestablish=config.subflow_reestablish)
+    collector = None
     if config.collect_metrics:
+        # On the connection's log, as the offline replay's collector is on
+        # the replay's: no private copy of the bins, and one radio walk
+        # per path for the residency and the analyzer's energy.
+        collector = SessionMetricsCollector(
+            sim.bus, device=config.device, activity=connection.activity)
         PathSampler(sim, connection)
 
     server = DashServer()
@@ -182,9 +184,10 @@ def run_session(config: SessionConfig, check: bool = False,
     sim.bus.publish(SessionClosed(sim.now))
     session_duration = sim.now
 
-    analyzer = MultipathVideoAnalyzer(connection.activity, player.log,
-                                      session_duration,
-                                      DEVICES[config.device])
+    analyzer = MultipathVideoAnalyzer(
+        connection.activity, player.log, session_duration,
+        DEVICES[config.device],
+        timeline=collector.timeline if collector else None)
     metrics = analyzer.metrics(config.steady_state_fraction)
     result = SessionResult(config=config, metrics=metrics,
                            analyzer=analyzer,

@@ -9,6 +9,7 @@ state (the paper's Figure 6 contrasts exactly these patterns).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import inf
 from typing import Dict, List, Optional, Tuple
 
@@ -92,6 +93,20 @@ class ActivityLog:
         values = [per_path.get(i, 0.0) for i in range(last + 1)]
         return times, values
 
+    def filled_bins(self, path: str, until: float
+                    ) -> List[Tuple[int, float]]:
+        """Sorted ``(index, bytes)`` of the bins :meth:`series` holds up
+        to ``until`` that were ever filled (the zero-filled ones left
+        out; a bin summing to NaN stays in)."""
+        per_path = self._bins.get(path)
+        if not per_path:
+            return []
+        last = int(until / self.bin_width)
+        filled = sorted(per_path.items())
+        # Indices are unique ints, so ``(i,)`` sorts just before bin i.
+        return filled[bisect_left(filled, (0,)):
+                      bisect_left(filled, (last + 1,))]
+
     def bursts(self, path: str, until: float) -> List[Tuple[float, float]]:
         """Sorted ``(bin_start, bytes)`` of the bins up to ``until`` that
         carried bytes.
@@ -99,14 +114,10 @@ class ActivityLog:
         The sparse counterpart of :meth:`series`: the same bins and start
         times without the empty ones, for walks that skip empty bins.
         """
-        per_path = self._bins.get(path)
-        if not per_path:
-            return []
-        last = int(until / self.bin_width)
         width = self.bin_width
         return [(i * width, num_bytes)
-                for i, num_bytes in sorted(per_path.items())
-                if 0 <= i <= last and num_bytes > 0]
+                for i, num_bytes in self.filled_bins(path, until)
+                if num_bytes > 0]
 
     def throughput_series(self, path: str, until: float = None
                           ) -> Tuple[List[float], List[float]]:

@@ -31,7 +31,8 @@ energy         :class:`RadioStateChange`
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,6 +364,20 @@ _FIELD_TYPES: Dict[str, Any] = {
 }
 
 
+#: ``(name, declared type, checker)`` for each field of one event class.
+_CheckPlan = Tuple[Tuple[str, str, Callable[[Any], bool]], ...]
+#: Per event class, resolved once (``fields()`` per event dominated the
+#: check).
+_CHECK_PLANS: Dict[type, _CheckPlan] = {}
+
+
+def _check_plan(cls: type) -> _CheckPlan:
+    plan = tuple((spec.name, spec.type, _FIELD_TYPES[spec.type])
+                 for spec in fields(cls))
+    _CHECK_PLANS[cls] = plan
+    return plan
+
+
 def mistyped_field(events: Iterable[TraceEvent]) -> Optional[str]:
     """The first event field whose value its declared type rejects, as
     ``"record <n> (<type>) field <name>: ..."`` (records numbered from 1,
@@ -373,14 +388,26 @@ def mistyped_field(events: Iterable[TraceEvent]) -> Optional[str]:
     string byte count; the CLI runs this once on every trace it loads
     and refuses one that fails it.
     """
+    plans = _CHECK_PLANS
     for number, event in enumerate(events, 1):
-        for spec in fields(event):
-            value = getattr(event, spec.name)
-            if not _FIELD_TYPES[spec.type](value):
-                return (f"record {number} ({type(event).__name__}) field "
-                        f"{spec.name}: expected {spec.type}, got "
+        cls = event.__class__
+        for name, declared, accepts in plans.get(cls) or _check_plan(cls):
+            value = getattr(event, name)
+            if not accepts(value):
+                return (f"record {number} ({cls.__name__}) field "
+                        f"{name}: expected {declared}, got "
                         f"{type(value).__name__} {value!r}")
     return None
+
+
+def _slot_namespace(cls: type) -> Dict[str, Any]:
+    """Globals for code generated over ``cls``: ``_set_<field>`` (each
+    field's slot setter), ``_new`` and ``_cls``."""
+    namespace: Dict[str, Any] = {
+        f"_set_{spec.name}": getattr(cls, spec.name).__set__
+        for spec in fields(cls)}
+    namespace.update(_new=cls.__new__, _cls=cls)
+    return namespace
 
 
 def fast_ctor(cls: type) -> Any:
@@ -388,19 +415,16 @@ def fast_ctor(cls: type) -> Any:
 
     Frozen dataclasses route every ``__init__`` field assignment through
     ``object.__setattr__``, roughly tripling construction cost.  That
-    dominates wherever events are built in bulk: the per-subflow-per-bin
-    transport events (thousands per simulated session) and the JSONL
-    loader.  Assigning through the slot descriptors directly skips the
+    dominates wherever events are built in bulk, such as the
+    per-subflow-per-bin transport events (thousands per simulated
+    session).  Assigning through the slot descriptors directly skips the
     frozen guard during construction only — instances are as immutable as
     ones built normally.  Parameters are the fields in declaration order,
     with their defaults, so positional and keyword calls bind exactly as
     ``cls(...)`` does.
     """
     specs = fields(cls)
-    namespace: Dict[str, Any] = {
-        f"_set_{spec.name}": getattr(cls, spec.name).__set__
-        for spec in specs}
-    namespace.update(_new=cls.__new__, _cls=cls)
+    namespace = _slot_namespace(cls)
     params = []
     for spec in specs:
         if spec.default is MISSING:
@@ -416,54 +440,79 @@ def fast_ctor(cls: type) -> Any:
     return namespace["ctor"]
 
 
-#: Generated constructors for the JSONL loader, keyed like EVENT_TYPES.
-_LOAD_CTORS: Dict[str, Any] = {
-    name: fast_ctor(cls) for name, cls in EVENT_TYPES.items()}
-#: Marks a record whose ``type`` key was never popped.
-_NO_TYPE = object()
+def _record_reader(cls: type) -> Callable[[Dict[str, Any]], TraceEvent]:
+    """Reader of a parsed record holding exactly ``cls``'s fields plus
+    ``type``: reads each key and sets the slots directly, past the frozen
+    guard (see :func:`fast_ctor`).  Any other record raises ``KeyError``.
+    """
+    specs = fields(cls)
+    namespace = _slot_namespace(cls)
+    body = "".join(f"    _set_{spec.name}(self, record[{spec.name!r}])\n"
+                   for spec in specs)
+    source = (f"def read(record):\n"
+              f"    if len(record) != {len(specs) + 1}:\n"
+              f"        raise KeyError('type')\n"
+              f"    self = _new(_cls)\n{body}    return self\n")
+    exec(source, namespace)
+    return namespace["read"]
+
+
+class _Readers(dict):
+    """Type name → record reader, each generated when its type is first
+    loaded; an unknown name raises ``KeyError``."""
+
+    def __missing__(self, name: str) -> Callable[[Dict[str, Any]],
+                                                   TraceEvent]:
+        reader = self[name] = _record_reader(EVENT_TYPES[name])
+        return reader
+
+
+_READERS = _Readers()
 
 
 def events_from_dicts(records: Iterable[Any]) -> List[TraceEvent]:
     """Bulk :func:`event_from_dict` for freshly parsed records.
 
-    Equal events and the same ``ValueError`` messages, through the
-    generated constructors; a record that is not an object raises
-    ``ValueError`` too.  Consumes ``records``: each dict's ``type`` key
-    is popped.
+    Equal events and the same ``ValueError`` messages: a record holding
+    exactly its type's fields goes through that type's generated reader,
+    any other (an older trace without a defaulted field, a missing or
+    extra key, an unknown type) through :func:`event_from_dict`; a record
+    that is not an object raises ``ValueError`` too.
     """
-    ctors = _LOAD_CTORS
+    readers = _READERS
     events: List[TraceEvent] = []
     append = events.append
     for record in records:
-        name = _NO_TYPE
         try:
-            name = record.pop("type")
-            append(ctors[name](**record))
-        except (AttributeError, KeyError, TypeError):
-            # Off the fast path (unknown type, bad fields, not an
-            # object): event_from_dict decides, with its own messages.
-            if name is not _NO_TYPE:
-                record["type"] = name
-            try:
-                append(event_from_dict(record))
-            except TypeError as exc:
-                raise ValueError(f"malformed trace record {record!r}: "
-                                 f"{exc}") from None
+            append(readers[record["type"]](record))
+        except (KeyError, TypeError):
+            append(_event_from_record(record))
     return events
+
+
+def _event_from_record(record: Any) -> TraceEvent:
+    try:
+        return event_from_dict(record)
+    except TypeError as exc:
+        if isinstance(record, dict) and "type" in record:
+            # Quoted with the type key last, as these messages always were.
+            record = dict(record)
+            record["type"] = record.pop("type")
+        raise ValueError(f"malformed trace record {record!r}: "
+                         f"{exc}") from None
 
 
 #: Fast constructor for the hottest event on the bus (one per subflow per
 #: activity bin while a transfer is active).
 new_packet_sent = fast_ctor(PacketSent)
 
-#: Fast constructors for the per-chunk events (a few per transfer each),
-#: shared with the JSONL loader.
-new_transfer_started = _LOAD_CTORS["TransferStarted"]
-new_transfer_completed = _LOAD_CTORS["TransferCompleted"]
-new_deadline_armed = _LOAD_CTORS["DeadlineArmed"]
-new_http_request_sent = _LOAD_CTORS["HttpRequestSent"]
-new_http_response_received = _LOAD_CTORS["HttpResponseReceived"]
-new_chunk_requested = _LOAD_CTORS["ChunkRequested"]
-new_mp_dash_armed = _LOAD_CTORS["MpDashArmed"]
-new_mp_dash_skipped = _LOAD_CTORS["MpDashSkipped"]
-new_chunk_downloaded = _LOAD_CTORS["ChunkDownloaded"]
+#: Fast constructors for the per-chunk events (a few per transfer each).
+new_transfer_started = fast_ctor(TransferStarted)
+new_transfer_completed = fast_ctor(TransferCompleted)
+new_deadline_armed = fast_ctor(DeadlineArmed)
+new_http_request_sent = fast_ctor(HttpRequestSent)
+new_http_response_received = fast_ctor(HttpResponseReceived)
+new_chunk_requested = fast_ctor(ChunkRequested)
+new_mp_dash_armed = fast_ctor(MpDashArmed)
+new_mp_dash_skipped = fast_ctor(MpDashSkipped)
+new_chunk_downloaded = fast_ctor(ChunkDownloaded)

@@ -211,6 +211,35 @@ def _downsample(points: Sequence[Tuple[float, float]],
     return kept
 
 
+def _throughput_points(activity: Any, path: str, until: float,
+                       limit: int = 360) -> List[Tuple[float, float]]:
+    """``_downsample`` of ``path``'s (time, Mbit/s) bins over [0,
+    ``until``], computed from its filled bins alone.
+
+    Each stride starts at its first bin, empty or not (0 Mbit/s), and a
+    later filled bin replaces it only when strictly greater, as
+    :func:`_downsample` keeps them; empty bins never do.
+    """
+    width = activity.bin_width
+    count = int(until / width) + 1
+    filled = activity.filled_bins(path, until)
+    if count <= limit:
+        values = dict(filled)
+        return [(i * width, values.get(i, 0.0) / width * 8.0 / 1e6)
+                for i in range(count)]
+    stride = -(-count // limit)  # ceil
+    kept = [(k * stride * width, 0.0)
+            for k in range((count - 1) // stride + 1)]
+    peaks = [0.0] * len(kept)
+    for index, num_bytes in filled:
+        value = num_bytes / width * 8.0 / 1e6
+        group = index // stride
+        if index % stride == 0 or value > peaks[group]:
+            kept[group] = (index * width, value)
+            peaks[group] = value
+    return kept
+
+
 def _severity_badge(severity: str) -> str:
     css = {ERROR: "critical", WARNING: "warning", INFO: "info"}.get(
         severity, "info")
@@ -279,10 +308,8 @@ def _path_panel(analyzer: Any, registry: MetricsRegistry,
     if paths:
         series = []
         for path in paths:
-            times, values = analyzer.throughput_timeline(path)
-            points = _downsample(
-                [(t, v * 8.0 / 1e6) for t, v in zip(times, values)])
-            series.append(Series(path, points))
+            series.append(Series(path, _throughput_points(
+                analyzer.activity, path, analyzer.session_duration)))
         parts.append(line_chart(series, x_label="time (s)",
                                 y_label="throughput (Mbit/s)",
                                 title="per-path delivered throughput"))

@@ -14,6 +14,8 @@ the oracle the shared form must equal, as ``tests/test_algorithm1.py``
 keeps the old decision rules.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -391,3 +393,24 @@ def test_report_and_trace_load_a_path_no_radio_profile_covers(tmp_path,
                  "--load", str(path)]) == 0
     assert main(["trace", "--load", str(path)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_live_metrics_session_walks_each_path_once(monkeypatch):
+    """``run_session`` builds its collector on the connection's log, so
+    the residency and the analyzer's energy share one walk per path, and
+    the session measures what an uninstrumented one does."""
+    config = SessionConfig(video="big_buck_bunny", abr="festive",
+                           wifi_mbps=3.8, lte_mbps=3.0, video_duration=30.0)
+    bare = run_session(config)
+    walked = []
+    original_bursts = ActivityLog.bursts
+
+    def spy_bursts(log, path, until):
+        walked.append(path)
+        return original_bursts(log, path, until)
+
+    monkeypatch.setattr(ActivityLog, "bursts", spy_bursts)
+    result = run_session(replace(config, collect_metrics=True))
+    assert sorted(walked) == sorted(result.analyzer.activity.paths())
+    assert result.analyzer.timeline is not None
+    assert result.metrics == bare.metrics
