@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..dash.events import PlayerEventLog, PLAY_START
+from ..dash.events import PlayerEventLog
 from ..energy.model import EnergyBreakdown
 from ..mptcp.activity import ActivityLog
 from ..net.link import CELLULAR, WIFI
@@ -104,9 +104,7 @@ def compute_metrics(log: PlayerEventLog,
         rates = [chunk.size / chunk.duration for chunk in kept]
         metrics.mean_bitrate = sum(rates) / len(rates)
 
-    play_events = log.of_kind(PLAY_START)
-    if play_events:
-        metrics.startup_delay = play_events[0].time
+    metrics.startup_delay = log.started_at
 
     for path, breakdown in energy.items():
         if path == "total":

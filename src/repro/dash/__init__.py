@@ -1,10 +1,7 @@
 """DASH streaming stack: media model, manifest, HTTP, server, player."""
 
 from .buffer import PlaybackBuffer
-from .events import (ChunkRecord, PlayerEvent, PlayerEventLog, StallRecord,
-                     DOWNLOADED, MPDASH_ARMED, MPDASH_SKIPPED, PLAY_START,
-                     PLAYBACK_END, QUALITY_SWITCH, REQUEST, STALL_END,
-                     STALL_START)
+from .events import ChunkRecord, PlayerEventLog, StallRecord
 from .http import HttpClient, HttpRequest, HttpResponse
 from .manifest import Manifest, Representation
 from .media import QualityLevel, VideoAsset
@@ -14,8 +11,6 @@ from .server import DashServer
 __all__ = [
     "ChunkRecord", "DashPlayer", "DashServer", "HttpClient", "HttpRequest",
     "HttpResponse", "Manifest", "PlaybackBuffer", "PlayerAddon",
-    "PlayerEvent", "PlayerEventLog", "QualityLevel", "Representation",
-    "StallRecord", "VideoAsset",
-    "DOWNLOADED", "MPDASH_ARMED", "MPDASH_SKIPPED", "PLAY_START",
-    "PLAYBACK_END", "QUALITY_SWITCH", "REQUEST", "STALL_END", "STALL_START",
+    "PlayerEventLog", "QualityLevel", "Representation", "StallRecord",
+    "VideoAsset",
 ]

@@ -1,9 +1,11 @@
-"""Player event log and per-chunk records.
+"""Per-chunk and per-stall records of a player session.
 
 The paper's analysis tool correlates a network packet trace with "a
-player's event logs" (§6).  This module is the player half of that input:
-typed events with timestamps, plus a structured per-chunk record carrying
-everything the analyzer and the Figure-8 visualization need.
+player's event logs" (§6).  The player's event log is its typed event
+stream on the session bus (a recorded trace holds it verbatim); this
+module keeps the two structured views the analyzer, the metrics and the
+Figure-8 visualization read from it: one record per downloaded chunk and
+one per rebuffering interval.
 """
 
 from __future__ import annotations
@@ -13,26 +15,6 @@ from typing import Dict, List, Optional
 
 from ..obs import events as obs_events
 from ..obs.bus import EventBus
-
-# Event kinds.
-REQUEST = "request"
-DOWNLOADED = "downloaded"
-PLAY_START = "play_start"
-STALL_START = "stall_start"
-STALL_END = "stall_end"
-QUALITY_SWITCH = "quality_switch"
-PLAYBACK_END = "playback_end"
-MPDASH_ARMED = "mpdash_armed"
-MPDASH_SKIPPED = "mpdash_skipped"
-
-
-@dataclass(frozen=True)
-class PlayerEvent:
-    """One timestamped player event."""
-
-    time: float
-    kind: str
-    detail: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -78,45 +60,32 @@ class StallRecord:
 
 
 class PlayerEventLog:
-    """Append-only event log with typed accessors.
+    """Chunk and stall records plus the playback start, rebuilt from the
+    player's typed events.
 
-    Either fed directly through :meth:`record`/:meth:`record_chunk`, or
-    attached to the session bus with :meth:`attach`, where it rebuilds the
-    same entries from the player's typed events — which is how both the
-    live player log and the offline trace-replay log are produced.
+    :meth:`attach` subscribes it to a session bus; the live player and
+    the offline trace replay both build their log that way.
     """
 
     def __init__(self) -> None:
-        self.events: List[PlayerEvent] = []
         self.chunks: List[ChunkRecord] = []
         self.stalls: List[StallRecord] = []
+        #: When playback first started; None until it does.
+        self.started_at: Optional[float] = None
         self._open_stall: Optional[float] = None
 
     def attach(self, bus: EventBus) -> None:
         """Subscribe to the player-layer events on ``bus``."""
         ev = obs_events
-        bus.subscribe(ev.ChunkRequested, lambda e: self.record(
-            e.time, REQUEST, index=e.index, level=e.level))
-        bus.subscribe(ev.MpDashArmed, lambda e: self.record(
-            e.time, MPDASH_ARMED, index=e.index, deadline=e.deadline))
-        bus.subscribe(ev.MpDashSkipped, lambda e: self.record(
-            e.time, MPDASH_SKIPPED, index=e.index, deadline=-1.0))
-        bus.subscribe(ev.QualitySwitched, lambda e: self.record(
-            e.time, QUALITY_SWITCH, from_level=e.from_level,
-            to_level=e.to_level))
         bus.subscribe(ev.ChunkDownloaded, self._on_chunk_downloaded)
-        bus.subscribe(ev.PlaybackStarted,
-                      lambda e: self.record(e.time, PLAY_START))
-        bus.subscribe(ev.StallStart,
-                      lambda e: self.record(e.time, STALL_START))
+        bus.subscribe(ev.PlaybackStarted, self._on_playback_started)
+        bus.subscribe(ev.StallStart, self._on_stall_start)
         bus.subscribe(ev.StallEnd, self._on_stall_end)
-        bus.subscribe(ev.PlaybackEnded, self._on_playback_ended)
-        bus.subscribe(ev.SessionClosed, lambda e: self.close(e.time))
+        bus.subscribe(ev.PlaybackEnded, self._on_end)
+        bus.subscribe(ev.SessionClosed, self._on_end)
 
     def _on_chunk_downloaded(self, event: "obs_events.ChunkDownloaded"
                              ) -> None:
-        self.record(event.time, DOWNLOADED, index=event.index,
-                    level=event.level, size=event.size)
         self.record_chunk(ChunkRecord(
             index=event.index, level=event.level, size=event.size,
             duration=event.duration, requested_at=event.requested_at,
@@ -125,26 +94,24 @@ class PlayerEventLog:
             deadline=event.deadline,
             buffer_at_request=event.buffer_at_request))
 
+    def _on_playback_started(self, event: "obs_events.PlaybackStarted"
+                             ) -> None:
+        if self.started_at is None:
+            self.started_at = event.time
+
+    def _on_stall_start(self, event: "obs_events.StallStart") -> None:
+        self._open_stall = event.time
+
     def _on_stall_end(self, event: "obs_events.StallEnd") -> None:
         # A recorded stream may end a stall it never started (the
         # stall-pairing checker reports it): skip it, as the collector
         # and the span builder do.
         if self._open_stall is not None:
-            self.record(event.time, STALL_END)
-
-    def _on_playback_ended(self, event: "obs_events.PlaybackEnded") -> None:
-        self.record(event.time, PLAYBACK_END)
-        self.close(event.time)
-
-    def record(self, time: float, kind: str, **detail: float) -> None:
-        self.events.append(PlayerEvent(time, kind, detail))
-        if kind == STALL_START:
-            self._open_stall = time
-        elif kind == STALL_END:
-            if self._open_stall is None:
-                raise ValueError("stall_end without stall_start")
-            self.stalls.append(StallRecord(self._open_stall, time))
+            self.stalls.append(StallRecord(self._open_stall, event.time))
             self._open_stall = None
+
+    def _on_end(self, event: "obs_events.TraceEvent") -> None:
+        self.close(event.time)
 
     def record_chunk(self, record: ChunkRecord) -> None:
         self.chunks.append(record)
@@ -154,10 +121,6 @@ class PlayerEventLog:
         if self._open_stall is not None:
             self.stalls.append(StallRecord(self._open_stall, time))
             self._open_stall = None
-
-    # ------------------------------------------------------------------
-    def of_kind(self, kind: str) -> List[PlayerEvent]:
-        return [e for e in self.events if e.kind == kind]
 
     @property
     def stall_count(self) -> int:
@@ -173,5 +136,5 @@ class PlayerEventLog:
                    if a.level != b.level)
 
     def __repr__(self) -> str:
-        return (f"<PlayerEventLog events={len(self.events)} "
-                f"chunks={len(self.chunks)} stalls={len(self.stalls)}>")
+        return (f"<PlayerEventLog chunks={len(self.chunks)} "
+                f"stalls={len(self.stalls)}>")

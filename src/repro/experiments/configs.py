@@ -22,6 +22,16 @@ RATE = "rate"               # MP-DASH, rate-based deadlines
 SCHEMES = (BASELINE, DURATION, RATE)
 
 
+def scheme_fields(scheme: str) -> Dict[str, object]:
+    """The :class:`SessionConfig` fields that select one of the three
+    evaluation schemes."""
+    if scheme == BASELINE:
+        return {"mpdash": False}
+    if scheme in (DURATION, RATE):
+        return {"mpdash": True, "deadline_mode": scheme}
+    raise ValueError(f"unknown scheme {scheme!r} (known: {SCHEMES})")
+
+
 @dataclass
 class SessionConfig:
     """One adaptive-streaming session."""
@@ -98,11 +108,7 @@ class SessionConfig:
 
     def with_scheme(self, scheme: str) -> "SessionConfig":
         """This config under one of the three evaluation schemes."""
-        if scheme == BASELINE:
-            return replace(self, mpdash=False)
-        if scheme in (DURATION, RATE):
-            return replace(self, mpdash=True, deadline_mode=scheme)
-        raise ValueError(f"unknown scheme {scheme!r} (known: {SCHEMES})")
+        return replace(self, **scheme_fields(scheme))
 
 
 @dataclass

@@ -54,7 +54,7 @@ from ..obs.why import fold_attributions
 from ..workloads.arrivals import (ARRIVAL_MODELS, DEFAULT_DEVICE_MIX,
                                   SessionArrivals, SessionDraw)
 from ..workloads.locations import Location, field_study_locations
-from .configs import SCHEMES, SessionConfig
+from .configs import SCHEMES, SessionConfig, scheme_fields
 from .pool import run_units
 from .runner import run_session
 from .sweep import config_key
@@ -183,14 +183,14 @@ def session_config(config: FleetConfig, draw: SessionDraw) -> SessionConfig:
     horizon = 2.0 * config.video_duration + 180.0
     wifi = site.wifi_trace(horizon)
     lte = None if draw.wifi_only else site.lte_trace(horizon)
-    base = SessionConfig(
+    return SessionConfig(
         video=config.video, abr=config.abr,
         wifi_mbps=None, lte_mbps=None,
         wifi_trace=wifi, lte_trace=lte,
         wifi_rtt_ms=site.wifi_rtt_ms, lte_rtt_ms=site.lte_rtt_ms,
         wifi_only=draw.wifi_only,
-        video_duration=config.video_duration, device=draw.device)
-    return base.with_scheme(config.scheme)
+        video_duration=config.video_duration, device=draw.device,
+        **scheme_fields(config.scheme))
 
 
 def fold_session(registry: MetricsRegistry, draw: SessionDraw,
@@ -672,6 +672,8 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
         end_shard = min(total, shards_done + stop_after)
 
     uncheckpointed = 0
+    # True while the manifest on disk holds every committed shard.
+    manifest_current = False
 
     def recorder_state() -> Optional[Dict[str, Any]]:
         if recorder is None:
@@ -680,7 +682,7 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
 
     def commit(shard: int, payload: Dict[str, Any]) -> None:
         nonlocal sessions, failures, sim_seconds, shards_done
-        nonlocal uncheckpointed, error_total
+        nonlocal uncheckpointed, error_total, manifest_current
         registry.merge(MetricsRegistry.from_dict(payload["registry"]))
         sessions += payload["sessions"]
         failures += payload["failures"]
@@ -693,6 +695,7 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
             errors.append(sample)
         shards_done += 1
         uncheckpointed += 1
+        manifest_current = False
         report(f"shard {shard + 1}/{total} ({payload['sessions']} sessions, "
                f"{payload['failures']} failed) in "
                f"{payload['elapsed']:.2f}s")
@@ -715,6 +718,7 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
             if recorder is not None:
                 save_manifest(recorder.artifact_dir, key, rec_stats,
                               anomalies)
+                manifest_current = True
 
     def give_up(shard: int, attempts: int, failure: str) -> None:
         # Skipping a shard would silently bias the population; the last
@@ -728,7 +732,7 @@ def run_fleet(config: FleetConfig, jobs: int = 1,
               partial(_run_shard, config, runner=runner, recorder=recorder),
               jobs, retries, commit, give_up, ordered=True)
 
-    if recorder is not None:
+    if recorder is not None and not manifest_current:
         save_manifest(recorder.artifact_dir, key, rec_stats, anomalies)
     wall = time.perf_counter() - start
     result = FleetResult(

@@ -53,7 +53,8 @@ def _delivered(curves: Sequence[WindowCurve], t: float) -> float:
 
 
 def _certified_band(curves: Sequence[WindowCurve], span: float,
-                    sendable: float, tolerance: float) -> tuple:
+                    sendable: float, tolerance: float,
+                    reach: float) -> tuple:
     """``(left, right)`` around the instant ``sendable`` bytes have landed.
 
     Every time below ``left`` provably delivers less than ``sendable`` and
@@ -68,13 +69,15 @@ def _certified_band(curves: Sequence[WindowCurve], span: float,
     accumulated rounding error, so that the float evaluation's ulp-scale
     non-monotonicity cannot flip a comparison outside the band.  Returns
     ``(-inf, inf)``, exact evaluation everywhere, when either step fails.
+    ``reach`` is ``_delivered(curves, span)``, which the caller has at
+    hand.
     """
     guard = tolerance / 1000.0
     # Thousands of ulps of the largest byte count the sums hold, yet far
     # below the ~guard * rate bytes a converged estimate leaves.
     margin = (sendable + sum(curve.cap for curve in curves)) * 2.0 ** -40
     root = span
-    excess = _delivered(curves, span) - sendable
+    excess = reach - sendable
     if excess > 0.0:
         for _ in range(_NEWTON_ROUNDS):
             rate = sum(curve.rate_at(root) for curve in curves)
@@ -97,7 +100,8 @@ def _certified_band(curves: Sequence[WindowCurve], span: float,
 
 
 class _SpanPlan:
-    """Each sender's inputs over the span that starts at watermark ``t0``.
+    """Each sender's inputs over the span that starts at watermark ``t0``,
+    and what the kernel has proved about that span.
 
     A sender is an enabled subflow usable at ``t0``.  Its bandwidth and
     next trace breakpoint are read once, and its :class:`WindowCurve` is
@@ -105,9 +109,16 @@ class _SpanPlan:
     advance that follows it share one set of inputs.  ``boundary`` is
     the earliest instant any of them can change: a sender's breakpoint,
     or a re-established subflow becoming usable.
+
+    What the kernel proves about the span (the rate ceiling, the summed
+    steady rate, the last potential evaluated, the last certified band
+    and the lone sender's delivery time) is a function of those same
+    inputs, so it lives and dies with the curves: the advance that lands
+    on a predicted completion re-runs only the bisection.
     """
 
-    __slots__ = ("t0", "senders", "rates", "boundary", "_curves")
+    __slots__ = ("t0", "senders", "rates", "boundary", "_ceiling",
+                 "_curves", "_reach", "_steady", "_band", "_alone")
 
     def __init__(self, t0: float, subflows: Sequence[Subflow]):
         self.t0 = t0
@@ -131,7 +142,18 @@ class _SpanPlan:
         self.senders: List[Subflow] = senders
         self.rates: List[float] = rates
         self.boundary = boundary
+        # No window delivers faster than its path's bandwidth, so the
+        # summed rate bounds the potential; the factor covers the curves'
+        # rounding and summation order.
+        self._ceiling = sum(rates) * (1.0 + 1e-9)
         self._curves: Optional[List[WindowCurve]] = None
+        # ``(span, potential(span))`` of the last evaluation.
+        self._reach: Optional[tuple] = None
+        self._steady: Optional[float] = None
+        # ``(sendable, left, right)`` of the last completion solve.
+        self._band: Optional[tuple] = None
+        # ``(sendable, seconds)`` of the lone sender's last delivery time.
+        self._alone: Optional[tuple] = None
 
     def curves(self) -> List[WindowCurve]:
         """Each sender's delivery curve from ``t0``, in sender order."""
@@ -145,7 +167,66 @@ class _SpanPlan:
 
     def potential(self, span: float) -> float:
         """Combined bytes the senders could carry in ``span`` seconds."""
-        return _delivered(self.curves(), span)
+        reach = self._reach
+        if reach is None or reach[0] != span:
+            reach = self._reach = (span, _delivered(self.curves(), span))
+        return reach[1]
+
+    def falls_short(self, span: float, threshold: float) -> bool:
+        """``potential(span) < threshold``, proved without evaluating the
+        curves where the plan already knows the answer.
+
+        The rate ceiling proves a shortfall, so such a span builds no
+        curve.  A certified band for at least ``threshold`` bytes proves
+        the opposite for any span past its right edge.
+        """
+        if self._ceiling * span < threshold:
+            return True
+        band = self._band
+        if band is not None and span > band[2] and threshold <= band[0]:
+            return False
+        return self.potential(span) < threshold
+
+    def steady_rate(self) -> float:
+        """The senders' summed rate when every one is pinned, else -1."""
+        total = self._steady
+        if total is None:
+            t0 = self.t0
+            total = 0.0
+            for sf, bw in zip(self.senders, self.rates):
+                rate = sf.steady_rate(t0, bw)
+                if rate is None:
+                    total = -1.0
+                    break
+                total += rate
+            self._steady = total
+        return total
+
+    def time_to_deliver(self, sendable: float) -> float:
+        """Seconds the first sender alone takes to carry ``sendable``."""
+        alone = self._alone
+        if alone is None or alone[0] != sendable:
+            alone = self._alone = (sendable, self.senders[0].time_to_deliver(
+                self.t0, sendable, self.rates[0]))
+        return alone[1]
+
+    def band(self, span: float, sendable: float,
+             tolerance: float) -> tuple:
+        """A certified ``(left, right)`` band around ``sendable``'s root.
+
+        Proved once per ``sendable``: the edges bound the curves' values,
+        not the span, so a band certified for one span holds for any.  A
+        right edge the solve could not certify (``right >= span``) is
+        kept as ``inf``, which settles no midpoint of a longer span.
+        """
+        band = self._band
+        if band is None or band[0] != sendable:
+            left, right = _certified_band(self.curves(), span, sendable,
+                                          tolerance, self.potential(span))
+            if right >= span:
+                right = math.inf
+            band = self._band = (sendable, left, right)
+        return band[1], band[2]
 
 
 class Transfer:
@@ -650,7 +731,7 @@ class MptcpConnection:
                         self._completion = None
                     self._advanced_to = t1
                     continue
-                if plan.potential(span) < sendable - _EPSILON:
+                if plan.falls_short(span, sendable - _EPSILON):
                     # The whole span flows at full potential.
                     t_end = t1
                     if t1 < target:
@@ -686,20 +767,11 @@ class MptcpConnection:
                     sendable: float) -> float:
         """Seconds into the plan's span at which combined delivery =
         sendable."""
-        t0 = plan.t0
-        senders = plan.senders
-        if len(senders) == 1:
-            return min(senders[0].time_to_deliver(t0, sendable,
-                                                  plan.rates[0]), span)
+        if len(plan.senders) == 1:
+            return min(plan.time_to_deliver(sendable), span)
         # Steady state: every sender pinned at its ceiling means delivery
         # is linear at the combined rate — solve by division, not search.
-        total_rate = 0.0
-        for sf, bw in zip(senders, plan.rates):
-            rate = sf.steady_rate(t0, bw)
-            if rate is None:
-                total_rate = -1.0
-                break
-            total_rate += rate
+        total_rate = plan.steady_rate()
         if total_rate > 0.0:
             return min(sendable / total_rate, span)
         # Bisection over the combined delivery integral, converged when
@@ -707,13 +779,14 @@ class MptcpConnection:
         # same ``_EPSILON`` the byte accounting uses).  Each sender's
         # (idle-restarted) curve comes from the plan; a certified band
         # around the root settles every midpoint outside it by one
-        # comparison.
+        # comparison.  The band depends on the curves, not on the span,
+        # so the advance reuses the one its prediction proved.
         curves = plan.curves()
         floor_rate = 0.0
         for curve in curves:
             floor_rate += curve.floor_rate
         tolerance = max(1e-12, _EPSILON / max(floor_rate, 1.0))
-        left, right = _certified_band(curves, span, sendable, tolerance)
+        left, right = plan.band(span, sendable, tolerance)
         lo, hi = 0.0, span
         for _ in range(80):
             mid = (lo + hi) / 2.0
@@ -765,8 +838,7 @@ class MptcpConnection:
         now = plan.t0
         senders = plan.senders
         if len(senders) == 1:
-            finish = now + senders[0].time_to_deliver(now, sendable,
-                                                      plan.rates[0])
+            finish = now + plan.time_to_deliver(sendable)
             return finish if finish <= bound else None
         if math.isinf(bound):
             # Bracket with the fastest path carrying everything alone.
@@ -777,7 +849,7 @@ class MptcpConnection:
             span = alone
         else:
             span = bound - now
-            if plan.potential(span) < sendable:
+            if plan.falls_short(span, sendable):
                 return None
         return now + self._solve_span(plan, span, sendable)
 

@@ -240,10 +240,6 @@ class Subflow:
         """Predicted throughput (bytes/second); None before any sample."""
         return self.estimator.predict()
 
-    def reset_tcp(self) -> None:
-        """Reset congestion state (new connection semantics)."""
-        self.tcp.reset()
-
     def __repr__(self) -> str:
         return (f"<Subflow {self.name} total={self.total_bytes / 1e6:.2f}MB "
                 f"est={self.throughput_estimate()}>")

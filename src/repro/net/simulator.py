@@ -103,11 +103,6 @@ class Simulator:
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        return self.schedule(time - self.now, callback, *args)
-
     def call_every(self, interval: float, callback: Callable[..., Any],
                    *args: Any) -> "PeriodicProcess":
         """Run ``callback(*args)`` every ``interval`` seconds until stopped."""
@@ -150,10 +145,6 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-
-    def run_for(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` seconds."""
-        self.run(until=self.now + duration)
 
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled events."""

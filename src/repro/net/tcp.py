@@ -73,51 +73,71 @@ def integrate_window(cwnd: float, ssthresh: float, rtt: float, bw: float,
     (zero bandwidth).  The function is pure; callers apply idle-restart
     before integrating (see :meth:`TcpState.window_after_restart`).
     """
+    # ``min``/``max`` are spelled out as the comparisons they make (the
+    # first argument unless the second is strictly smaller or larger):
+    # this runs once per ramp step.
     bdp = bw * rtt
     ceiling = bdp * (1.0 + QUEUE_ALLOWANCE)
-    cap = max(ceiling, INITIAL_CWND)
+    cap = INITIAL_CWND if INITIAL_CWND > ceiling else ceiling
     c = cwnd
     if c > cap:
         c = cap
-        ssthresh = max(c, INITIAL_CWND)
+        ssthresh = INITIAL_CWND if INITIAL_CWND > c else c
     delivered = 0.0
     elapsed = 0.0
 
     # Phase 1: slow start (rate = c/rtt, window doubles per RTT).
-    target = min(ssthresh, bdp)
+    target = bdp if bdp < ssthresh else ssthresh
     if elapsed < dt_limit and delivered < bytes_limit and c < target:
         tau = rtt * math.log2(target / c)
-        tau = min(tau, dt_limit - elapsed)
+        rest = dt_limit - elapsed
+        if rest < tau:
+            tau = rest
         budget = bytes_limit - delivered
         tau_bytes = rtt * math.log2(1.0 + budget * _LN2 / c)
-        tau = min(tau, tau_bytes)
-        delivered += c * (2.0 ** (tau / rtt) - 1.0) / _LN2
-        c = min(c * 2.0 ** (tau / rtt), target)
+        if tau_bytes < tau:
+            tau = tau_bytes
+        growth = 2.0 ** (tau / rtt)
+        delivered += c * (growth - 1.0) / _LN2
+        c = c * growth
+        if target < c:
+            c = target
         elapsed += tau
 
     # Phase 2: congestion avoidance below the BDP (rate = c/rtt, linear
     # growth of one segment per RTT).
     if elapsed < dt_limit and delivered < bytes_limit and c < bdp:
         tau = (bdp - c) * rtt / PACKET_SIZE
-        tau = min(tau, dt_limit - elapsed)
+        rest = dt_limit - elapsed
+        if rest < tau:
+            tau = rest
         budget = bytes_limit - delivered
         half_a = PACKET_SIZE / (2.0 * rtt)
         tau_bytes = ((math.sqrt(c * c + 4.0 * half_a * budget * rtt) - c)
                      / (2.0 * half_a))
-        tau = min(tau, tau_bytes)
+        if tau_bytes < tau:
+            tau = tau_bytes
         delivered += (c * tau + half_a * tau * tau) / rtt
-        c = min(c + PACKET_SIZE * tau / rtt, bdp)
+        c = c + PACKET_SIZE * tau / rtt
+        if bdp < c:
+            c = bdp
         elapsed += tau
 
     # Phase 3: between the BDP and the ceiling the rate is pinned at bw but
     # the window still grows (the standing-queue allowance filling up).
     if elapsed < dt_limit and delivered < bytes_limit and c < ceiling:
         tau = (ceiling - c) * rtt / PACKET_SIZE
-        tau = min(tau, dt_limit - elapsed)
+        rest = dt_limit - elapsed
+        if rest < tau:
+            tau = rest
         if bw > 0:
-            tau = min(tau, (bytes_limit - delivered) / bw)
+            rest = (bytes_limit - delivered) / bw
+            if rest < tau:
+                tau = rest
         delivered += bw * tau
-        c = min(c + PACKET_SIZE * tau / rtt, ceiling)
+        c = c + PACKET_SIZE * tau / rtt
+        if ceiling < c:
+            c = ceiling
         elapsed += tau
 
     # Phase 4: pinned at the ceiling; rate = bw, no further growth.
@@ -125,7 +145,9 @@ def integrate_window(cwnd: float, ssthresh: float, rtt: float, bw: float,
         if math.isfinite(dt_limit):
             tau = dt_limit - elapsed
             if bw > 0:
-                tau = min(tau, (bytes_limit - delivered) / bw)
+                rest = (bytes_limit - delivered) / bw
+                if rest < tau:
+                    tau = rest
             delivered += bw * tau
             elapsed += tau
         elif bw > 0:

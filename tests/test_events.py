@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.dash.events import (ChunkRecord, PlayerEventLog, REQUEST,
-                               STALL_END, STALL_START)
+from repro.dash.events import ChunkRecord, PlayerEventLog
+from repro.obs.bus import EventBus
+from repro.obs.events import StallEnd, StallStart
 
 
 def make_chunk(index=0, level=0, cellular=0.0, wifi=100.0):
@@ -13,28 +14,30 @@ def make_chunk(index=0, level=0, cellular=0.0, wifi=100.0):
                        bytes_per_path={"wifi": wifi, "cellular": cellular})
 
 
-class TestEvents:
-    def test_events_recorded_in_order(self):
-        log = PlayerEventLog()
-        log.record(1.0, REQUEST, index=0)
-        log.record(2.0, REQUEST, index=1)
-        assert [e.time for e in log.of_kind(REQUEST)] == [1.0, 2.0]
+def attached_log():
+    """A log attached to a fresh bus, and the bus's publish."""
+    bus = EventBus()
+    log = PlayerEventLog()
+    log.attach(bus)
+    return log, bus.publish
 
+
+class TestEvents:
     def test_stall_pairing(self):
-        log = PlayerEventLog()
-        log.record(5.0, STALL_START)
-        log.record(7.5, STALL_END)
+        log, publish = attached_log()
+        publish(StallStart(5.0))
+        publish(StallEnd(7.5))
         assert log.stall_count == 1
         assert log.total_stall_time == pytest.approx(2.5)
 
-    def test_unmatched_stall_end_rejected(self):
-        log = PlayerEventLog()
-        with pytest.raises(ValueError):
-            log.record(1.0, STALL_END)
+    def test_unmatched_stall_end_leaves_no_stall(self):
+        log, publish = attached_log()
+        publish(StallEnd(1.0))
+        assert log.stall_count == 0
 
     def test_close_ends_open_stall(self):
-        log = PlayerEventLog()
-        log.record(5.0, STALL_START)
+        log, publish = attached_log()
+        publish(StallStart(5.0))
         log.close(9.0)
         assert log.stall_count == 1
         assert log.total_stall_time == pytest.approx(4.0)

@@ -5,10 +5,11 @@ import pytest
 from repro.analysis.metrics import (SessionMetrics, bitrate_reduction,
                                     compute_metrics, path_utilization,
                                     savings)
-from repro.dash.events import (ChunkRecord, PLAY_START, PlayerEventLog,
-                               STALL_END, STALL_START)
+from repro.dash.events import ChunkRecord, PlayerEventLog
 from repro.energy.model import EnergyBreakdown
 from repro.mptcp.activity import ActivityLog
+from repro.obs.bus import EventBus
+from repro.obs.events import PlaybackStarted, StallEnd, StallStart
 
 
 def chunk(index, level=2, wifi=800_000.0, cellular=200_000.0):
@@ -20,9 +21,12 @@ def chunk(index, level=2, wifi=800_000.0, cellular=200_000.0):
                        bytes_per_path={"wifi": wifi, "cellular": cellular})
 
 
-def make_log(num_chunks=10):
+def make_log(num_chunks=10, bus=None):
     log = PlayerEventLog()
-    log.record(2.0, PLAY_START)
+    if bus is None:
+        bus = EventBus()
+    log.attach(bus)
+    bus.publish(PlaybackStarted(2.0))
     for i in range(num_chunks):
         log.record_chunk(chunk(i, level=i % 3))
     return log
@@ -60,9 +64,10 @@ class TestComputeMetrics:
         assert metrics.startup_delay == pytest.approx(2.0)
 
     def test_stall_accounting(self):
-        log = make_log()
-        log.record(10.0, STALL_START)
-        log.record(12.5, STALL_END)
+        bus = EventBus()
+        log = make_log(bus=bus)
+        bus.publish(StallStart(10.0))
+        bus.publish(StallEnd(12.5))
         metrics = compute_metrics(log, ENERGY, 60.0)
         assert metrics.stall_count == 1
         assert metrics.total_stall_time == pytest.approx(2.5)

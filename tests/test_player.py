@@ -3,7 +3,6 @@
 import pytest
 
 from repro.abr import Gpac, make_abr
-from repro.dash.events import PLAY_START, PLAYBACK_END, STALL_START
 from repro.dash.http import HttpClient
 from repro.dash.media import VideoAsset
 from repro.dash.player import DashPlayer
@@ -11,6 +10,8 @@ from repro.dash.server import DashServer
 from repro.mptcp.connection import MptcpConnection
 from repro.net.link import cellular_path, wifi_path
 from repro.net.simulator import Simulator
+from repro.obs.events import PlaybackEnded, PlaybackStarted
+from repro.obs.trace_export import TraceRecorder
 
 
 def make_session(wifi_mbps=8.0, lte_mbps=8.0, duration=60.0, abr=None,
@@ -48,12 +49,14 @@ class TestHappyPath:
 
     def test_playback_events_ordered(self):
         sim, _conn, player = make_session()
+        recorder = TraceRecorder(sim.bus)
         player.start()
         run_to_end(sim, player)
-        play = player.log.of_kind(PLAY_START)
-        end = player.log.of_kind(PLAYBACK_END)
+        play = [e for e in recorder.events if type(e) is PlaybackStarted]
+        end = [e for e in recorder.events if type(e) is PlaybackEnded]
         assert len(play) == 1 and len(end) == 1
         assert play[0].time < end[0].time
+        assert player.log.started_at == play[0].time
 
     def test_plays_whole_video(self):
         sim, _conn, player = make_session(duration=40.0)
@@ -90,7 +93,7 @@ class TestAdversity:
                                           duration=40.0)
         player.start()
         run_to_end(sim, player, cap=400.0)
-        assert player.log.of_kind(STALL_START)
+        assert player.log.stall_count > 0
 
     def test_drops_to_lowest_level_when_starved(self):
         sim, _conn, player = make_session(wifi_mbps=0.8, lte_mbps=0.5,

@@ -2,19 +2,22 @@
 
 import gzip
 import hashlib
+import io
 import json
 import os
 
 import pytest
 
+import repro.experiments.fleet as fleet_module
 from repro.experiments.fleet import FleetConfig, fleet_key, run_fleet
 from repro.obs import (RecorderConfig, ShardRecorder, find_manifests,
                        load_jsonl, load_manifest, rank_anomalies,
                        render_anomaly_reports, replay_anomaly, save_manifest,
                        triage_table)
 from repro.obs.events import StallStart
-from repro.obs.recorder import (REASON_ORDER, artifact_name, empty_stats,
-                                key_dir, load_capture, merge_stats)
+from repro.obs.recorder import (MANIFEST_VERSION, REASON_ORDER,
+                                artifact_name, empty_stats, key_dir,
+                                load_capture, merge_stats)
 from repro.obs.why import attribute_anomaly
 from repro.obs.trace_export import TraceMeta, dumps_jsonl, gzip_bytes
 
@@ -501,6 +504,58 @@ class TestFleetRecorderIntegration:
         assert payload["fleet_key"] == fleet_key(config)
         assert payload["stats"] == result.recorder
         assert payload["records"] == result.anomalies
+
+    @pytest.mark.parametrize("checkpoint_every,writes", [
+        (None, 1), (2, 2), (1, 3)])
+    def test_each_manifest_state_is_written_once(self, tmp_path,
+                                                  monkeypatch,
+                                                  checkpoint_every, writes):
+        # Three shards: a manifest is written at each checkpoint, and the
+        # final checkpoint's manifest is the campaign's last word.
+        written = []
+
+        def save(*args):
+            path = save_manifest(*args)
+            with open(path, "rb") as handle:
+                written.append(handle.read())
+            return path
+
+        monkeypatch.setattr(fleet_module, "save_manifest", save)
+        config = fleet_config(fault_session=2)
+        checkpoints = {}
+        if checkpoint_every is not None:
+            checkpoints = dict(checkpoint_dir=str(tmp_path / "ckpt"),
+                               checkpoint_every=checkpoint_every)
+        result = run_fleet(config, recorder=rec_config(tmp_path),
+                           **checkpoints)
+        assert len(written) == writes
+        (path,) = find_manifests(str(tmp_path / "records"))
+        with open(path, "rb") as handle:
+            assert handle.read() == written[-1]
+        # The same bytes the streaming encoder wrote.
+        streamed = io.StringIO()
+        json.dump({"version": MANIFEST_VERSION,
+                   "fleet_key": fleet_key(config),
+                   "stats": result.recorder, "records": result.anomalies},
+                  streamed, sort_keys=True)
+        assert written[-1] == streamed.getvalue().encode("utf-8")
+
+    def test_a_finished_campaign_resumed_writes_one_manifest(self, tmp_path,
+                                                             monkeypatch):
+        config = fleet_config(fault_session=2)
+        checkpoints = dict(checkpoint_dir=str(tmp_path / "ckpt"),
+                           checkpoint_every=1)
+        first = run_fleet(config, recorder=rec_config(tmp_path),
+                          **checkpoints)
+        calls = []
+        monkeypatch.setattr(fleet_module, "save_manifest",
+                            lambda *args: calls.append(args))
+        again = run_fleet(config, recorder=rec_config(tmp_path),
+                          resume=True, **checkpoints)
+        assert again.resumed_shards == again.shards_done
+        assert len(calls) == 1
+        assert calls[0][2] == first.recorder
+        assert calls[0][3] == first.anomalies
 
     def test_capture_progress_lines(self, tmp_path):
         lines = []

@@ -116,9 +116,8 @@ class TestNoCyclicGarbage:
     @pytest.mark.parametrize("recorded", [False, True])
     def test_fleet_garbage_does_not_grow_with_sessions(self, recorded,
                                                         tmp_path):
-        """A campaign may leave a constant (the anomaly manifest's
-        indented ``json.dump`` builds closures that form cycles), never a
-        per-session amount."""
+        """A campaign may leave a constant, never a per-session
+        amount."""
         def campaign(sessions):
             recorder = None
             if recorded:

@@ -30,15 +30,6 @@ class TestScheduling:
         sim.run()
         assert seen == [1.5]
 
-    def test_schedule_at_absolute_time(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.schedule_at(3.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [3.0]
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
@@ -112,12 +103,6 @@ class TestRunUntil:
         sim.run(until=2.0)
         sim.run()
         assert fired == ["b"]
-        assert sim.now == 5.0
-
-    def test_run_for_advances_relative(self):
-        sim = Simulator()
-        sim.run(until=3.0)
-        sim.run_for(2.0)
         assert sim.now == 5.0
 
     def test_run_is_not_reentrant(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.estimators import Ewma
 from repro.mptcp.subflow import MIN_SAMPLE_INTERVAL, Subflow
 from repro.net.link import Path
-from repro.net.tcp import INITIAL_CWND
 from repro.net.trace import BandwidthTrace
 from repro.net.units import mbps
 
@@ -110,11 +109,3 @@ class TestEstimation:
         sf.grow_analytic(0.0, 10.0, BW)
         assert sf.throughput_estimate() is None
         assert sf.total_bytes == 0
-
-    def test_reset_tcp(self):
-        sf = Subflow(_path())
-        _warm(sf, 1.0)
-        assert sf.tcp.cwnd > INITIAL_CWND
-        sf.reset_tcp()
-        assert sf.tcp.cwnd == INITIAL_CWND
-        assert sf.tcp.last_send_time is None

@@ -10,12 +10,12 @@ import pytest
 
 from repro.core.policy import prefer_cellular
 from repro.core.socket_api import MpDashSocket
-from repro.dash.events import MPDASH_ARMED, MPDASH_SKIPPED
 from repro.experiments import SessionConfig, run_session
 from repro.mptcp.connection import MptcpConnection
 from repro.net.link import cellular_path, wifi_path
 from repro.net.simulator import Simulator
 from repro.net.units import megabytes
+from repro.obs.events import MpDashArmed, MpDashSkipped
 
 
 def make_connection(wifi=3.0, lte=3.8):
@@ -60,21 +60,28 @@ class TestArmedEvents:
         result = run_session(SessionConfig(
             video="big_buck_bunny", abr="festive", mpdash=True,
             deadline_mode="rate", wifi_mbps=6.0, lte_mbps=4.0,
-            video_duration=80.0))
-        log = result.player.log
-        armed = log.of_kind(MPDASH_ARMED)
-        skipped = log.of_kind(MPDASH_SKIPPED)
-        assert len(armed) + len(skipped) == len(log.chunks)
+            video_duration=80.0, record_trace=True))
+        chunks = result.player.log.chunks
+        armed = [e for e in result.events if type(e) is MpDashArmed]
+        skipped = [e for e in result.events if type(e) is MpDashSkipped]
+        assert len(armed) + len(skipped) == len(chunks)
         # Startup chunks are skipped, steady-state ones armed.
         assert skipped, "initial buffering should skip MP-DASH"
         assert len(armed) > len(skipped)
-        # Armed events carry the deadline the adapter computed.
-        assert all(e.detail["deadline"] > 0 for e in armed)
+        # Armed events carry the deadline the adapter computed, and each
+        # armed chunk's record carries the same one.
+        assert all(e.deadline > 0 for e in armed)
+        deadlines = {c.index: c.deadline for c in chunks}
+        assert all(deadlines[e.index] == e.deadline for e in armed)
+        assert all(deadlines[e.index] is None for e in skipped)
 
     def test_baseline_sessions_log_no_mpdash_events(self):
         result = run_session(SessionConfig(
             video="big_buck_bunny", abr="festive", mpdash=False,
-            wifi_mbps=6.0, lte_mbps=4.0, video_duration=60.0))
-        log = result.player.log
-        assert not log.of_kind(MPDASH_ARMED)
-        assert len(log.of_kind(MPDASH_SKIPPED)) == len(log.chunks)
+            wifi_mbps=6.0, lte_mbps=4.0, video_duration=60.0,
+            record_trace=True))
+        chunks = result.player.log.chunks
+        assert not any(type(e) is MpDashArmed for e in result.events)
+        assert sum(type(e) is MpDashSkipped
+                   for e in result.events) == len(chunks)
+        assert all(c.deadline is None for c in chunks)

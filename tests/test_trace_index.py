@@ -149,7 +149,7 @@ def test_mutating_returned_views_changes_no_later_view(text, expected):
     analyzer = analyzer_from_trace(trace)
     analyzer.activity.record(1.0, "wifi", 1e9)
     analyzer.activity.record(2.0, "extra", 1e9)
-    analyzer.log.record(0.5, "extra")
+    analyzer.log.started_at = 0.5
     analyzer.log.chunks.clear()
     analyzer.log.stalls.clear()
     assert digest(session_report_html(trace)) == expected["report"]
