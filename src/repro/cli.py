@@ -20,7 +20,7 @@ equivalent entry point, plus runners for the common experiments::
         --checkpoint-dir .fleet --report fleet.html
     python -m repro why --load run.jsonl
     python -m repro why --diff baseline.jsonl mpdash.jsonl
-    python -m repro why --record-dir .fleet-records --top 5 --json
+    python -m repro triage --record-dir .fleet-records --top 5 --json
     python -m repro fleet --sessions 240 --ledger runs.jsonl
     python -m repro history trend --ledger runs.jsonl --html history.html
     python -m repro history --gate --ledger runs.jsonl
@@ -50,8 +50,7 @@ from .experiments import (BASELINE, DURATION, FileDownloadConfig, FleetConfig,
                           RATE, SessionConfig, expand_grid, run_file_download,
                           run_fleet, run_schemes, run_session, run_sweep)
 from .experiments.tables import fleet_table, format_table, pct, sweep_table
-from .obs import (RecorderConfig, Trace,
-                  attribute_anomaly, attributions_from_trace, check_trace,
+from .obs import (RecorderConfig, Trace, attributions_from_trace, check_trace,
                   detect_drift, diff_traces, drift_table,
                   dump_chrome_trace, dump_jsonl, gate_ok,
                   history_report_html, load_jsonl,
@@ -283,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "this run-ledger JSONL file")
 
     triage = commands.add_parser(
-        "triage", help="rank and replay flight-recorder captures from "
-                       "a fleet campaign")
+        "triage", help="rank, replay and attribute flight-recorder "
+                       "captures from a fleet campaign")
     triage.add_argument("--record-dir", required=True, metavar="DIR",
                         help="recorder artifact root (or one campaign's "
                              "subdirectory)")
@@ -296,26 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="show the K worst anomalies (default 10)")
     triage.add_argument("--json", action="store_true",
                         help="machine-readable ranking + replay verdicts "
-                             "on stdout")
+                             "+ attributions on stdout")
     triage.add_argument("--html", metavar="FILE", default=None,
                         help="write the triage report (plus mini session "
                              "reports beside it) to FILE")
 
     why = commands.add_parser(
         "why", help="attribute every anomaly to a root cause: live "
-                    "session, loaded trace, recorded captures, or a "
-                    "two-trace diff")
+                    "session, loaded trace, or a two-trace diff")
     _add_session_args(why)
     why.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
                      help="differential attribution: align two traces "
                           "of the same manifest chunk-by-chunk and rank "
                           "what changed")
-    why.add_argument("--record-dir", metavar="DIR", default=None,
-                     help="attribute a campaign's flight-recorder "
-                          "captures under this artifact root")
-    why.add_argument("--fleet-key", default=None, metavar="PREFIX",
-                     help="campaign key prefix when DIR holds several "
-                          "campaigns")
     why.add_argument("--top", type=_positive_int, default=10,
                      metavar="K",
                      help="explain at most the K worst entries "
@@ -958,78 +950,74 @@ def cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_manifest(record_dir: str, fleet_key: Optional[str],
-                      prog: str):
-    """Locate exactly one campaign manifest under ``record_dir``.
+def _resolve_manifest(record_dir: str, fleet_key: Optional[str]):
+    """Locate and load exactly one campaign manifest under ``record_dir``.
 
     Returns ``(recorder root, manifest dict)`` — artifact paths inside
     records are relative to the root, the manifest's grandparent
-    directory — or ``(None, None)`` after printing the error (missing
-    manifest, unmatched or ambiguous ``--fleet-key``, unreadable file;
-    callers exit 2)."""
+    directory.  Raises ``ValueError`` or ``OSError`` naming the problem:
+    no manifest, an unmatched or ambiguous ``--fleet-key``, an
+    unreadable file."""
     from .obs.recorder import find_manifests, load_manifest
 
     manifests = find_manifests(record_dir)
     if not manifests:
-        print(f"{prog}: no anomaly manifest under {record_dir}",
-              file=sys.stderr)
-        return None, None
+        raise ValueError(f"no anomaly manifest under {record_dir}")
     if fleet_key is not None:
         manifests = [m for m in manifests
                      if os.path.basename(os.path.dirname(m))
                      .startswith(fleet_key)]
         if not manifests:
-            print(f"{prog}: no campaign matching key prefix "
-                  f"{fleet_key!r}", file=sys.stderr)
-            return None, None
+            raise ValueError(f"no campaign matching key prefix "
+                             f"{fleet_key!r}")
     if len(manifests) > 1:
         keys = ", ".join(os.path.basename(os.path.dirname(m))
                          for m in manifests)
-        print(f"{prog}: several campaigns under {record_dir} ({keys}); "
-              f"pick one with --fleet-key", file=sys.stderr)
-        return None, None
-    manifest_path = manifests[0]
-    try:
-        manifest = load_manifest(manifest_path)
-    except (OSError, ValueError) as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
-        return None, None
-    return os.path.dirname(os.path.dirname(manifest_path)), manifest
+        raise ValueError(f"several campaigns under {record_dir} ({keys}); "
+                         f"pick one with --fleet-key")
+    return (os.path.dirname(os.path.dirname(manifests[0])),
+            load_manifest(manifests[0]))
 
 
 def cmd_triage(args: argparse.Namespace) -> int:
-    """Rank, replay, and render a campaign's flight-recorder captures.
+    """Rank, replay, attribute and render a campaign's captures.
+
+    Each capture is loaded, judged and attributed once
+    (:func:`~repro.obs.recorder.triage_captures`); ``--json`` records
+    carry the ``replay`` verdict and the ``why`` attribution.
 
     Exit status: 0 on a successful triage (even with zero captures),
     2 when the artifact directory has no usable manifest or the
     ``--fleet-key`` prefix is missing/ambiguous.
     """
-    from .obs.recorder import (rank_anomalies, render_anomaly_reports,
-                               replay_anomaly, triage_table)
+    from .obs.recorder import rank_anomalies, triage_captures, triage_table
 
-    root, manifest = _resolve_manifest(args.record_dir, args.fleet_key,
-                                       "repro triage")
-    if manifest is None:
+    try:
+        root, manifest = _resolve_manifest(args.record_dir, args.fleet_key)
+    except (OSError, ValueError) as exc:
+        print(f"repro triage: {exc}", file=sys.stderr)
         return 2
     ranked = rank_anomalies(manifest.get("records", []), top=args.top)
-    replays = {int(r["index"]): replay_anomaly(root, r) for r in ranked}
+    out_dir = (None if args.html is None
+               else os.path.dirname(os.path.abspath(args.html)))
+    triaged = triage_captures(root, ranked, out_dir)
+    replays = {index: t["replay"] for index, t in triaged.items()}
     if args.json:
         print(json.dumps(
             {"fleet_key": manifest.get("fleet_key", ""),
              "stats": manifest.get("stats", {}),
-             "records": [dict(r, replay=replays[int(r["index"])])
+             "records": [dict(r, replay=replays[int(r["index"])],
+                              why=triaged[int(r["index"])]["why"])
                          for r in ranked]}, sort_keys=True))
     else:
         print(triage_table(ranked), file=sys.stderr)
-        for record in ranked:
-            replay = replays[int(record["index"])]
-            if replay.get("replayed") and not replay.get(
-                    "matches_recorded"):
-                print(f"warning: session {record['index']} replayed to "
-                      f"different verdicts than recorded", file=sys.stderr)
+        for index, replay in replays.items():
+            if replay["replayed"] and not replay["matches_recorded"]:
+                print(f"warning: session {index} replayed to different "
+                      f"verdicts than recorded", file=sys.stderr)
     if args.html is not None:
-        out_dir = os.path.dirname(os.path.abspath(args.html))
-        links = render_anomaly_reports(root, ranked, out_dir)
+        links = {index: t["report"] for index, t in triaged.items()
+                 if t["report"]}
         write_report(args.html, triage_report_html(
             ranked, fleet_key=manifest.get("fleet_key", ""),
             links=links, replays=replays))
@@ -1041,13 +1029,13 @@ def cmd_triage(args: argparse.Namespace) -> int:
 def cmd_why(args: argparse.Namespace) -> int:
     """Causal root-cause attribution: explain why anomalies happened.
 
-    Four modes, all pure functions of their traces: attribute a live
-    session, a ``--load``-ed export, a campaign's recorded captures
-    (``--record-dir``), or diff two arms (``--diff A B``).  Machine
-    verdicts go to stdout with ``--json``; human tables go to stderr.
+    Three modes, all pure functions of their traces: attribute a live
+    session, a ``--load``-ed export, or diff two arms (``--diff A B``);
+    ``repro triage`` attributes a campaign's captures.  Machine verdicts
+    go to stdout with ``--json``; human tables go to stderr.
 
     Exit status: 0 on successful attribution (even when there is
-    nothing to explain), 2 on unloadable traces or manifest problems.
+    nothing to explain), 2 on unloadable traces.
     """
     if args.diff is not None:
         path_a, path_b = args.diff
@@ -1060,38 +1048,6 @@ def cmd_why(args: argparse.Namespace) -> int:
             print(f"diffing {path_a} (A) vs {path_b} (B)",
                   file=sys.stderr)
             print(diff.render(top=args.top), file=sys.stderr)
-        return 0
-
-    if args.record_dir is not None:
-        from .obs.recorder import rank_anomalies
-
-        root, manifest = _resolve_manifest(
-            args.record_dir, args.fleet_key, "repro why")
-        if manifest is None:
-            return 2
-        ranked = rank_anomalies(manifest.get("records", []),
-                                top=args.top)
-        verdicts = [dict(record, why=attribute_anomaly(root, record))
-                    for record in ranked]
-        if args.json:
-            print(json.dumps(
-                {"fleet_key": manifest.get("fleet_key", ""),
-                 "records": verdicts}, sort_keys=True))
-        else:
-            for record in verdicts:
-                why = record["why"]
-                if not why["attributed"]:
-                    line = f"unattributable ({why['error']})"
-                else:
-                    summary = why["summary"]
-                    line = (f"{summary['total']} verdict(s), top cause "
-                            f"{summary['top_cause']} (layer "
-                            f"{summary['top_layer']})")
-                print(f"session {record['index']} "
-                      f"[{record['reason']}]: {line}", file=sys.stderr)
-            if not verdicts:
-                print("no captured anomalies to attribute",
-                      file=sys.stderr)
         return 0
 
     if args.load is not None:

@@ -568,14 +568,16 @@ class FleetResult:
         via the offline :func:`~repro.obs.report.session_report_html`
         pipeline) and linked from the fleet report's anomalies panel.
         """
-        from ..obs.recorder import render_anomaly_reports
+        from ..obs.recorder import triage_captures
         from ..obs.report import fleet_report_html, write_report
 
         links: Dict[int, str] = {}
         if triage_top > 0 and self.anomalies and self.record_dir:
-            links = render_anomaly_reports(
+            triaged = triage_captures(
                 self.record_dir, self.triage(triage_top),
                 os.path.dirname(os.path.abspath(path)))
+            links = {index: t["report"] for index, t in triaged.items()
+                     if t["report"]}
         write_report(path, fleet_report_html(self, anomaly_links=links))
 
 

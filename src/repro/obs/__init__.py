@@ -48,8 +48,8 @@ from .events import RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL
 from .metrics import (MetricsRegistry, SessionMetricsCollector,
                       collector_from_trace, registry_from_trace)
 from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
-                       load_manifest, rank_anomalies, render_anomaly_reports,
-                       replay_anomaly, save_manifest, triage_table)
+                       load_manifest, rank_anomalies, save_manifest,
+                       triage_captures, triage_table)
 from .report import (fleet_report_html, history_report_html,
                      session_report_html, triage_report_html, write_report)
 from .spans import dump_chrome_trace, render_span_tree, spans_from_trace
@@ -57,22 +57,21 @@ from .trace_export import (Trace, TraceMeta, TraceRecorder,
                            analyzer_from_trace, dump_jsonl, dumps_jsonl,
                            gzip_bytes, load_jsonl, loads_jsonl,
                            metrics_from_trace, replay)
-from .why import (attribute_anomaly, attributions_from_trace, diff_traces,
-                  render_attributions, summarize_attributions)
+from .why import (attributions_from_trace, diff_traces, render_attributions,
+                  summarize_attributions)
 
 __all__ = [
-    "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL", "WARNING",
-    "EventBus", "MetricsRegistry", "RecorderConfig",
+    "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL",
+    "WARNING", "EventBus", "MetricsRegistry", "RecorderConfig",
     "SessionMetricsCollector", "ShardRecorder", "Trace", "TraceMeta",
-    "TraceRecorder", "analyzer_from_trace", "attribute_anomaly",
-    "attributions_from_trace", "check_trace", "collector_from_trace",
-    "detect_drift", "diff_traces", "drift_table", "dump_chrome_trace",
-    "dump_jsonl", "dumps_jsonl", "find_manifests", "fleet_report_html",
-    "gate_ok", "gzip_bytes", "history_report_html", "load_jsonl",
-    "load_manifest", "loads_jsonl", "metrics_from_trace", "rank_anomalies",
-    "registry_from_trace", "render_anomaly_reports", "render_attributions",
-    "render_span_tree", "replay", "replay_anomaly", "save_manifest",
+    "TraceRecorder", "analyzer_from_trace", "attributions_from_trace",
+    "check_trace", "collector_from_trace", "detect_drift", "diff_traces",
+    "drift_table", "dump_chrome_trace", "dump_jsonl", "dumps_jsonl",
+    "find_manifests", "fleet_report_html", "gate_ok", "gzip_bytes",
+    "history_report_html", "load_jsonl", "load_manifest", "loads_jsonl",
+    "metrics_from_trace", "rank_anomalies", "registry_from_trace",
+    "render_attributions", "render_span_tree", "replay", "save_manifest",
     "session_report_html", "spans_from_trace", "stock_checkers",
-    "summarize_attributions", "trend_document",
+    "summarize_attributions", "trend_document", "triage_captures",
     "triage_report_html", "triage_table", "write_report"
 ]

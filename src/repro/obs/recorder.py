@@ -27,9 +27,10 @@ Triggers, in triage-severity order (:data:`REASON_ORDER`):
 Kept traces are written as deterministic gzip JSONL artifacts keyed by
 ``(fleet_key, session_index)`` — same campaign, same index ⇒ identical
 bytes, across worker counts and kill/resume boundaries — plus a JSON
-*manifest* (:func:`save_manifest`) that :func:`rank_anomalies` and the
-``repro triage`` CLI consume to rank, replay, and render the worst
-sessions through the existing offline pipeline.
+*manifest* (:func:`save_manifest`) that :func:`rank_anomalies`,
+:func:`triage_captures` and the ``repro triage`` CLI consume to rank,
+replay, attribute and render the worst sessions through the existing
+offline pipeline.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .check import ERROR, check_trace
+from .check import ERROR, _verdicts, check_trace
 from .events import mistyped_field
 from .trace_export import Trace, dumps_jsonl, gzip_bytes, load_jsonl
 from .why import attributions_from_trace, summarize_attributions
@@ -404,7 +405,7 @@ def load_manifest(path: str) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Triage: rank, replay, drill down
+# Triage: rank, replay, attribute, drill down
 # ----------------------------------------------------------------------
 def rank_anomalies(records: Sequence[Mapping[str, Any]],
                    top: Optional[int] = None) -> List[Dict[str, Any]]:
@@ -443,67 +444,67 @@ def load_capture(artifact_dir: str, artifact: str) -> Trace:
     return trace
 
 
-def replay_anomaly(artifact_dir: str,
-                   record: Mapping[str, Any]) -> Dict[str, Any]:
-    """Re-judge one captured trace through the offline pipeline.
-
-    Loads the gzip artifact (:func:`load_capture`), replays it through
-    :func:`~repro.obs.check.check_trace`, and reports the offline
-    verdict counts alongside the recorded ones — live == offline is the
-    observability layer's standing identity, and this is where a fleet
-    operator verifies it per anomaly.  Trace-less records (failures) and
-    unreadable or damaged artifacts degrade to an ``error`` entry, never
-    a raise.
-    """
-    artifact = record.get("artifact")
-    if not artifact:
-        return {"replayed": False, "error": "no artifact (trace-less)"}
-    try:
-        trace = load_capture(artifact_dir, artifact)
-    except (OSError, ValueError) as exc:
-        return {"replayed": False,
-                "error": f"{type(exc).__name__}: {exc}"}
-    report = check_trace(trace)
-    verdicts = report.by_severity()
-    recorded = record.get("violations")
-    return {"replayed": True, "events": len(trace.events),
-            "violations": verdicts, "ok": report.ok,
-            "matches_recorded": (recorded is None
-                                 or dict(recorded) == dict(verdicts)),
-            "error": None}
+def _untriaged(replay_error: str, why_error: str) -> Dict[str, Any]:
+    return {"replay": {"replayed": False, "error": replay_error},
+            "why": {"attributed": False, "attributions": [],
+                    "summary": None, "error": why_error},
+            "report": None}
 
 
-def render_anomaly_reports(artifact_dir: str,
-                           records: Sequence[Mapping[str, Any]],
-                           out_dir: str) -> Dict[int, str]:
-    """Render mini session reports for captured traces, worst-k style.
+def triage_captures(artifact_dir: str,
+                    records: Sequence[Mapping[str, Any]],
+                    out_dir: Optional[str] = None
+                    ) -> Dict[int, Dict[str, Any]]:
+    """Replay, attribute and render each record's capture, one load each.
 
-    For each record with a loadable artifact, writes
-    ``anomaly-<index>.html`` (the full single-session report via
-    :func:`~repro.obs.report.session_report_html`, derived offline from
-    the captured trace) into ``out_dir`` and returns ``{session index:
-    filename}`` for linking.  Trace-less, unreadable and damaged
-    records are skipped — triage must degrade, not raise, on a
-    partially scrubbed artifact directory.
+    Returns ``{session index: {"replay", "why", "report"}}``.  ``replay``
+    is the capture re-judged offline beside its recorded verdicts (live
+    == offline is the standing identity a fleet operator checks here);
+    ``why`` is its attribution and summary; with ``out_dir``, ``report``
+    names the mini session report written there
+    (``anomaly-<index>.html``), else it is ``None``.  All three read the
+    trace's shared views: one load, one judge and one attribution walk
+    per capture.  Trace-less records and unreadable or damaged artifacts
+    degrade to ``error`` entries and no report, never a raise.
     """
     from .report import session_report_html, write_report
 
-    links: Dict[int, str] = {}
-    os.makedirs(out_dir, exist_ok=True)
+    triaged: Dict[int, Dict[str, Any]] = {}
     for record in records:
+        index = int(record["index"])
         artifact = record.get("artifact")
         if not artifact:
+            triaged[index] = _untriaged("no artifact (trace-less)",
+                                        "record has no trace artifact")
             continue
         try:
             trace = load_capture(artifact_dir, artifact)
-        except (OSError, ValueError):
+        except (OSError, ValueError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            triaged[index] = _untriaged(error, error)
             continue
-        index = int(record["index"])
-        name = f"anomaly-{index:08d}.html"
-        write_report(os.path.join(out_dir, name),
-                     session_report_html(trace))
-        links[index] = name
-    return links
+        report = _verdicts(trace)
+        verdicts = report.by_severity()
+        recorded = record.get("violations")
+        attributions = attributions_from_trace(trace)
+        name = None
+        if out_dir is not None:
+            name = f"anomaly-{index:08d}.html"
+            write_report(os.path.join(out_dir, name),
+                         session_report_html(trace))
+        triaged[index] = {
+            "replay": {"replayed": True, "events": len(trace.events),
+                       "violations": verdicts, "ok": report.ok,
+                       "matches_recorded": (
+                           recorded is None
+                           or dict(recorded) == dict(verdicts)),
+                       "error": None},
+            "why": {"attributed": True,
+                    "attributions": [a.to_dict() for a in attributions],
+                    "summary": summarize_attributions(attributions),
+                    "error": None},
+            "report": name}
+    return triaged
 
 
 def triage_table(records: Sequence[Mapping[str, Any]]) -> str:

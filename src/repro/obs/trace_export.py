@@ -174,7 +174,8 @@ def load_jsonl(path_or_file: Union[str, IO[str]]) -> Trace:
         opener = gzip.open if _is_gzip_path(path_or_file) else open
         with opener(path_or_file, "rb") as handle:
             text = handle.read().decode("utf-8")
-    except (EOFError, zlib.error, UnicodeDecodeError) as exc:
+    except (EOFError, gzip.BadGzipFile, zlib.error,
+            UnicodeDecodeError) as exc:
         raise ValueError(f"{path_or_file}: corrupt trace "
                          f"({type(exc).__name__}: {exc})") from None
     return loads_jsonl(text)

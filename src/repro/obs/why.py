@@ -808,34 +808,6 @@ def fold_attributions(registry, attributions: Sequence[Attribution]
                          {"confidence": attribution.confidence}).inc()
 
 
-def attribute_anomaly(artifact_dir: str,
-                      record: Mapping[str, Any]) -> Dict[str, Any]:
-    """Attribute one flight-recorder capture from its artifact on disk.
-
-    The ``repro why --record-dir`` path: loads the record's gzip
-    artifact through :func:`~repro.obs.recorder.load_capture` and runs
-    the same pure attribution the live run would have produced.
-    Failures, a damaged capture included, are reported, not raised
-    (mirrors :func:`~repro.obs.recorder.replay_anomaly`)."""
-    from .recorder import load_capture  # the recorder imports this module
-
-    artifact = record.get("artifact")
-    if not artifact:
-        return {"attributed": False, "attributions": [],
-                "summary": None,
-                "error": "record has no trace artifact"}
-    try:
-        attributions = attributions_from_trace(
-            load_capture(artifact_dir, artifact))
-    except (OSError, ValueError) as exc:
-        return {"attributed": False, "attributions": [],
-                "summary": None, "error": f"{type(exc).__name__}: {exc}"}
-    return {"attributed": True,
-            "attributions": [a.to_dict() for a in attributions],
-            "summary": summarize_attributions(attributions),
-            "error": None}
-
-
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------

@@ -694,6 +694,10 @@ class TestFleetRecorderCli:
         assert artifact in replay["error"]
         assert "(ChunkDownloaded) field level" in replay["error"]
         assert any(r["replay"]["replayed"] for r in triaged.values())
+        why = triaged[2]["why"]
+        assert why["attributed"] is False
+        assert artifact in why["error"]
+        assert "field level" in why["error"]
         html = tmp_path / "triage" / "triage.html"
         html.parent.mkdir()
         assert main(["triage", "--record-dir", records,
@@ -701,12 +705,6 @@ class TestFleetRecorderCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and html.is_file()
         assert not (html.parent / "anomaly-00000002.html").exists()
-        assert main(["why", "--record-dir", records, "--json"]) == 0
-        why = {r["index"]: r["why"]
-               for r in json.loads(capsys.readouterr().out)["records"]}
-        assert why[2]["attributed"] is False
-        assert artifact in why[2]["error"]
-        assert "field level" in why[2]["error"]
 
     def test_bad_recorder_args_exit_2(self, capsys):
         assert main(self.ARGS + ["--record-dir", "x",
@@ -797,29 +795,26 @@ class TestWhyCli:
                      str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot load" in capsys.readouterr().err
 
-    def test_record_dir_attributes_campaign(self, tmp_path, capsys):
+    def test_triage_attributes_campaign(self, tmp_path, capsys):
         records = str(tmp_path / "records")
         assert main(["fleet", "--sessions", "6", "--shard-size", "3",
                      "--duration", "8", "--seed", "3", "--record-dir",
                      records, "--fault-session", "2", "--json"]) == 0
         capsys.readouterr()
-        assert main(["why", "--record-dir", records, "--json"]) == 0
+        assert main(["triage", "--record-dir", records, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["fleet_key"]
         fault = next(r for r in payload["records"] if r["index"] == 2)
         assert fault["why"]["attributed"] is True
         assert fault["why"]["summary"]["top_layer"] == "scheduler"
-        # Human mode summarizes per record on stderr.
-        assert main(["why", "--record-dir", records]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "session 2 [violation]" in captured.err
-        assert "top cause" in captured.err
+        assert fault["why"]["summary"] == fault["attribution"]
 
-    def test_record_dir_without_manifest_exits_2(self, tmp_path, capsys):
-        assert main(["why", "--record-dir",
-                     str(tmp_path / "empty")]) == 2
-        assert "no anomaly manifest" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--record-dir", "--fleet-key"])
+    def test_campaign_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["why", flag, "x"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestTopValidation:

@@ -12,13 +12,11 @@ import repro.experiments.fleet as fleet_module
 from repro.experiments.fleet import FleetConfig, fleet_key, run_fleet
 from repro.obs import (RecorderConfig, ShardRecorder, find_manifests,
                        load_jsonl, load_manifest, rank_anomalies,
-                       render_anomaly_reports, replay_anomaly, save_manifest,
-                       triage_table)
+                       save_manifest, triage_captures, triage_table)
 from repro.obs.events import StallStart
 from repro.obs.recorder import (MANIFEST_VERSION, REASON_ORDER,
                                 artifact_name, empty_stats, key_dir,
                                 load_capture, merge_stats)
-from repro.obs.why import attribute_anomaly
 from repro.obs.trace_export import TraceMeta, dumps_jsonl, gzip_bytes
 
 
@@ -369,42 +367,79 @@ class TestRankAnomalies:
         assert rank_anomalies(records)[0]["index"] == 1
 
 
-class TestReplayAnomaly:
+def triage_one(artifact_dir, record, out_dir=None):
+    """``triage_captures`` on one record: its replay, why and report."""
+    record = dict(record, index=record.get("index", 3))
+    return triage_captures(str(artifact_dir), [record],
+                           out_dir)[record["index"]]
+
+
+def write_empty_capture(tmp_path, index=3):
+    text = dumps_jsonl([], TraceMeta(session_duration=1.0))
+    (tmp_path / artifact_name(index)).write_bytes(
+        gzip_bytes(text.encode("utf-8")))
+
+
+class TestTriageCaptures:
     def test_traceless_record_degrades(self, tmp_path):
-        verdict = replay_anomaly(str(tmp_path), {"artifact": None})
-        assert verdict["replayed"] is False
-        assert "trace-less" in verdict["error"]
+        triaged = triage_one(tmp_path, {"artifact": None}, tmp_path)
+        assert triaged["replay"] == {"replayed": False,
+                                     "error": "no artifact (trace-less)"}
+        assert triaged["why"] == {"attributed": False, "attributions": [],
+                                  "summary": None,
+                                  "error": "record has no trace artifact"}
+        assert triaged["report"] is None
 
     def test_missing_artifact_degrades(self, tmp_path):
-        verdict = replay_anomaly(str(tmp_path),
-                                 {"artifact": "gone/nope.jsonl.gz"})
-        assert verdict["replayed"] is False and verdict["error"]
+        triaged = triage_one(tmp_path, {"artifact": "gone/nope.jsonl.gz"})
+        assert triaged["replay"]["replayed"] is False
+        assert triaged["why"]["attributed"] is False
+        assert triaged["why"]["attributions"] == []
+        for error in (triaged["replay"]["error"], triaged["why"]["error"]):
+            assert error.startswith("FileNotFoundError: ")
+            assert "gone/nope.jsonl.gz" in error
 
     def test_corrupt_artifact_degrades(self, tmp_path):
         path = tmp_path / "bad.jsonl.gz"
         path.write_bytes(gzip_bytes(b"not a trace"))
-        verdict = replay_anomaly(str(tmp_path), {"artifact": "bad.jsonl.gz"})
-        assert verdict["replayed"] is False and verdict["error"]
+        triaged = triage_one(tmp_path, {"artifact": "bad.jsonl.gz"})
+        assert triaged["replay"]["replayed"] is False
+        assert triaged["why"]["attributed"] is False
+        assert triaged["replay"]["error"] == triaged["why"]["error"]
+        assert "bad.jsonl.gz" in triaged["replay"]["error"]
 
     def test_replays_a_real_artifact(self, tmp_path):
-        text = dumps_jsonl([], TraceMeta(session_duration=1.0))
-        path = tmp_path / artifact_name(3)
-        path.write_bytes(gzip_bytes(text.encode("utf-8")))
-        verdict = replay_anomaly(str(tmp_path),
-                                 {"artifact": artifact_name(3),
-                                  "violations": None})
-        assert verdict["replayed"] is True and verdict["events"] == 0
-        assert verdict["matches_recorded"] is True
+        write_empty_capture(tmp_path)
+        triaged = triage_one(tmp_path, {"artifact": artifact_name(3),
+                                        "violations": None})
+        replay = triaged["replay"]
+        assert replay["replayed"] is True and replay["events"] == 0
+        assert replay["matches_recorded"] is True
+        assert replay["ok"] is True and replay["error"] is None
+        assert triaged["why"] == {"attributed": True, "attributions": [],
+                                  "summary": triaged["why"]["summary"],
+                                  "error": None}
+        assert triaged["why"]["summary"]["total"] == 0
+        assert triaged["report"] is None
 
     def test_mismatched_recorded_verdicts_flagged(self, tmp_path):
-        text = dumps_jsonl([], TraceMeta(session_duration=1.0))
-        path = tmp_path / artifact_name(3)
-        path.write_bytes(gzip_bytes(text.encode("utf-8")))
-        verdict = replay_anomaly(str(tmp_path),
-                                 {"artifact": artifact_name(3),
-                                  "violations": {"error": 7}})
-        assert verdict["replayed"] is True
-        assert verdict["matches_recorded"] is False
+        write_empty_capture(tmp_path)
+        triaged = triage_one(tmp_path, {"artifact": artifact_name(3),
+                                        "violations": {"error": 7}})
+        assert triaged["replay"]["replayed"] is True
+        assert triaged["replay"]["matches_recorded"] is False
+
+    def test_out_dir_gets_one_report_per_loadable_capture(self, tmp_path):
+        write_empty_capture(tmp_path)
+        records = [{"index": 3, "artifact": artifact_name(3)},
+                   {"index": 1, "artifact": None},
+                   {"index": 2, "artifact": "missing/file.jsonl.gz"}]
+        out = tmp_path / "out"
+        triaged = triage_captures(str(tmp_path), records, str(out))
+        assert list(triaged) == [3, 1, 2]
+        assert {i: t["report"] for i, t in triaged.items()} == {
+            3: "anomaly-00000003.html", 1: None, 2: None}
+        assert sorted(os.listdir(out)) == ["anomaly-00000003.html"]
 
 
 class TestTriageTable:
@@ -457,8 +492,10 @@ class TestFleetRecorderIntegration:
         assert faulted[0]["violations"]["error"] > 0
         ranked = result.triage(3)
         assert ranked[0]["index"] == 5
-        verdict = replay_anomaly(result.record_dir, ranked[0])
-        assert verdict["replayed"] and verdict["matches_recorded"]
+        triaged = triage_captures(result.record_dir, ranked[:1])[5]
+        assert triaged["replay"]["replayed"]
+        assert triaged["replay"]["matches_recorded"]
+        assert triaged["why"]["summary"] == faulted[0]["attribution"]
 
     def test_fault_session_changes_fleet_key(self):
         assert fleet_key(fleet_config(fault_session=5)) != \
@@ -584,13 +621,6 @@ class TestFleetRecorderIntegration:
         assert mini.is_file()
         assert "anomaly-00000003.html" in html
 
-    def test_render_anomaly_reports_skips_traceless(self, tmp_path):
-        records = [{"index": 1, "artifact": None},
-                   {"index": 2, "artifact": "missing/file.jsonl.gz"}]
-        links = render_anomaly_reports(str(tmp_path), records,
-                                       str(tmp_path / "out"))
-        assert links == {}
-
     def test_to_dict_carries_recorder_fields(self, tmp_path):
         result = run_fleet(fleet_config(fault_session=1),
                            recorder=rec_config(tmp_path))
@@ -598,6 +628,62 @@ class TestFleetRecorderIntegration:
         assert payload["recorder"]["captured"] >= 1
         assert any(r["index"] == 1 for r in payload["anomalies"])
         assert payload["error_total"] == 0
+
+
+class TestOnePassPerCapture:
+    """Triage loads, judges and attributes each capture exactly once."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one-pass")
+        result = run_fleet(
+            FleetConfig(sessions=32, shard_size=16, video_duration=20.0,
+                        seed=2016, fault_session=5),
+            recorder=RecorderConfig(artifact_dir=str(root / "records")))
+        assert len([r for r in result.anomalies if r["artifact"]]) == 3
+        return root, result
+
+    @staticmethod
+    def spy(monkeypatch):
+        import repro.obs.check as check_module
+        import repro.obs.recorder as recorder_module
+
+        calls = {"load_jsonl": 0, "_judge": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        counted(recorder_module, "load_jsonl")
+        counted(check_module, "_judge")
+        return calls
+
+    def test_triage_json_html(self, campaign, monkeypatch, capsys):
+        from repro.cli import main
+
+        root, _ = campaign
+        calls = self.spy(monkeypatch)
+        assert main(["triage", "--record-dir", str(root / "records"),
+                     "--top", "5", "--json", "--html",
+                     str(root / "triage" / "triage.html")]) == 0
+        assert calls == {"load_jsonl": 3, "_judge": 3}
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert len(records) == 3
+        assert all(r["replay"]["replayed"] and r["why"]["attributed"]
+                   for r in records)
+
+    def test_export_report(self, campaign, monkeypatch):
+        root, result = campaign
+        calls = self.spy(monkeypatch)
+        result.export_report(str(root / "report" / "fleet.html"),
+                             triage_top=3)
+        rendered = [name for name in os.listdir(root / "report")
+                    if name.startswith("anomaly-")]
+        assert len(rendered) == 3
+        assert calls == {"load_jsonl": 3, "_judge": 3}
 
 
 def mistype_capture(path, kind="ChunkDownloaded", field="level", value="x"):
@@ -666,23 +752,23 @@ class TestDamagedCapture:
         other = next(i for i in records if i != 2)
         assert load_capture(root, records[other]["artifact"]).events
 
-    def test_replay_and_why_report_the_damage(self, campaign):
+    def test_replay_and_why_report_the_damage(self, campaign, tmp_path):
         root, records = campaign
-        replayed = replay_anomaly(root, records[2])
-        assert replayed["replayed"] is False
-        attributed = attribute_anomaly(root, records[2])
-        assert attributed["attributed"] is False
-        for error in (replayed["error"], attributed["error"]):
+        triaged = triage_captures(root, list(records.values()),
+                                  str(tmp_path / "out"))
+        assert triaged[2]["replay"]["replayed"] is False
+        assert triaged[2]["why"]["attributed"] is False
+        for error in (triaged[2]["replay"]["error"],
+                      triaged[2]["why"]["error"]):
             assert error.startswith("ValueError: ")
             assert records[2]["artifact"] in error
             assert "field level" in error
-
-    def test_damaged_record_gets_no_mini_report(self, campaign, tmp_path):
-        root, records = campaign
-        links = render_anomaly_reports(root, list(records.values()),
-                                       str(tmp_path / "out"))
-        assert 2 not in links
-        assert set(links) == set(records) - {2}
+        # The damaged record gets no mini report; the others do.
+        assert triaged[2]["report"] is None
+        assert {i for i, t in triaged.items() if t["report"]} == \
+            set(records) - {2}
+        assert all(t["replay"]["replayed"] and t["why"]["attributed"]
+                   for i, t in triaged.items() if i != 2)
 
     @pytest.mark.parametrize("kind,field,value", EVERY_CAPTURED_KIND,
                              ids=[kind for kind, _, _ in EVERY_CAPTURED_KIND])
@@ -694,10 +780,10 @@ class TestDamagedCapture:
         with pytest.raises(ValueError) as error:
             load_capture(root, records[2]["artifact"])
         assert f"({kind}) field {field}: expected" in str(error.value)
-        replayed = replay_anomaly(root, records[2])
-        attributed = attribute_anomaly(root, records[2])
-        assert replayed["replayed"] is False
-        assert attributed["attributed"] is False
-        for message in (replayed["error"], attributed["error"]):
+        triaged = triage_captures(root, [records[2]])[2]
+        assert triaged["replay"]["replayed"] is False
+        assert triaged["why"]["attributed"] is False
+        for message in (triaged["replay"]["error"],
+                        triaged["why"]["error"]):
             assert records[2]["artifact"] in message
             assert f"({kind}) field {field}" in message

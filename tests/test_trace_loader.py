@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.obs import (Trace, attribute_anomaly, dumps_jsonl, load_jsonl,
-                       loads_jsonl, render_anomaly_reports, replay_anomaly)
+from repro.obs import (Trace, dumps_jsonl, load_jsonl, loads_jsonl,
+                       triage_captures)
 from repro.obs.events import (EVENT_TYPES, PacketSent, SessionClosed,
                               event_from_dict, events_from_dicts, fast_ctor,
                               mistyped_field)
@@ -214,11 +214,13 @@ def test_file_objects_and_text_raise_too(damaged):
 def test_capture_readers_report_instead_of_raising(damaged, name, tmp_path):
     root, artifact = os.path.split(damaged[name])
     record = {"index": 7, "artifact": artifact, "violations": None}
-    replayed = replay_anomaly(root, record)
-    assert replayed["replayed"] is False and replayed["error"]
-    attributed = attribute_anomaly(root, record)
-    assert attributed["attributed"] is False and attributed["error"]
-    assert render_anomaly_reports(root, [record], str(tmp_path)) == {}
+    triaged = triage_captures(root, [record], str(tmp_path / "out"))[7]
+    assert triaged["replay"]["replayed"] is False
+    assert triaged["why"]["attributed"] is False
+    for error in (triaged["replay"]["error"], triaged["why"]["error"]):
+        assert artifact in error
+    assert triaged["report"] is None
+    assert not (tmp_path / "out").exists()
 
 
 #: ``repro`` commands that take ``--load FILE``, with their exit status

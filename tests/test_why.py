@@ -27,7 +27,7 @@ from repro.obs.why import (CAUSE_ABR_OVERREACH, CAUSE_ACTIVATION_LATENCY,
                            CONFIDENCE_MEDIUM, KIND_MISS, KIND_STALL,
                            KIND_VIOLATION, LAYER_ABR, LAYER_ESTIMATOR,
                            LAYER_NETWORK, LAYER_PLAYER, LAYER_SCHEDULER,
-                           LAYER_UNKNOWN, Attribution, attribute_anomaly,
+                           LAYER_UNKNOWN, Attribution,
                            attributions_from_trace, diff_traces,
                            fold_attributions, render_attributions,
                            summarize_attributions)
@@ -429,7 +429,15 @@ class TestPublicApi:
         assert "top cause" in text
 
 
-class TestAttributeAnomaly:
+class TestTriageCapturesWhy:
+    """The ``why`` half of :func:`repro.obs.recorder.triage_captures`."""
+
+    @staticmethod
+    def why(tmp_path, record):
+        from repro.obs.recorder import triage_captures
+
+        return triage_captures(str(tmp_path), [record])[3]["why"]
+
     def good_record(self, tmp_path, name="run.jsonl.gz"):
         events = []
         chain(events, index=0, activation_gap=2.0, miss=True)
@@ -437,11 +445,10 @@ class TestAttributeAnomaly:
         trace = make_trace(events)
         payload = dumps_jsonl(trace.events, trace.meta).encode()
         (tmp_path / name).write_bytes(gzip.compress(payload))
-        return {"artifact": name}
+        return {"index": 3, "artifact": name}
 
     def test_attributes_recorded_artifact(self, tmp_path):
-        record = self.good_record(tmp_path)
-        result = attribute_anomaly(str(tmp_path), record)
+        result = self.why(tmp_path, self.good_record(tmp_path))
         assert result["attributed"] is True
         assert result["error"] is None
         assert result["summary"]["total"] >= 1
@@ -449,13 +456,13 @@ class TestAttributeAnomaly:
         assert CAUSE_ACTIVATION_LATENCY in causes
 
     def test_record_without_artifact_reports_error(self, tmp_path):
-        result = attribute_anomaly(str(tmp_path), {"index": 3})
+        result = self.why(tmp_path, {"index": 3})
         assert result["attributed"] is False
         assert "no trace artifact" in result["error"]
 
     def test_missing_artifact_reports_error(self, tmp_path):
-        result = attribute_anomaly(str(tmp_path),
-                                   {"artifact": "gone.jsonl.gz"})
+        result = self.why(tmp_path, {"index": 3,
+                                     "artifact": "gone.jsonl.gz"})
         assert result["attributed"] is False
         assert result["attributions"] == []
         assert "gone.jsonl.gz" in result["error"]
