@@ -167,8 +167,3 @@ class Mpc(AbrAlgorithm):
         """Future chunk size: nominal bitrate × duration (the manifest does
         not expose future VBR sizes to the player)."""
         return bitrates[level] * chunk_duration
-
-    def required_throughput(self, ctx: AbrContext, level: int) -> float:
-        """Minimum throughput the chosen bitrate requires (bytes/second) —
-        the quantity the paper's MP-DASH+MPC sketch uses for deadlines."""
-        return ctx.manifest.bitrates()[level]

@@ -124,7 +124,3 @@ class NavigationPrefetcher:
 
     def tiles_on_time(self) -> int:
         return sum(1 for r in self.results if r.on_time)
-
-    def late_tiles(self) -> List[TileResult]:
-        return [r for r in self.results
-                if r.finished_at is not None and not r.on_time]

@@ -80,10 +80,6 @@ class Preference:
         """The preferred interface — set as MPTCP's primary interface."""
         return self.order[0]
 
-    def secondary_names(self) -> List[str]:
-        """Everything except the primary (the on/off-managed paths)."""
-        return self.order[1:]
-
     def cost_of(self, name: str) -> float:
         try:
             return self.costs[name]
@@ -102,10 +98,6 @@ class Preference:
         """Stamp this policy's costs onto path objects."""
         for path in paths:
             path.cost = self.cost_of(path.name)
-
-    def sorted_paths(self, paths: Sequence[Path]) -> List[Path]:
-        """Paths ordered cheapest-first according to this preference."""
-        return sorted(paths, key=lambda p: self.rank(p.name))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Preference):

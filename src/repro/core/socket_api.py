@@ -101,10 +101,6 @@ class MpDashSocket:
         """Estimated combined throughput of all paths (bytes/second)."""
         return self.connection.aggregate_throughput_estimate()
 
-    def path_throughput(self, name: str) -> Optional[float]:
-        """Estimated throughput of one path (bytes/second)."""
-        return self.connection.throughput_estimate(name)
-
     def __repr__(self) -> str:
         return (f"<MpDashSocket pref={self.preference.order} "
                 f"active={self.active}>")

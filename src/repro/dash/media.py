@@ -32,11 +32,6 @@ class QualityLevel:
     def bitrate_mbps(self) -> float:
         return self.bitrate * 8.0 / 1e6
 
-    @property
-    def paper_level(self) -> int:
-        """1-based level number as the paper reports it."""
-        return self.index + 1
-
 
 class VideoAsset:
     """A fully described DASH video: ladder plus per-chunk sizes."""

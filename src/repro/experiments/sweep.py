@@ -368,12 +368,6 @@ class SweepResult:
         return sum(1 for run in self.runs if run.cached)
 
     @property
-    def cache_errors(self) -> List[str]:
-        """Cache-write warnings, one per run whose artifact was lost."""
-        return [f"{run.config_key}: {run.cache_error}" for run in self.runs
-                if run.cache_error is not None]
-
-    @property
     def ok(self) -> bool:
         """True when every run produced a summary."""
         return all(run.ok for run in self.runs)

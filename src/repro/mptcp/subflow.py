@@ -91,18 +91,6 @@ class Subflow:
         """Earliest time a re-established subflow becomes usable again."""
         return self._usable_after
 
-    def potential(self, now: float, dt: float) -> float:
-        """Pure closed-form bytes this subflow could carry in ``dt`` seconds.
-
-        Assumes the bandwidth holding at ``now`` stays constant — callers
-        bound ``dt`` by the next trace breakpoint.  It integrates the full
-        window trajectory, so it is exact over long quiescent spans.
-        """
-        if dt <= 0 or not self._usable(now):
-            return 0.0
-        return self.tcp.window_curve(
-            now, self.path.bandwidth_at(now)).bytes_at(dt)
-
     def time_to_deliver(self, now: float, target_bytes: float,
                         bw: float) -> float:
         """Pure: seconds of continuous sending at bandwidth ``bw`` to

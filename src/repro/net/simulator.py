@@ -146,10 +146,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def pending_events(self) -> int:
-        """Number of scheduled, non-cancelled events."""
-        return len(self._heap) - self._cancelled
-
     def close(self) -> None:
         """End the session: drop every pending event and bus subscriber.
 

@@ -151,12 +151,6 @@ class CheckReport:
     def by_severity(self) -> Dict[str, int]:
         return {severity: self.count(severity) for severity in SEVERITIES}
 
-    def by_checker(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.checker] = counts.get(violation.checker, 0) + 1
-        return counts
-
     def to_dict(self) -> Dict[str, Any]:
         return {"ok": self.ok, "events": self.events,
                 "checkers": list(self.checkers),

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .check import CheckReport, Violation, _verdicts
 from .events import (ChunkDownloaded, ChunkRequested, DeadlineMissed,

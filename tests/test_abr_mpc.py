@@ -85,12 +85,6 @@ class TestMpc:
                                      index=manifest.num_chunks - 1))
         assert 0 <= level < manifest.num_levels
 
-    def test_required_throughput(self, manifest):
-        abr = Mpc()
-        context = ctx(manifest, 2, 20.0)
-        assert abr.required_throughput(context, 4) == \
-            manifest.bitrates()[4]
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             Mpc(horizon=0)

@@ -107,7 +107,6 @@ class TestNavigationPrefetcher:
                                    speed=15.0)
         run(sim, app)
         assert app.tiles_on_time() == len(ROUTE)
-        assert not app.late_tiles()
 
     def test_mpdash_offloads_to_preferred_path(self):
         sim, connection, socket = make_transport()

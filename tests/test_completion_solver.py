@@ -285,7 +285,7 @@ def solves(draw):
     states = draw(st.lists(sender_states(t0), min_size=2, max_size=3))
     conn = connection(states, t0)
     span = draw(st.floats(1e-4, 30.0))
-    potential = sum(sf.potential(t0, span) for sf in conn.subflows)
+    potential = _SpanPlan(t0, conn.subflows).potential(span)
     if draw(st.booleans()):
         sendable = potential * draw(st.floats(0.0, 1.0))
     else:

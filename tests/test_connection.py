@@ -81,7 +81,7 @@ class TestTransfers:
         sim = Simulator()
         conn = make_connection(sim)
         conn.close()
-        assert sim.pending_events() == 0
+        assert all(event.cancelled for event in sim._heap)
 
 
 class TestPathControl:

@@ -195,7 +195,7 @@ class TestCheckerDeterminism:
             DeadlineAwareScheduler.on_transfer_start = orig
         live = result.check_report
         assert not live.ok
-        assert set(live.by_checker()) == {"path-control"}
+        assert {v.checker for v in live.violations} == {"path-control"}
         trace = loads_jsonl(dumps_jsonl(result.events, result.trace_meta))
         offline = check_trace(trace)
         assert [v.to_dict() for v in offline.violations] == \

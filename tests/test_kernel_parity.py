@@ -190,7 +190,7 @@ class TestSessionParity:
     def test_invariant_verdicts_agree(self, name, overrides):
         fast = _run(**overrides)
         assert fast.check_report.ok
-        assert set(fast.check_report.by_checker()) == set()
+        assert {v.checker for v in fast.check_report.violations} == set()
 
 
 class TestSeededFaultParity:
@@ -216,7 +216,7 @@ class TestSeededFaultParity:
         finally:
             DeadlineAwareScheduler.on_transfer_start = orig
         assert not fast.check_report.ok
-        assert set(fast.check_report.by_checker()) == {"path-control"}
+        assert {v.checker for v in fast.check_report.violations} == {"path-control"}
 
 
 class TestFileDownloadParity:

@@ -18,9 +18,6 @@ class TestQualityLevel:
         level = QualityLevel(0, mbps(4.0))
         assert level.bitrate_mbps == pytest.approx(4.0)
 
-    def test_paper_level_is_one_based(self):
-        assert QualityLevel(0, 1.0).paper_level == 1
-        assert QualityLevel(4, 1.0).paper_level == 5
 
 
 class TestGeneration:

@@ -10,7 +10,6 @@ class TestPreference:
     def test_primary_is_first(self):
         pref = Preference(["wifi", "cellular"])
         assert pref.primary == "wifi"
-        assert pref.secondary_names() == ["cellular"]
 
     def test_default_costs_follow_order(self):
         pref = Preference(["a", "b", "c"])
@@ -58,12 +57,6 @@ class TestPreference:
         pref.apply_costs(paths)
         assert paths[0].cost == 0.0
         assert paths[1].cost == 3.0
-
-    def test_sorted_paths(self):
-        paths = [cellular_path(bandwidth_mbps=1.0),
-                 wifi_path(bandwidth_mbps=1.0)]
-        ordered = prefer_wifi().sorted_paths(paths)
-        assert [p.name for p in ordered] == ["wifi", "cellular"]
 
     def test_equality(self):
         assert prefer_wifi() == prefer_wifi()

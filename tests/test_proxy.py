@@ -79,7 +79,7 @@ class TestRelay:
         sim, leg, proxy, _socket = make_setup()
         proxy.close()
         leg.close()
-        assert sim.pending_events() == 0
+        assert all(event.cancelled for event in sim._heap)
 
 
 class TestMpDashThroughProxy:

@@ -100,10 +100,3 @@ class TestCrossLayerReads:
         assert aggregate is not None
         assert aggregate == pytest.approx(
             conn.aggregate_throughput_estimate())
-
-    def test_path_throughput_exposed(self):
-        sim, conn, socket = make()
-        conn.start_transfer(megabytes(5))
-        sim.run(until=10.0)
-        assert socket.path_throughput("wifi") == pytest.approx(
-            conn.throughput_estimate("wifi"))

@@ -42,7 +42,7 @@ def _warm(sf, seconds=5.0):
 class TestDelivery:
     def test_disabled_path_delivers_nothing(self):
         sf = Subflow(_path(enabled=False))
-        assert sf.potential(0.0, 0.01) == 0.0
+        assert not sf._usable(0.0)
         assert sf.time_to_deliver(0.0, 1000.0, BW) == float("inf")
         cwnd = sf.tcp.cwnd
         sf.grow_analytic(0.0, 1.0, BW)
@@ -51,7 +51,7 @@ class TestDelivery:
 
     def test_enabled_path_delivers(self):
         sf = Subflow(_path())
-        assert sf.potential(0.0, 0.01) > 0.0
+        assert sf._usable(0.0)
         assert _deliver(sf, 0.0, 0.01) > 0.0
 
     def test_account_accumulates_total(self):

@@ -35,7 +35,7 @@ class TestSubflowSemantics:
         sim.run(until=1.0)
         conn.request_path_state("cellular", True)
         sim.run(until=1.05)
-        assert subflow.potential(sim.now, 0.01) > 0
+        assert subflow._usable(sim.now)
         assert subflow.reconnects == 0
 
     def test_reestablish_pays_handshake(self):
@@ -46,9 +46,9 @@ class TestSubflowSemantics:
         conn.request_path_state("cellular", True)
         sim.run(until=1.02)
         # Within the handshake window the subflow is not usable.
-        assert subflow.potential(sim.now, 0.01) == 0.0
+        assert not subflow._usable(sim.now)
         sim.run(until=1.2)  # 1.5 * 55 ms RTT has elapsed
-        assert subflow.potential(sim.now, 0.01) > 0
+        assert subflow._usable(sim.now)
         assert subflow.reconnects == 1
 
     def test_reestablish_resets_congestion_window(self):
