@@ -27,6 +27,11 @@ class ThroughputEstimator(ABC):
     def reset(self) -> None:
         """Discard all state."""
 
+    def level(self) -> Optional[float]:
+        """The estimate with no trend extrapolated, or None before any
+        observation; trend-free estimators return their prediction."""
+        return self.predict()
+
     def predict_or(self, default: float) -> float:
         """Prediction with a fallback for the cold-start case."""
         value = self.predict()

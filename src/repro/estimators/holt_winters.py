@@ -59,6 +59,9 @@ class HoltWinters(ThroughputEstimator):
             return None
         return max(0.0, self._level + horizon * self._trend)
 
+    def level(self) -> Optional[float]:
+        return self.predict(0)
+
     def reset(self) -> None:
         self._level = None
         self._trend = 0.0

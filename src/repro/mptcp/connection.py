@@ -548,11 +548,14 @@ class MptcpConnection:
 
         Includes currently disabled paths: the player should see the overall
         available network resources, not just what MP-DASH happens to be
-        using this instant.
+        using this instant.  A disabled path feeds its estimator no
+        samples, so it contributes its level: a falling trend, frozen,
+        would forecast 0 forever and lock the path out.
         """
         if not self._stepping:
             self._sync_state()
-        estimates = [sf.throughput_estimate() for sf in self.subflows]
+        estimates = [sf.throughput_estimate() if sf.path.enabled
+                     else sf.estimator.level() for sf in self.subflows]
         known = [e for e in estimates if e is not None]
         if not known:
             return None
