@@ -633,6 +633,25 @@ class TestFleetRecorderCli:
         assert html.stat().st_size > 500
         assert (tmp_path / "triage" / "anomaly-00000002.html").is_file()
 
+    def test_triage_warns_when_replay_differs(self, tmp_path, capsys):
+        from repro.obs import find_manifests, load_manifest, save_manifest
+
+        assert main(self.record_args(tmp_path, ["--json"])) == 0
+        capsys.readouterr()
+        records = str(tmp_path / "records")
+        manifest = load_manifest(find_manifests(records)[0])
+        for record in manifest["records"]:
+            if record["index"] == 2:
+                record["violations"] = {"error": 999}
+        save_manifest(records, manifest["fleet_key"], manifest["stats"],
+                      manifest["records"])
+        assert main(["triage", "--record-dir", records]) == 0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert ("warning: session 2 replayed to different verdicts "
+                "than recorded") in out.err
+        assert out.err.count("replayed to different verdicts") == 1
+
     def test_triage_html_into_missing_directory(self, tmp_path, capsys):
         assert main(self.record_args(tmp_path, ["--json"])) == 0
         capsys.readouterr()

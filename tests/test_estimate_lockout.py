@@ -10,7 +10,7 @@ never turns cellular back on.
 
 import pytest
 
-from repro.estimators import Ewma, HoltWinters
+from repro.estimators import Ewma, HarmonicMean, HoltWinters
 from repro.experiments import BASELINE, RATE, SessionConfig, run_schemes
 from repro.mptcp.connection import MptcpConnection
 from repro.net.link import cellular_path, wifi_path
@@ -52,6 +52,43 @@ class TestLevel:
         cellular.enabled = False
         assert conn.aggregate_throughput_estimate() == pytest.approx(
             5.0 + level)
+
+    def test_reenabled_path_returns_to_the_forecast(self):
+        wifi, cellular = wifi_path(bandwidth_mbps=8.0), \
+            cellular_path(bandwidth_mbps=8.0)
+        conn = MptcpConnection(Simulator(), [wifi, cellular])
+        conn.subflow("wifi").estimator.update(5.0)
+        conn.subflow("cellular").estimator = falling_estimator()
+        cellular.enabled = False
+        cellular.enabled = True
+        # Enabled again, the path feeds samples and its trend counts.
+        assert conn.aggregate_throughput_estimate() == pytest.approx(5.0)
+
+    def test_cold_disabled_path_adds_nothing(self):
+        wifi, cellular = wifi_path(bandwidth_mbps=8.0), \
+            cellular_path(bandwidth_mbps=8.0)
+        conn = MptcpConnection(Simulator(), [wifi, cellular])
+        cellular.enabled = False
+        assert conn.aggregate_throughput_estimate() is None
+        conn.subflow("wifi").estimator.update(5.0)
+        assert conn.aggregate_throughput_estimate() == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("kind", [Ewma, HarmonicMean, HoltWinters])
+    def test_cold_estimator_has_no_level(self, kind):
+        estimator = kind()
+        assert estimator.level() is None
+        estimator.update(4.0)
+        assert estimator.level() is not None
+        estimator.reset()
+        assert estimator.level() is None
+
+    @pytest.mark.parametrize("kind", [Ewma, HarmonicMean, HoltWinters])
+    def test_steady_samples_set_the_level(self, kind):
+        estimator = kind()
+        for _ in range(10):
+            estimator.update(6.0)
+        assert estimator.level() == pytest.approx(6.0)
+        assert estimator.level() == pytest.approx(estimator.predict())
 
 
 @pytest.mark.parametrize("name", ["bar", "food_market"])

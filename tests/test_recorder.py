@@ -620,6 +620,15 @@ class TestFleetRecorderIntegration:
         assert mini.is_file()
         assert "anomaly-00000003.html" in html
 
+    def test_triage_captures_skips_traceless(self, tmp_path):
+        records = [{"index": 1, "artifact": None},
+                   {"index": 2, "artifact": "missing/file.jsonl.gz"}]
+        out = tmp_path / "out"
+        triaged = triage_captures(str(tmp_path), records, str(out))
+        assert {i: t["report"] for i, t in triaged.items()} == \
+            {1: None, 2: None}
+        assert not out.exists()
+
     def test_to_dict_carries_recorder_fields(self, tmp_path):
         result = run_fleet(fleet_config(fault_session=1),
                            recorder=rec_config(tmp_path))
@@ -683,6 +692,48 @@ class TestOnePassPerCapture:
                     if name.startswith("anomaly-")]
         assert len(rendered) == 3
         assert calls == {"load_jsonl": 3, "_judge": 3}
+
+    def test_why_and_replay_match_live_and_offline(self, campaign):
+        """The standing identity: the live summary a record carries, the
+        triage verdicts and a fresh offline pass over the capture agree."""
+        from repro.obs.check import check_trace
+        from repro.obs.why import (attributions_from_trace,
+                                   summarize_attributions)
+
+        root, result = campaign
+        captured = [r for r in result.anomalies if r["artifact"]]
+        triaged = triage_captures(result.record_dir, captured)
+        for record in captured:
+            trace = load_jsonl(os.path.join(result.record_dir,
+                                            record["artifact"]))
+            offline = attributions_from_trace(trace)
+            why = triaged[record["index"]]["why"]
+            assert why["attributions"] == [a.to_dict() for a in offline]
+            assert why["summary"] == summarize_attributions(offline)
+            # The recorder keeps a live summary only when there was
+            # something to explain.
+            assert record["attribution"] == (why["summary"] if offline
+                                             else None)
+            replay = triaged[record["index"]]["replay"]
+            assert replay["violations"] == \
+                check_trace(trace).by_severity()
+            assert replay["matches_recorded"] is True
+
+    def test_mini_reports_match_the_session_report(self, campaign,
+                                                  tmp_path):
+        from repro.obs.report import session_report_html
+
+        _, result = campaign
+        captured = [r for r in result.anomalies if r["artifact"]]
+        triaged = triage_captures(result.record_dir, captured,
+                                  str(tmp_path))
+        for record in captured:
+            name = triaged[record["index"]]["report"]
+            assert name == f"anomaly-{record['index']:08d}.html"
+            trace = load_jsonl(os.path.join(result.record_dir,
+                                            record["artifact"]))
+            assert (tmp_path / name).read_text(encoding="utf-8") == \
+                session_report_html(trace)
 
 
 def mistype_capture(path, kind="ChunkDownloaded", field="level", value="x"):
@@ -762,12 +813,17 @@ class TestDamagedCapture:
             assert error.startswith("ValueError: ")
             assert records[2]["artifact"] in error
             assert "field level" in error
-        # The damaged record gets no mini report; the others do.
+        assert all(t["replay"]["replayed"] and t["why"]["attributed"]
+                   for i, t in triaged.items() if i != 2)
+
+    def test_damaged_record_gets_no_mini_report(self, campaign, tmp_path):
+        root, records = campaign
+        out = tmp_path / "out"
+        triaged = triage_captures(root, list(records.values()), str(out))
         assert triaged[2]["report"] is None
         assert {i for i, t in triaged.items() if t["report"]} == \
             set(records) - {2}
-        assert all(t["replay"]["replayed"] and t["why"]["attributed"]
-                   for i, t in triaged.items() if i != 2)
+        assert not (out / "anomaly-00000002.html").exists()
 
     @pytest.mark.parametrize("kind,field,value", EVERY_CAPTURED_KIND,
                              ids=[kind for kind, _, _ in EVERY_CAPTURED_KIND])
