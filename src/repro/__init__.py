@@ -16,33 +16,35 @@ Quick start::
     print(result.metrics.cellular_bytes, result.metrics.radio_energy)
 """
 
-from .abr import abr_names, make_abr
-from .analysis import MultipathVideoAnalyzer, SessionMetrics
-from .core import (DeadlineAwareScheduler, MpDashAdapter, MpDashSocket,
-                   Preference, prefer_cellular, prefer_wifi, simulate_online,
-                   simulate_oracle, solve_offline)
-from .dash import DashPlayer, DashServer, Manifest, VideoAsset
-from .experiments import (FileDownloadConfig, SchemeComparison, SessionConfig,
-                          SessionResult, SessionSummary, SweepResult,
-                          expand_grid, run_file_download, run_schemes,
-                          run_session, run_sweep)
-from .mptcp import MptcpConnection
-from .net import (BandwidthTrace, Path, Simulator, cellular_path, mbps,
-                  wifi_path)
-from .workloads import (MobilityScenario, field_study_locations,
-                        table1_profiles, video_asset)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BandwidthTrace", "DashPlayer", "DashServer", "DeadlineAwareScheduler",
-    "FileDownloadConfig", "Manifest", "MobilityScenario", "MpDashAdapter",
-    "MpDashSocket", "MptcpConnection", "MultipathVideoAnalyzer", "Path",
-    "Preference", "SchemeComparison", "SessionConfig", "SessionMetrics",
-    "SessionResult", "SessionSummary", "Simulator", "SweepResult",
-    "VideoAsset", "abr_names", "cellular_path", "expand_grid",
-    "field_study_locations", "make_abr", "mbps",
-    "prefer_cellular", "prefer_wifi", "run_file_download", "run_schemes",
-    "run_session", "run_sweep", "simulate_online", "simulate_oracle",
-    "solve_offline", "table1_profiles", "video_asset", "wifi_path",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "abr": "abr_names make_abr",
+    "analysis.analyzer": "MultipathVideoAnalyzer",
+    "analysis.metrics": "SessionMetrics",
+    "core.adapter": "MpDashAdapter",
+    "core.offline": "solve_offline",
+    "core.policy": "Preference prefer_cellular prefer_wifi",
+    "core.scheduler": "DeadlineAwareScheduler",
+    "core.socket_api": "MpDashSocket",
+    "core.tracesim": "simulate_online simulate_oracle",
+    "dash.manifest": "Manifest",
+    "dash.media": "VideoAsset",
+    "dash.player": "DashPlayer",
+    "dash.server": "DashServer",
+    "experiments.compare": "SchemeComparison run_schemes",
+    "experiments.configs": "FileDownloadConfig SessionConfig",
+    "experiments.runner": "SessionResult run_file_download run_session",
+    "experiments.sweep": "SessionSummary SweepResult expand_grid run_sweep",
+    "mptcp.connection": "MptcpConnection",
+    "net.link": "Path cellular_path wifi_path",
+    "net.simulator": "Simulator",
+    "net.trace": "BandwidthTrace",
+    "net.units": "mbps",
+    "workloads.locations": "field_study_locations",
+    "workloads.mobility": "MobilityScenario",
+    "workloads.synthetic": "table1_profiles",
+    "workloads.videos": "video_asset",
+})

@@ -1,45 +1,41 @@
 """DASH rate-adaptation algorithms: GPAC, FESTIVE, BBA-2, BBA-C, MPC."""
 
-from typing import List
+import sys
+from typing import TYPE_CHECKING, List
 
-from .base import (BUFFER_BASED, HYBRID, THROUGHPUT_BASED, AbrAlgorithm,
-                   AbrContext)
-from .bba import Bba
-from .bba_c import BbaC
-from .festive import Festive
-from .gpac import Gpac
-from .mpc import Mpc
+from .._lazy import lazy_exports
 
-def _robust_mpc(**kwargs):
-    kwargs.setdefault("robust", True)
-    return Mpc(**kwargs)
+if TYPE_CHECKING:
+    from .base import AbrAlgorithm
 
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "AbrAlgorithm AbrContext BUFFER_BASED HYBRID THROUGHPUT_BASED",
+    "bba": "Bba",
+    "bba_c": "BbaC",
+    "festive": "Festive",
+    "gpac": "Gpac",
+    "mpc": "Mpc",
+})
+__all__ += ["abr_names", "make_abr"]
 
-_ALGORITHMS = {
-    Gpac.name: Gpac,
-    Festive.name: Festive,
-    Bba.name: Bba,
-    BbaC.name: BbaC,
-    Mpc.name: Mpc,
-    "robust-mpc": _robust_mpc,
-}
+#: Table name -> class name; a class's module is imported the first time
+#: one of its names is made (and the class then stays bound here).
+_ALGORITHMS = {"gpac": "Gpac", "festive": "Festive", "bba": "Bba",
+               "bba-c": "BbaC", "mpc": "Mpc", "robust-mpc": "Mpc"}
 
 
-def make_abr(name: str, **kwargs) -> AbrAlgorithm:
+def make_abr(name: str, **kwargs) -> "AbrAlgorithm":
     """Instantiate an ABR algorithm by its table name."""
     try:
-        return _ALGORITHMS[name](**kwargs)
+        cls = getattr(sys.modules[__name__], _ALGORITHMS[name])
     except KeyError:
         known = ", ".join(sorted(_ALGORITHMS))
         raise ValueError(f"unknown ABR algorithm {name!r} "
                          f"(known: {known})") from None
+    if name == "robust-mpc":
+        kwargs.setdefault("robust", True)
+    return cls(**kwargs)
 
 
 def abr_names() -> List[str]:
     return sorted(_ALGORITHMS)
-
-
-__all__ = [
-    "AbrAlgorithm", "AbrContext", "BUFFER_BASED", "Bba", "BbaC", "Festive",
-    "Gpac", "HYBRID", "Mpc", "THROUGHPUT_BASED", "abr_names", "make_abr",
-]

@@ -15,7 +15,7 @@ player's recent chunk throughputs.
 from __future__ import annotations
 
 from ..dash.events import ChunkRecord
-from ..estimators import HarmonicMean
+from ..estimators.harmonic import HarmonicMean
 from .base import AbrContext
 from .bba import Bba
 

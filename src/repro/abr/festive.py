@@ -24,7 +24,7 @@ scheduler has the cellular path disabled.
 from __future__ import annotations
 
 from ..dash.events import ChunkRecord
-from ..estimators import HarmonicMean
+from ..estimators.harmonic import HarmonicMean
 from .base import THROUGHPUT_BASED, AbrAlgorithm, AbrContext
 
 

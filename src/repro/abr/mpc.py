@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..dash.events import ChunkRecord
-from ..estimators import HarmonicMean
+from ..estimators.harmonic import HarmonicMean
 from .base import HYBRID, AbrAlgorithm, AbrContext
 
 

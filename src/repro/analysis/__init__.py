@@ -1,19 +1,13 @@
 """Cross-layer analysis: metrics, the video analyzer, CDFs, text figures."""
 
-from .analyzer import ChunkView, IdleGap, MultipathVideoAnalyzer
-from .cdf import (empirical_cdf, fraction_at_most, percentile,
-                  quartile_summary)
-from .report import session_report
-from .metrics import (SessionMetrics, bitrate_reduction, compute_metrics,
-                      path_utilization, savings)
-from .visualize import (NUM_LEVELS, ChunkCell, chunk_cells, chunk_timeline,
-                        sparkline, throughput_plot)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NUM_LEVELS",
-    "ChunkCell", "ChunkView", "IdleGap", "MultipathVideoAnalyzer",
-    "SessionMetrics", "bitrate_reduction", "chunk_cells", "chunk_timeline",
-    "compute_metrics", "empirical_cdf", "fraction_at_most",
-    "path_utilization", "percentile", "quartile_summary", "savings",
-    "session_report", "sparkline", "throughput_plot",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analyzer": "ChunkView IdleGap MultipathVideoAnalyzer",
+    "cdf": "empirical_cdf fraction_at_most percentile quartile_summary",
+    "metrics": ("SessionMetrics bitrate_reduction compute_metrics "
+                "path_utilization savings"),
+    "report": "session_report",
+    "visualize": ("NUM_LEVELS ChunkCell chunk_cells chunk_timeline sparkline "
+                  "throughput_plot"),
+})

@@ -8,8 +8,9 @@ here against the same :class:`~repro.core.socket_api.MpDashSocket` API the
 video adapter uses.
 """
 
-from .music import MusicPrefetcher, PlaylistTrack
-from .navigation import NavigationPrefetcher, RouteTile
+from .._lazy import lazy_exports
 
-__all__ = ["MusicPrefetcher", "NavigationPrefetcher", "PlaylistTrack",
-           "RouteTile"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "music": "MusicPrefetcher PlaylistTrack",
+    "navigation": "NavigationPrefetcher RouteTile",
+})

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
-from ..estimators import HoltWinters, ThroughputEstimator
+from ..estimators.base import ThroughputEstimator
+from ..estimators.holt_winters import HoltWinters
 from .policy import enabled_prefix, require_positive
 
 

@@ -1,16 +1,13 @@
 """DASH streaming stack: media model, manifest, HTTP, server, player."""
 
-from .buffer import PlaybackBuffer
-from .events import ChunkRecord, PlayerEventLog, StallRecord
-from .http import HttpClient, HttpRequest, HttpResponse
-from .manifest import Manifest, Representation
-from .media import QualityLevel, VideoAsset
-from .player import DashPlayer, PlayerAddon
-from .server import DashServer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChunkRecord", "DashPlayer", "DashServer", "HttpClient", "HttpRequest",
-    "HttpResponse", "Manifest", "PlaybackBuffer", "PlayerAddon",
-    "PlayerEventLog", "QualityLevel", "Representation", "StallRecord",
-    "VideoAsset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "buffer": "PlaybackBuffer",
+    "events": "ChunkRecord PlayerEventLog StallRecord",
+    "http": "HttpClient HttpRequest HttpResponse",
+    "manifest": "Manifest Representation",
+    "media": "QualityLevel VideoAsset",
+    "player": "DashPlayer PlayerAddon",
+    "server": "DashServer",
+})

@@ -1,12 +1,10 @@
 """Radio energy model: device power profiles and trace-replay computation."""
 
-from .devices import (DEVICES, GALAXY_NOTE, GALAXY_S3, DevicePowerProfile,
-                      InterfacePowerProfile)
-from .model import (EnergyBreakdown, interface_energy, radio_state_events,
-                    session_energy)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEVICES", "DevicePowerProfile", "EnergyBreakdown", "GALAXY_NOTE",
-    "GALAXY_S3", "InterfacePowerProfile", "interface_energy",
-    "radio_state_events", "session_energy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "devices": ("DEVICES GALAXY_NOTE GALAXY_S3 DevicePowerProfile "
+                "InterfacePowerProfile"),
+    "model": ("EnergyBreakdown interface_energy radio_state_events "
+              "session_energy"),
+})

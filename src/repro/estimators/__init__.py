@@ -1,8 +1,10 @@
 """Throughput estimators: Holt-Winters (the paper's choice), EWMA, harmonic."""
 
-from .base import ThroughputEstimator
-from .ewma import Ewma
-from .harmonic import HarmonicMean
-from .holt_winters import HoltWinters
+from .._lazy import lazy_exports
 
-__all__ = ["Ewma", "HarmonicMean", "HoltWinters", "ThroughputEstimator"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "ThroughputEstimator",
+    "ewma": "Ewma",
+    "harmonic": "HarmonicMean",
+    "holt_winters": "HoltWinters",
+})

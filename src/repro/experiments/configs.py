@@ -9,8 +9,10 @@ simulation from them, so every experiment is a reproducible value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+import hashlib
+import json
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Dict, Mapping, Optional
 
 from ..core.deadlines import DEADLINE_MODES, RATE_BASED
 from ..net.trace import BandwidthTrace
@@ -137,3 +139,53 @@ class FileDownloadConfig:
             raise ValueError(f"size must be positive: {self.size!r}")
         if self.deadline <= 0:
             raise ValueError(f"deadline must be positive: {self.deadline!r}")
+
+
+# ----------------------------------------------------------------------
+# Deterministic config keys
+# ----------------------------------------------------------------------
+def _encode(value: Any) -> Any:
+    """Canonical JSON-ready form of a config value (order-stable)."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {spec.name: _encode(getattr(value, spec.name))
+                for spec in fields(value)}
+    if isinstance(value, BandwidthTrace):
+        return {"__trace__": True, "times": value.times,
+                "rates": value.rates, "loop": value.loop}
+    if isinstance(value, Mapping):
+        # Sort by the *stringified* key: that is the form the emitted dict
+        # actually carries, and raw-key sorting raises TypeError for
+        # mixed-type keys (e.g. {1: ..., "b": ...}).
+        items = sorted(value.items(), key=lambda item: str(item[0]))
+        return {str(k): _encode(v) for k, v in items}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(
+        f"cannot canonicalize {type(value).__name__!r} for a config key")
+
+
+#: Config fields since retired, encoded at the one value they could
+#: still take so that keys (cache files, fleet checkpoints, ledger
+#: series, capture directories) stay what they were.
+_RETIRED_FIELDS: Dict[str, Dict[str, str]] = {
+    "SessionConfig": {"kernel": "fast", "mptcp_scheduler": "minrtt"},
+    "FileDownloadConfig": {"kernel": "fast", "mptcp_scheduler": "minrtt"},
+    "FleetConfig": {"kernel": "fast"},
+}
+
+
+def config_key(config: Any) -> str:
+    """Deterministic hash naming one run: equal configs ⇒ equal keys.
+
+    The key doubles as the cache filename, so it also embeds the config's
+    type — a :class:`SessionConfig` and a :class:`FileDownloadConfig` can
+    never collide.
+    """
+    kind = type(config).__name__
+    encoded = _encode(config)
+    encoded.update(_RETIRED_FIELDS.get(kind, {}))
+    payload = {"kind": kind, "config": encoded}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]

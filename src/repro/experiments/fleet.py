@@ -54,10 +54,9 @@ from ..obs.why import fold_attributions
 from ..workloads.arrivals import (ARRIVAL_MODELS, DEFAULT_DEVICE_MIX,
                                   SessionArrivals, SessionDraw)
 from ..workloads.locations import Location, field_study_locations
-from .configs import SCHEMES, SessionConfig, scheme_fields
+from .configs import SCHEMES, SessionConfig, config_key, scheme_fields
 from .pool import run_units
 from .runner import run_session
-from .sweep import config_key
 
 #: Scenario id -> exposition label (see repro.workloads.locations).
 SCENARIO_NAMES = {1: "never", 2: "sometimes", 3: "always"}

@@ -10,9 +10,12 @@ engines share one set of fault semantics.  ``docs/architecture.md``
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Executor,
-                                Future, wait)
-from typing import Any, Callable, Dict, Optional, Sequence, TypeVar
+from functools import partial
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence,
+                    TypeVar)
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 U = TypeVar("U")
 
@@ -21,19 +24,35 @@ U = TypeVar("U")
 REORDER_WINDOWS = 2
 
 
-class _InlinePool(Executor):
-    """The ``jobs=1`` pool: runs each unit in-process at submission."""
+class _Ran:
+    """A unit the inline pool has run, read like a finished ``Future``."""
 
-    def submit(self, work: Callable[[Any], Any], unit: Any) -> Future:
-        future: Future = Future()
+    __slots__ = ("value", "error")
+
+    def __init__(self, value: Any, error: Optional[Exception]) -> None:
+        self.value, self.error = value, error
+
+    def result(self) -> Any:
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class _InlinePool:
+    """The ``jobs=1`` pool: runs each unit in-process at submission, so
+    a ``jobs=1`` run never loads ``concurrent.futures``."""
+
+    def submit(self, work: Callable[[Any], Any], unit: Any) -> _Ran:
         try:
-            future.set_result(work(unit))
+            return _Ran(work(unit), None)
         except Exception as exc:
-            future.set_exception(exc)
-        return future
+            return _Ran(None, exc)
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
 
 
-def _open_pool(jobs: int, workers: int) -> Executor:
+def _open_pool(jobs: int, workers: int) -> Any:
     if jobs == 1:
         return _InlinePool()
     # Imported here so that jobs=1 runs never load multiprocessing.
@@ -45,6 +64,16 @@ def _open_pool(jobs: int, workers: int) -> Executor:
     method = "fork" if "fork" in get_all_start_methods() else None
     return ProcessPoolExecutor(max_workers=workers,
                                mp_context=get_context(method))
+
+
+def _waiting(jobs: int) -> tuple:
+    """The pool's broken-pool error and a wait for the first finished
+    futures.  Inline units are finished when submitted and the inline
+    pool never breaks, so ``jobs=1`` imports neither."""
+    if jobs == 1:
+        return (), lambda futures: (futures, ())
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+    return BrokenExecutor, partial(wait, return_when=FIRST_COMPLETED)
 
 
 def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
@@ -76,6 +105,7 @@ def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
     horizon = REORDER_WINDOWS * jobs if ordered else len(units)
     commit_point = 0
     workers = min(jobs, len(units))
+    broken_pool, wait_first = _waiting(jobs)
 
     def settle(pos: int, result: Any, failure: Any) -> bool:
         """Fold one outcome; False means the unit was requeued."""
@@ -100,7 +130,7 @@ def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
                     started(units[pos], attempts[pos])
                 try:
                     future = pool.submit(work, units[pos])
-                except BrokenExecutor:
+                except broken_pool:
                     # The pool died since the last round; this unit never
                     # reached a worker, so the attempt is uncharged.
                     attempts[pos] -= 1
@@ -110,14 +140,13 @@ def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
                 heapq.heappop(queue)
                 flying[future] = pos
             if flying:
-                finished, _ = wait(list(flying),
-                                   return_when=FIRST_COMPLETED)
+                finished, _ = wait_first(list(flying))
                 broken = False
                 for future in finished:
                     pos = flying.pop(future)
                     try:
                         outcomes[pos] = (future.result(), None)
-                    except BrokenExecutor as exc:
+                    except broken_pool as exc:
                         broken = True
                         outcomes[pos] = (None, f"worker process died: {exc}")
                     except Exception as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..abr import make_abr
 from ..analysis.analyzer import MultipathVideoAnalyzer
@@ -27,14 +27,16 @@ from ..energy.model import EnergyBreakdown, session_energy
 from ..mptcp.connection import MptcpConnection
 from ..net.link import cellular_path, wifi_path
 from ..net.simulator import Simulator
-from ..obs.check import Checker, CheckReport, InvariantMonitor
 from ..obs.events import SessionClosed, TraceEvent
 from ..obs.metrics import (MetricsRegistry, PathSampler,
                            SessionMetricsCollector)
-from ..obs.spans import Span, SpanBuilder
 from ..obs.trace_export import TraceMeta, TraceRecorder, dump_jsonl
 from ..workloads.videos import video_asset
 from .configs import FileDownloadConfig, SessionConfig
+
+if TYPE_CHECKING:
+    from ..obs.check import Checker, CheckReport
+    from ..obs.spans import Span
 
 
 @dataclass
@@ -138,8 +140,12 @@ def run_session(config: SessionConfig, check: bool = False,
     recorder = TraceRecorder(sim.bus) if record else None
     monitor = None
     if check or checkers is not None:
+        from ..obs.check import InvariantMonitor
         monitor = InvariantMonitor(checkers, bus=sim.bus)
-    span_builder = SpanBuilder(sim.bus) if config.collect_spans else None
+    span_builder = None
+    if config.collect_spans:
+        from ..obs.spans import SpanBuilder
+        span_builder = SpanBuilder(sim.bus)
     paths = _build_paths(config)
     connection = MptcpConnection(
         sim, paths, tick_interval=config.tick_interval,

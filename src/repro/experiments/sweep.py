@@ -27,77 +27,25 @@ sweep any config type, as long as it returns such a summary.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence)
 
 from ..analysis.metrics import SessionMetrics
-from ..net.trace import BandwidthTrace
-from .configs import SessionConfig
+from .configs import SessionConfig, config_key
 from .pool import run_units
 from .runner import SessionResult, run_session
 
 #: Failure discriminators carried by :class:`RunFailure`.
 FAILED_ERROR = "error"
 FAILED_TIMEOUT = "timeout"
-
-
-# ----------------------------------------------------------------------
-# Deterministic config keys
-# ----------------------------------------------------------------------
-def _encode(value: Any) -> Any:
-    """Canonical JSON-ready form of a config value (order-stable)."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {spec.name: _encode(getattr(value, spec.name))
-                for spec in fields(value)}
-    if isinstance(value, BandwidthTrace):
-        return {"__trace__": True, "times": value.times,
-                "rates": value.rates, "loop": value.loop}
-    if isinstance(value, Mapping):
-        # Sort by the *stringified* key: that is the form the emitted dict
-        # actually carries, and raw-key sorting raises TypeError for
-        # mixed-type keys (e.g. {1: ..., "b": ...}).
-        items = sorted(value.items(), key=lambda item: str(item[0]))
-        return {str(k): _encode(v) for k, v in items}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(
-        f"cannot canonicalize {type(value).__name__!r} for a config key")
-
-
-#: Config fields since retired, encoded at the one value they could
-#: still take so that keys (cache files, fleet checkpoints, ledger
-#: series, capture directories) stay what they were.
-_RETIRED_FIELDS: Dict[str, Dict[str, str]] = {
-    "SessionConfig": {"kernel": "fast", "mptcp_scheduler": "minrtt"},
-    "FileDownloadConfig": {"kernel": "fast", "mptcp_scheduler": "minrtt"},
-    "FleetConfig": {"kernel": "fast"},
-}
-
-
-def config_key(config: Any) -> str:
-    """Deterministic hash naming one run: equal configs ⇒ equal keys.
-
-    The key doubles as the cache filename, so it also embeds the config's
-    type — a :class:`SessionConfig` and a :class:`FileDownloadConfig` can
-    never collide.
-    """
-    kind = type(config).__name__
-    encoded = _encode(config)
-    encoded.update(_RETIRED_FIELDS.get(kind, {}))
-    payload = {"kind": kind, "config": encoded}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
 def expand_grid(base: Any, grid: Mapping[str, Sequence]) -> List[Any]:

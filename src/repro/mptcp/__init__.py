@@ -1,12 +1,11 @@
 """MPTCP transport: subflows, DSS signaling, connection."""
 
-from .activity import ActivityLog
-from .connection import MptcpConnection, PathController, Transfer
-from .options import SignalChannel
-from .proxy import SplittingProxy
-from .subflow import Subflow
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActivityLog", "MptcpConnection", "PathController", "SignalChannel",
-    "Subflow", "Transfer", "SplittingProxy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "activity": "ActivityLog",
+    "connection": "MptcpConnection PathController Transfer",
+    "options": "SignalChannel",
+    "proxy": "SplittingProxy",
+    "subflow": "Subflow",
+})

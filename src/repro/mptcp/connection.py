@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from ..estimators import ThroughputEstimator
+from ..estimators.base import ThroughputEstimator
 from ..net.link import Path
 from ..net.simulator import Simulator, Timer
 # ``integrate_window`` is unused here but stays importable from this

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.policy import enabled_prefix, require_positive
-from ..estimators import HoltWinters
+from ..estimators.holt_winters import HoltWinters
 from ..net.link import Path
 from ..net.simulator import Simulator
 from ..net.units import PACKET_SIZE

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..estimators import HoltWinters, ThroughputEstimator
+from ..estimators.base import ThroughputEstimator
+from ..estimators.holt_winters import HoltWinters
 from ..net.link import Path
 from ..net.tcp import TcpState
 from ..obs.bus import EventBus

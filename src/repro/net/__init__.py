@@ -1,15 +1,12 @@
 """Network substrate: simulation kernel, bandwidth traces, paths, TCP."""
 
-from .link import CELLULAR, WIFI, Path, cellular_path, wifi_path
-from .simulator import Event, PeriodicProcess, SimulationError, Simulator
-from .tcp import INITIAL_CWND, TcpState
-from .trace import BandwidthTrace, constant_mbps
-from .units import (KB, MB, PACKET_SIZE, kbps, mbps, megabytes, milliseconds,
-                    to_mbps, to_megabytes)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BandwidthTrace", "CELLULAR", "Event", "INITIAL_CWND", "KB", "MB",
-    "PACKET_SIZE", "Path", "PeriodicProcess", "SimulationError", "Simulator",
-    "TcpState", "WIFI", "cellular_path", "constant_mbps", "kbps", "mbps",
-    "megabytes", "milliseconds", "to_mbps", "to_megabytes", "wifi_path",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "link": "CELLULAR WIFI Path cellular_path wifi_path",
+    "simulator": "Event PeriodicProcess SimulationError Simulator",
+    "tcp": "INITIAL_CWND TcpState",
+    "trace": "BandwidthTrace constant_mbps",
+    "units": ("KB MB PACKET_SIZE kbps mbps megabytes milliseconds to_mbps "
+              "to_megabytes"),
+})

@@ -41,37 +41,23 @@ the ledger into self-contained single-file HTML documents (pure functions of
 their inputs — live and offline rendering are byte-identical).
 """
 
-from .bus import EventBus
-from .drift import detect_drift, drift_table, gate_ok, trend_document
-from .check import ERROR, INFO, WARNING, check_trace, stock_checkers
-from .events import RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL
-from .metrics import (MetricsRegistry, SessionMetricsCollector,
-                      collector_from_trace, registry_from_trace)
-from .recorder import (RecorderConfig, ShardRecorder, find_manifests,
-                       load_manifest, rank_anomalies, save_manifest,
-                       triage_captures, triage_table)
-from .report import (fleet_report_html, history_report_html,
-                     session_report_html, triage_report_html, write_report)
-from .spans import dump_chrome_trace, render_span_tree, spans_from_trace
-from .trace_export import (Trace, TraceMeta, TraceRecorder,
-                           analyzer_from_trace, dump_jsonl, dumps_jsonl,
-                           gzip_bytes, load_jsonl, loads_jsonl,
-                           metrics_from_trace, replay)
-from .why import (attributions_from_trace, diff_traces, render_attributions,
-                  summarize_attributions)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ERROR", "INFO", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL",
-    "WARNING", "EventBus", "MetricsRegistry", "RecorderConfig",
-    "SessionMetricsCollector", "ShardRecorder", "Trace", "TraceMeta",
-    "TraceRecorder", "analyzer_from_trace", "attributions_from_trace",
-    "check_trace", "collector_from_trace", "detect_drift", "diff_traces",
-    "drift_table", "dump_chrome_trace", "dump_jsonl", "dumps_jsonl",
-    "find_manifests", "fleet_report_html", "gate_ok", "gzip_bytes",
-    "history_report_html", "load_jsonl", "load_manifest", "loads_jsonl",
-    "metrics_from_trace", "rank_anomalies", "registry_from_trace",
-    "render_attributions", "render_span_tree", "replay", "save_manifest",
-    "session_report_html", "spans_from_trace", "stock_checkers",
-    "summarize_attributions", "trend_document", "triage_captures",
-    "triage_report_html", "triage_table", "write_report"
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bus": "EventBus",
+    "check": "ERROR INFO WARNING check_trace stock_checkers",
+    "drift": "detect_drift drift_table gate_ok trend_document",
+    "events": "RADIO_ACTIVE RADIO_IDLE RADIO_TAIL",
+    "metrics": ("MetricsRegistry SessionMetricsCollector "
+                "collector_from_trace registry_from_trace"),
+    "recorder": ("RecorderConfig ShardRecorder find_manifests load_manifest "
+                 "rank_anomalies save_manifest triage_captures triage_table"),
+    "report": ("fleet_report_html history_report_html session_report_html "
+               "triage_report_html write_report"),
+    "spans": "dump_chrome_trace render_span_tree spans_from_trace",
+    "trace_export": ("Trace TraceMeta TraceRecorder analyzer_from_trace "
+                     "dump_jsonl dumps_jsonl gzip_bytes load_jsonl "
+                     "loads_jsonl metrics_from_trace replay"),
+    "why": ("attributions_from_trace diff_traces render_attributions "
+            "summarize_attributions"),
+})

@@ -30,22 +30,44 @@ energy         :class:`RadioStateChange`
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
+#: Registers an event class's fields and slots; its methods come from
+#: :func:`_generate`, one code-generation pass over every class.
+_event = dataclass(slots=True, init=False, repr=False, eq=False)
 
-@dataclass(frozen=True, slots=True)
+
+@_event
 class TraceEvent:
-    """Base of every bus event: a simulated-clock timestamp."""
+    """Base of every bus event: a simulated-clock timestamp.
+
+    Events are frozen: assigning or deleting a field raises
+    ``FrozenInstanceError``, as a frozen dataclass does.
+    """
 
     time: float
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # Pickling state, as a frozen slots dataclass has it.
+    def __getstate__(self) -> List[Any]:
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __setstate__(self, state: List[Any]) -> None:
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
 
 
 # ----------------------------------------------------------------------
 # Transport layer (repro.mptcp, repro.net)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@_event
 class PacketSent(TraceEvent):
     """``num_bytes`` delivered on ``path`` during one activity bin.
 
@@ -66,7 +88,7 @@ class PacketSent(TraceEvent):
     conn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class PathSampled(TraceEvent):
     """Periodic read-only snapshot of one subflow's transport state.
 
@@ -83,7 +105,7 @@ class PathSampled(TraceEvent):
     conn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class TransferStarted(TraceEvent):
     """A transfer's first response byte is about to flow."""
 
@@ -93,7 +115,7 @@ class TransferStarted(TraceEvent):
     conn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class TransferCompleted(TraceEvent):
     """The transfer's last byte arrived."""
 
@@ -104,7 +126,7 @@ class TransferCompleted(TraceEvent):
     conn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class PathStateRequested(TraceEvent):
     """Client-side enable/disable decision entered the signaling channel."""
 
@@ -113,7 +135,7 @@ class PathStateRequested(TraceEvent):
     conn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class SubflowStateChange(TraceEvent):
     """Server-side *effective* path state flipped (post signaling delay)."""
 
@@ -122,7 +144,7 @@ class SubflowStateChange(TraceEvent):
     conn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class SubflowReconnected(TraceEvent):
     """A torn-down subflow finished its re-establishment handshake."""
 
@@ -131,7 +153,7 @@ class SubflowReconnected(TraceEvent):
     conn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class CwndRestarted(TraceEvent):
     """RFC 2861 congestion-window validation collapsed the window."""
 
@@ -142,7 +164,7 @@ class CwndRestarted(TraceEvent):
 # ----------------------------------------------------------------------
 # MP-DASH control plane (repro.core)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@_event
 class DeadlineArmed(TraceEvent):
     """MP_DASH_ENABLE: the next ``size`` bytes carry a deadline window."""
 
@@ -150,12 +172,12 @@ class DeadlineArmed(TraceEvent):
     window: float
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class DeadlineDisarmed(TraceEvent):
     """MP_DASH_DISABLE: scheduler explicitly deactivated."""
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class DeadlineExtended(TraceEvent):
     """The §5 deadline-extension relaxed a chunk's window above Φ."""
 
@@ -164,7 +186,7 @@ class DeadlineExtended(TraceEvent):
     buffer_level: float
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class SchedulerActivated(TraceEvent):
     """An armed deadline bound to a concrete transfer."""
 
@@ -173,7 +195,7 @@ class SchedulerActivated(TraceEvent):
     window: float
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class DeadlineMissed(TraceEvent):
     """The deadline passed mid-transfer; every path re-enabled."""
 
@@ -183,16 +205,20 @@ class DeadlineMissed(TraceEvent):
 # ----------------------------------------------------------------------
 # HTTP (repro.dash.http)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@_event
 class HttpRequestSent(TraceEvent):
+    """A GET left the client; ``request`` ids it."""
+
     url: str
     #: Client-scoped request id correlating request with response (spans
-    #: join on it).  Defaults to 0 so pre-PR-3 traces still load.
+    #: join on it).  Defaults to 0 so older traces still load.
     request: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class HttpResponseReceived(TraceEvent):
+    """The response for ``request`` fully arrived."""
+
     url: str
     status: int
     content_length: int
@@ -202,14 +228,16 @@ class HttpResponseReceived(TraceEvent):
 # ----------------------------------------------------------------------
 # DASH player (repro.dash)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@_event
 class ChunkRequested(TraceEvent):
+    """The player asked for chunk ``index`` at ``level``."""
+
     index: int
     level: int
     buffer_level: float
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class MpDashArmed(TraceEvent):
     """The adapter armed the scheduler for this chunk."""
 
@@ -217,14 +245,14 @@ class MpDashArmed(TraceEvent):
     deadline: float
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class MpDashSkipped(TraceEvent):
     """The adapter left MP-DASH off for this chunk (Ω guard / startup)."""
 
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class ChunkDownloaded(TraceEvent):
     """A chunk landed; carries everything the per-chunk record needs."""
 
@@ -239,33 +267,35 @@ class ChunkDownloaded(TraceEvent):
     buffer_at_request: float
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class QualitySwitched(TraceEvent):
+    """The next chunk's level differs from the last one's."""
+
     from_level: int
     to_level: int
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class PlaybackStarted(TraceEvent):
     """Startup threshold reached; the playout clock starts draining."""
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class StallStart(TraceEvent):
     """Playback buffer ran dry mid-session."""
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class StallEnd(TraceEvent):
     """Playback resumed after a rebuffering interval."""
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class PlaybackEnded(TraceEvent):
     """The last chunk played out."""
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class SessionClosed(TraceEvent):
     """Terminal event: the session's simulation stopped at this time."""
 
@@ -279,7 +309,7 @@ RADIO_TAIL = "tail"
 RADIO_IDLE = "idle"
 
 
-@dataclass(frozen=True, slots=True)
+@_event
 class RadioStateChange(TraceEvent):
     """One interface's radio moved between idle/active/tail."""
 
@@ -300,6 +330,81 @@ EVENT_TYPES: Dict[str, type] = {
         PlaybackEnded, SessionClosed, RadioStateChange,
     )
 }
+
+
+#: Globals of the generated code: ``_new``, each class by name, each
+#: field's slot setter as ``_set_<class>_<field>`` and each default as
+#: ``_default_<class>_<field>``.
+_GENERATED: Dict[str, Any] = {"_new": object.__new__}
+
+#: What :func:`_generate` gives every event class.
+_METHODS = ("__init__", "__repr__", "__eq__", "__hash__")
+
+
+def _generate(classes: Tuple[type, ...]) -> Dict[type, Callable[..., Any]]:
+    """Give each class the methods a frozen dataclass has, from one
+    ``exec``, and return each class's fast constructor.
+
+    ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__`` give what
+    ``@dataclass(frozen=True)`` makes them give.  Fields are set through
+    the slot descriptors, past the frozen guard: routing each through
+    ``object.__setattr__`` roughly tripled construction cost.  A fast
+    constructor takes ``__init__``'s parameters and skips
+    ``type.__call__``; the transport builds one event per subflow per
+    activity bin.
+    """
+    source = []
+    for cls in classes:
+        name = cls.__name__
+        params = []
+        for spec in fields(cls):
+            setter = getattr(cls, spec.name).__set__
+            _GENERATED[f"_set_{name}_{spec.name}"] = setter
+            if spec.default is MISSING:
+                params.append(spec.name)
+            else:
+                _GENERATED[f"_default_{name}_{spec.name}"] = spec.default
+                params.append(f"{spec.name}=_default_{name}_{spec.name}")
+        _GENERATED[name] = cls
+        names = cls.__match_args__
+        own = "".join(f"self.{field}," for field in names)
+        other = own.replace("self.", "other.")
+        shown = ", ".join(f"{field}={{self.{field}!r}}" for field in names)
+        sets = "".join(f"    _set_{name}_{field}(self, {field})\n"
+                       for field in names)
+        signature = ", ".join(params)
+        source += [
+            f"def {name}__init__(self, {signature}):\n{sets}",
+            f"def {name}_new({signature}):\n"
+            f"    self = _new({name})\n{sets}    return self\n",
+            f"def {name}__repr__(self):\n"
+            f"    return self.__class__.__qualname__ + f'({shown})'\n",
+            f"def {name}__eq__(self, other):\n"
+            f"    if other.__class__ is self.__class__:\n"
+            f"        return ({own}) == ({other})\n"
+            f"    return NotImplemented\n",
+            f"def {name}__hash__(self):\n    return hash(({own}))\n"]
+    exec("".join(source), _GENERATED)
+    ctors = {}
+    for cls in classes:
+        for method in _METHODS:
+            function = _GENERATED.pop(cls.__name__ + method)
+            function.__name__ = method
+            function.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, function)
+        ctors[cls] = _GENERATED.pop(cls.__name__ + "_new")
+    return ctors
+
+
+_FAST_CTORS = _generate((TraceEvent, *EVENT_TYPES.values()))
+
+
+def fast_ctor(cls: type) -> Callable[..., Any]:
+    """The generated fast constructor of an event class: ``cls(...)``
+    without ``type.__call__`` (see :func:`_generate`).  Parameters are
+    the fields in declaration order, with their defaults, so positional
+    and keyword calls bind exactly as ``cls(...)`` does."""
+    return _FAST_CTORS[cls]
 
 
 #: Per event class: its field names and those of its ``Mapping``-typed
@@ -400,61 +505,20 @@ def mistyped_field(events: Iterable[TraceEvent]) -> Optional[str]:
     return None
 
 
-def _slot_namespace(cls: type) -> Dict[str, Any]:
-    """Globals for code generated over ``cls``: ``_set_<field>`` (each
-    field's slot setter), ``_new`` and ``_cls``."""
-    namespace: Dict[str, Any] = {
-        f"_set_{spec.name}": getattr(cls, spec.name).__set__
-        for spec in fields(cls)}
-    namespace.update(_new=cls.__new__, _cls=cls)
-    return namespace
-
-
-def fast_ctor(cls: type) -> Any:
-    """Constructor for a frozen slots event class, without the frozen guard.
-
-    Frozen dataclasses route every ``__init__`` field assignment through
-    ``object.__setattr__``, roughly tripling construction cost.  That
-    dominates wherever events are built in bulk, such as the
-    per-subflow-per-bin transport events (thousands per simulated
-    session).  Assigning through the slot descriptors directly skips the
-    frozen guard during construction only — instances are as immutable as
-    ones built normally.  Parameters are the fields in declaration order,
-    with their defaults, so positional and keyword calls bind exactly as
-    ``cls(...)`` does.
-    """
-    specs = fields(cls)
-    namespace = _slot_namespace(cls)
-    params = []
-    for spec in specs:
-        if spec.default is MISSING:
-            params.append(spec.name)
-        else:
-            namespace[f"_default_{spec.name}"] = spec.default
-            params.append(f"{spec.name}=_default_{spec.name}")
-    body = "".join(f"    _set_{spec.name}(self, {spec.name})\n"
-                   for spec in specs)
-    source = (f"def ctor({', '.join(params)}):\n"
-              f"    self = _new(_cls)\n{body}    return self\n")
-    exec(source, namespace)
-    return namespace["ctor"]
-
-
 def _record_reader(cls: type) -> Callable[[Dict[str, Any]], TraceEvent]:
     """Reader of a parsed record holding exactly ``cls``'s fields plus
     ``type``: reads each key and sets the slots directly, past the frozen
-    guard (see :func:`fast_ctor`).  Any other record raises ``KeyError``.
+    guard (see :func:`_generate`).  Any other record raises ``KeyError``.
     """
-    specs = fields(cls)
-    namespace = _slot_namespace(cls)
-    body = "".join(f"    _set_{spec.name}(self, record[{spec.name!r}])\n"
-                   for spec in specs)
-    source = (f"def read(record):\n"
-              f"    if len(record) != {len(specs) + 1}:\n"
-              f"        raise KeyError('type')\n"
-              f"    self = _new(_cls)\n{body}    return self\n")
-    exec(source, namespace)
-    return namespace["read"]
+    name = cls.__name__
+    names = cls.__match_args__
+    body = "".join(f"    _set_{name}_{field}(self, record[{field!r}])\n"
+                   for field in names)
+    exec(f"def {name}_read(record):\n"
+         f"    if len(record) != {len(names) + 1}:\n"
+         f"        raise KeyError('type')\n"
+         f"    self = _new({name})\n{body}    return self\n", _GENERATED)
+    return _GENERATED.pop(f"{name}_read")
 
 
 class _Readers(dict):
@@ -504,15 +568,15 @@ def _event_from_record(record: Any) -> TraceEvent:
 
 #: Fast constructor for the hottest event on the bus (one per subflow per
 #: activity bin while a transfer is active).
-new_packet_sent = fast_ctor(PacketSent)
+new_packet_sent = _FAST_CTORS[PacketSent]
 
 #: Fast constructors for the per-chunk events (a few per transfer each).
-new_transfer_started = fast_ctor(TransferStarted)
-new_transfer_completed = fast_ctor(TransferCompleted)
-new_deadline_armed = fast_ctor(DeadlineArmed)
-new_http_request_sent = fast_ctor(HttpRequestSent)
-new_http_response_received = fast_ctor(HttpResponseReceived)
-new_chunk_requested = fast_ctor(ChunkRequested)
-new_mp_dash_armed = fast_ctor(MpDashArmed)
-new_mp_dash_skipped = fast_ctor(MpDashSkipped)
-new_chunk_downloaded = fast_ctor(ChunkDownloaded)
+new_transfer_started = _FAST_CTORS[TransferStarted]
+new_transfer_completed = _FAST_CTORS[TransferCompleted]
+new_deadline_armed = _FAST_CTORS[DeadlineArmed]
+new_http_request_sent = _FAST_CTORS[HttpRequestSent]
+new_http_response_received = _FAST_CTORS[HttpResponseReceived]
+new_chunk_requested = _FAST_CTORS[ChunkRequested]
+new_mp_dash_armed = _FAST_CTORS[MpDashArmed]
+new_mp_dash_skipped = _FAST_CTORS[MpDashSkipped]
+new_chunk_downloaded = _FAST_CTORS[ChunkDownloaded]

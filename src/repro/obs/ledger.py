@@ -271,7 +271,7 @@ def session_entry(result: Any, label: str = "",
     digest = None
     if getattr(result, "metrics_registry", None) is not None:
         digest = registry_digest(result.metrics_registry)
-    from ..experiments.sweep import config_key
+    from ..experiments.configs import config_key
 
     return LedgerEntry(kind="session", key=config_key(result.config),
                        label=label,
