@@ -984,7 +984,9 @@ def cmd_triage(args: argparse.Namespace) -> int:
 
     Each capture is loaded, judged and attributed once
     (:func:`~repro.obs.recorder.triage_captures`); ``--json`` records
-    carry the ``replay`` verdict and the ``why`` attribution.
+    carry the ``replay`` verdict and the ``why`` attribution.  Otherwise
+    stderr warns of each capture whose replayed verdicts or offline top
+    cause differ from what the campaign recorded live.
 
     Exit status: 0 on a successful triage (even with zero captures),
     2 when the artifact directory has no usable manifest or the
@@ -1011,10 +1013,20 @@ def cmd_triage(args: argparse.Namespace) -> int:
                          for r in ranked]}, sort_keys=True))
     else:
         print(triage_table(ranked), file=sys.stderr)
-        for index, replay in replays.items():
+        for record in ranked:
+            index = int(record["index"])
+            replay, why = replays[index], triaged[index]["why"]
             if replay["replayed"] and not replay["matches_recorded"]:
                 print(f"warning: session {index} replayed to different "
                       f"verdicts than recorded", file=sys.stderr)
+            live = record.get("attribution")
+            if why["attributed"] and live is not None:
+                offline = why["summary"]["top_cause"]
+                if offline != live.get("top_cause"):
+                    print(f"warning: session {index}'s top cause is "
+                          f"{offline or '-'} offline, "
+                          f"{live.get('top_cause') or '-'} as recorded",
+                          file=sys.stderr)
     if args.html is not None:
         links = {index: t["report"] for index, t in triaged.items()
                  if t["report"]}

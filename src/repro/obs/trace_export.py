@@ -167,7 +167,11 @@ def loads_jsonl(text: str) -> Trace:
 
 
 def load_jsonl(path_or_file: Union[str, IO[str]]) -> Trace:
-    """Read a JSONL trace from ``path_or_file`` (gunzipped for ``.gz``)."""
+    """Read a JSONL trace from ``path_or_file`` (gunzipped for ``.gz``).
+
+    A damaged file raises ``ValueError`` with the reason alone; the
+    caller names the file, so the path appears once.
+    """
     if hasattr(path_or_file, "read"):
         return loads_jsonl(path_or_file.read())
     try:
@@ -176,8 +180,8 @@ def load_jsonl(path_or_file: Union[str, IO[str]]) -> Trace:
             text = handle.read().decode("utf-8")
     except (EOFError, gzip.BadGzipFile, zlib.error,
             UnicodeDecodeError) as exc:
-        raise ValueError(f"{path_or_file}: corrupt trace "
-                         f"({type(exc).__name__}: {exc})") from None
+        raise ValueError(f"corrupt trace ({type(exc).__name__}: "
+                         f"{exc})") from None
     return loads_jsonl(text)
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -651,6 +652,64 @@ class TestFleetRecorderCli:
         assert ("warning: session 2 replayed to different verdicts "
                 "than recorded") in out.err
         assert out.err.count("replayed to different verdicts") == 1
+
+    def test_triage_warns_when_top_cause_differs(self, tmp_path, capsys):
+        from repro.obs import find_manifests, load_manifest, save_manifest
+
+        assert main(self.record_args(tmp_path, ["--json"])) == 0
+        capsys.readouterr()
+        records = str(tmp_path / "records")
+        assert main(["triage", "--record-dir", records]) == 0
+        assert "top cause is" not in capsys.readouterr().err
+        manifest = load_manifest(find_manifests(records)[0])
+        [record] = [r for r in manifest["records"] if r["index"] == 2]
+        assert record["attribution"]["top_cause"] is not None
+        live = record["attribution"]["top_cause"]
+        record["attribution"]["top_cause"] = "edited-cause"
+        save_manifest(records, manifest["fleet_key"], manifest["stats"],
+                      manifest["records"])
+        warning = (f"warning: session 2's top cause is {live} offline, "
+                   f"edited-cause as recorded")
+        html = tmp_path / "triage.html"
+        for extra in ([], ["--html", str(html)]):
+            assert main(["triage", "--record-dir", records, *extra]) == 0
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert warning in out.err
+            assert out.err.count("top cause is") == 1
+        assert main(["triage", "--record-dir", records, "--json"]) == 0
+        assert "top cause is" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+    def test_damaged_gzip_capture_names_its_path_once(self, tmp_path, capsys,
+                                                      damage):
+        from repro.obs import find_manifests, load_manifest, triage_captures
+
+        assert main(self.record_args(tmp_path, ["--json"])) == 0
+        capsys.readouterr()
+        records = str(tmp_path / "records")
+        manifest = find_manifests(records)[0]
+        root = os.path.dirname(os.path.dirname(manifest))
+        [record] = [r for r in load_manifest(manifest)["records"]
+                    if r["index"] == 2]
+        path = os.path.join(root, record["artifact"])
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        else:
+            data[len(data) // 2] ^= 0x10
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        triaged = triage_captures(root, [record])[2]
+        for error in (triaged["replay"]["error"], triaged["why"]["error"]):
+            assert error.startswith(f"ValueError: {path}: corrupt trace (")
+            assert error.count(path) == 1
+        assert main(["check", "--load", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro check: cannot load {path}: "
+                              f"corrupt trace (")
+        assert err.count(path) == 1 and "Traceback" not in err
 
     def test_triage_html_into_missing_directory(self, tmp_path, capsys):
         assert main(self.record_args(tmp_path, ["--json"])) == 0

@@ -1,6 +1,6 @@
 """The read side never imports numpy; the simulation imports it at its
 first random draw; no path imports a standard-library stack it does not
-use.
+use, and the simulator imports no view, sweep, ledger or drift module.
 
 Every ``--load`` command and every derived view of a recorded trace must
 run in a process where ``import numpy`` fails, and give the bytes they
@@ -28,10 +28,31 @@ from repro.obs.svg import escape
 from repro.obs.why import _mean, _median
 
 #: Standard-library modules no ``repro`` path on a ``jobs=1`` run uses;
-#: ``xml.sax.saxutils`` alone would pull in the first four.
+#: ``xml.sax.saxutils`` alone would pull in the first four, and
+#: ``concurrent.futures`` brings ``logging``.
 UNUSED_STDLIB = ("ssl", "http.client", "email", "urllib.request", "xml.sax",
-                 "multiprocessing", "concurrent.futures.process",
+                 "multiprocessing", "concurrent.futures", "logging",
                  "statistics", "platform")
+
+#: What ``import repro.experiments.runner`` must not load: views, the
+#: sweep and table harness, the offline solvers and every ABR algorithm
+#: (``make_abr`` imports one when it is first named).
+OFF_THE_SIMULATOR = (
+    ["repro.obs." + name for name in
+     ("report", "why", "svg", "recorder", "drift", "ledger", "check",
+      "spans")]
+    + ["repro.experiments." + name for name in
+       ("sweep", "compare", "tables", "fleet", "pool")]
+    + ["repro.core.offline", "repro.core.tracesim", "repro.analysis.report",
+       "repro.analysis.visualize"]
+    + ["repro.abr." + name for name in
+       ("bba", "bba_c", "festive", "gpac", "mpc")])
+
+#: Every package with lazy exports.
+PACKAGES = ("repro", "repro.abr", "repro.analysis", "repro.apps",
+            "repro.core", "repro.dash", "repro.energy", "repro.estimators",
+            "repro.experiments", "repro.mptcp", "repro.net", "repro.obs",
+            "repro.workloads")
 
 #: Shared by the test process and the numpy-less child: every
 #: ``trace_views`` view of one trace, then every ``--load`` command's
@@ -153,6 +174,37 @@ print(json.dumps({"loaded": loaded(), "unused": unused,
 '''
 
 
+LOADED = '''
+import importlib
+import json
+import sys
+
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(json.dumps(sorted(set(sys.modules) - before)))
+'''
+
+EXPORTS = '''
+import importlib
+import json
+import sys
+
+resolved = {}
+for package in sys.argv[1:]:
+    module = importlib.import_module(package)
+    names = list(module.__all__)
+    assert len(set(names)) == len(names), package
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names), package
+    assert set(names) <= set(dir(module)), package
+    resolved[package] = {name: getattr(module, name) is namespace[name]
+                         for name in names}
+print(json.dumps(resolved))
+'''
+
+
 def _python(source, *args):
     """Run ``source`` in a fresh interpreter that imports this ``repro``."""
     root = os.path.dirname(os.path.dirname(repro.__file__))
@@ -202,6 +254,55 @@ def test_a_jobs1_fleet_and_its_views_load_no_unused_stdlib_stack(tmp_path):
     assert "fleet.html" in done["reports"]
     assert any(name.startswith("anomaly-") for name in done["reports"])
     assert done["why"], "the capture's views explained nothing"
+
+
+def _loaded(*modules):
+    """The modules importing ``modules`` loads in a fresh interpreter."""
+    return json.loads(_python(LOADED, *modules))
+
+
+def test_import_repro_loads_no_subpackage():
+    loaded = [name for name in _loaded("repro") if name.startswith("repro")]
+    assert loaded == ["repro", "repro._lazy"]
+
+
+def test_the_runner_imports_no_view_sweep_solver_or_algorithm():
+    loaded = set(_loaded("repro.experiments.runner"))
+    assert "repro.abr.base" in loaded
+    assert sorted(loaded & set(OFF_THE_SIMULATOR)) == []
+    assert {"signal", "threading", "concurrent.futures"} & loaded == set()
+
+
+def test_the_fleet_loads_no_sweep():
+    loaded = set(_loaded("repro.experiments.fleet"))
+    assert {"repro.experiments.sweep", "signal", "threading",
+            "concurrent.futures"} & loaded == set()
+
+
+def test_make_abr_imports_an_algorithm_when_first_named():
+    loaded = _python('''
+import sys
+from repro.abr import abr_names, make_abr
+
+assert "repro.abr.mpc" not in sys.modules
+first = make_abr("robust-mpc")
+assert "repro.abr.mpc" in sys.modules and first.robust
+assert [name for name in sys.modules if name.startswith("repro.abr.")] \\
+    == ["repro.abr.base", "repro.abr.mpc"], sys.modules
+assert type(make_abr("mpc")) is type(first)
+assert len(abr_names()) == 6
+print("ok")
+''')
+    assert loaded.strip() == "ok"
+
+
+def test_every_export_resolves_and_star_imports():
+    resolved = json.loads(_python(EXPORTS, *PACKAGES))
+    assert list(resolved) == list(PACKAGES)
+    for package, names in resolved.items():
+        assert names and all(names.values()), package
+    assert "SessionConfig" in resolved["repro"]
+    assert "run_session" in resolved["repro"]
 
 
 @settings(max_examples=300, deadline=None)
