@@ -20,31 +20,18 @@ from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "abr": "abr_names make_abr",
-    "analysis.analyzer": "MultipathVideoAnalyzer",
-    "analysis.metrics": "SessionMetrics",
-    "core.adapter": "MpDashAdapter",
-    "core.offline": "solve_offline",
-    "core.policy": "Preference prefer_cellular prefer_wifi",
-    "core.scheduler": "DeadlineAwareScheduler",
-    "core.socket_api": "MpDashSocket",
-    "core.tracesim": "simulate_online simulate_oracle",
-    "dash.manifest": "Manifest",
-    "dash.media": "VideoAsset",
-    "dash.player": "DashPlayer",
-    "dash.server": "DashServer",
-    "experiments.compare": "SchemeComparison run_schemes",
-    "experiments.configs": "FileDownloadConfig SessionConfig",
-    "experiments.runner": "SessionResult run_file_download run_session",
-    "experiments.sweep": "SessionSummary SweepResult expand_grid run_sweep",
-    "mptcp.connection": "MptcpConnection",
-    "net.link": "Path cellular_path wifi_path",
-    "net.simulator": "Simulator",
-    "net.trace": "BandwidthTrace",
-    "net.units": "mbps",
-    "workloads.locations": "field_study_locations",
-    "workloads.mobility": "MobilityScenario",
-    "workloads.synthetic": "table1_profiles",
-    "workloads.videos": "video_asset",
+    "analysis": "MultipathVideoAnalyzer SessionMetrics",
+    "core": ("DeadlineAwareScheduler MpDashAdapter MpDashSocket Preference "
+             "prefer_cellular prefer_wifi simulate_online simulate_oracle "
+             "solve_offline"),
+    "dash": "DashPlayer DashServer Manifest VideoAsset",
+    "experiments": ("FileDownloadConfig SchemeComparison SessionConfig "
+                    "SessionResult SessionSummary SweepResult expand_grid "
+                    "run_file_download run_schemes run_session run_sweep"),
+    "mptcp": "MptcpConnection",
+    "net": "BandwidthTrace Path Simulator cellular_path mbps wifi_path",
+    "workloads": ("MobilityScenario field_study_locations table1_profiles "
+                  "video_asset"),
 })

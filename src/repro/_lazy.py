@@ -1,9 +1,4 @@
-"""Lazy package exports (PEP 562).
-
-A package lists where each exported name is defined; the defining
-module is imported the first time the name is read, so importing a
-package costs only its ``__init__``.
-"""
+"""Lazy package exports (PEP 562): a name's module loads on first read."""
 
 import sys
 from importlib import import_module
@@ -11,14 +6,11 @@ from typing import Any, Callable, Dict, List, Tuple
 
 
 def lazy_exports(package: str, table: Dict[str, str]
-                 ) -> Tuple[List[str], Callable[[str], Any],
-                            Callable[[], List[str]]]:
-    """``(__all__, __getattr__, __dir__)`` for ``package``.
-
-    ``table`` maps a module, relative to ``package``, to the
-    space-separated names it exports.  A name read once is bound in the
-    package's namespace, so later reads are plain attribute reads.
-    """
+                 ) -> Tuple[List[str], Callable[[str], Any]]:
+    """``(__all__, __getattr__)`` for ``package``, where ``table`` maps a
+    module (relative to ``package``) to the space-separated names it
+    exports.  A name read once is bound in the package, so later reads
+    skip ``__getattr__``."""
     homes = {name: module for module, names in table.items()
              for name in names.split()}
     namespace = sys.modules[package].__dict__
@@ -31,7 +23,4 @@ def lazy_exports(package: str, table: Dict[str, str]
         namespace[name] = value
         return value
 
-    def __dir__() -> List[str]:
-        return sorted(set(namespace) | set(homes))
-
-    return sorted(homes), __getattr__, __dir__
+    return sorted(homes), __getattr__

@@ -8,7 +8,7 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .base import AbrAlgorithm
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "base": "AbrAlgorithm AbrContext BUFFER_BASED HYBRID THROUGHPUT_BASED",
     "bba": "Bba",
     "bba_c": "BbaC",

@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "analyzer": "ChunkView IdleGap MultipathVideoAnalyzer",
     "cdf": "empirical_cdf fraction_at_most percentile quartile_summary",
     "metrics": ("SessionMetrics bitrate_reduction compute_metrics "

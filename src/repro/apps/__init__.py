@@ -10,7 +10,7 @@ video adapter uses.
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "music": "MusicPrefetcher PlaylistTrack",
     "navigation": "NavigationPrefetcher RouteTile",
 })

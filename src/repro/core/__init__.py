@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "adapter": "MpDashAdapter",
     "deadlines": ("DEADLINE_MODES DURATION_BASED RATE_BASED compute_deadline "
                   "duration_based_deadline extend_deadline "

@@ -13,16 +13,14 @@ chunk's Content-Length is known.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from ..abr.base import AbrAlgorithm, AbrContext
 from ..net.simulator import Simulator, Timer
 from ..obs.events import (PlaybackEnded, PlaybackStarted, QualitySwitched,
                           StallEnd, StallStart, new_chunk_downloaded,
                           new_chunk_requested, new_mp_dash_armed,
                           new_mp_dash_skipped)
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
-    from ..abr.base import AbrAlgorithm, AbrContext
 from .buffer import PlaybackBuffer
 from .events import ChunkRecord, PlayerEventLog
 from .http import HttpClient, HttpResponse
@@ -232,9 +230,7 @@ class DashPlayer:
                 f"ABR {self.abr.name!r} chose invalid level {level}")
         return level
 
-    def _make_context(self) -> "AbrContext":
-        from ..abr.base import AbrContext
-
+    def _make_context(self) -> AbrContext:
         last = self.log.chunks[-1] if self.log.chunks else None
         return AbrContext(
             manifest=self.manifest,

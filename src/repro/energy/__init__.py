@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "devices": ("DEVICES GALAXY_NOTE GALAXY_S3 DevicePowerProfile "
                 "InterfacePowerProfile"),
     "model": ("EnergyBreakdown interface_energy radio_state_events "

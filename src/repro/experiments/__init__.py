@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "compare": "SchemeComparison run_schemes",
     "configs": ("BASELINE DURATION RATE SCHEMES FileDownloadConfig "
                 "SessionConfig config_key"),

@@ -141,9 +141,6 @@ class FileDownloadConfig:
             raise ValueError(f"deadline must be positive: {self.deadline!r}")
 
 
-# ----------------------------------------------------------------------
-# Deterministic config keys
-# ----------------------------------------------------------------------
 def _encode(value: Any) -> Any:
     """Canonical JSON-ready form of a config value (order-stable)."""
     if is_dataclass(value) and not isinstance(value, type):

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence,
-                    TypeVar)
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future
+from typing import Any, Callable, Dict, Optional, Sequence, TypeVar
 
 U = TypeVar("U")
 
@@ -25,12 +21,14 @@ REORDER_WINDOWS = 2
 
 
 class _Ran:
-    """A unit the inline pool has run, read like a finished ``Future``."""
+    """A unit the inline pool ran, read like a finished ``Future``."""
 
-    __slots__ = ("value", "error")
-
-    def __init__(self, value: Any, error: Optional[Exception]) -> None:
-        self.value, self.error = value, error
+    def __init__(self, work: Callable[[Any], Any], unit: Any) -> None:
+        self.error: Optional[Exception] = None
+        try:
+            self.value = work(unit)
+        except Exception as exc:
+            self.error = exc
 
     def result(self) -> Any:
         if self.error is not None:
@@ -39,14 +37,9 @@ class _Ran:
 
 
 class _InlinePool:
-    """The ``jobs=1`` pool: runs each unit in-process at submission, so
-    a ``jobs=1`` run never loads ``concurrent.futures``."""
+    """The ``jobs=1`` pool: runs each unit in-process at submission."""
 
-    def submit(self, work: Callable[[Any], Any], unit: Any) -> _Ran:
-        try:
-            return _Ran(work(unit), None)
-        except Exception as exc:
-            return _Ran(None, exc)
+    submit = _Ran  # pool.submit(work, unit) runs it and returns the _Ran
 
     def shutdown(self, wait: bool = True) -> None:
         pass
@@ -64,16 +57,6 @@ def _open_pool(jobs: int, workers: int) -> Any:
     method = "fork" if "fork" in get_all_start_methods() else None
     return ProcessPoolExecutor(max_workers=workers,
                                mp_context=get_context(method))
-
-
-def _waiting(jobs: int) -> tuple:
-    """The pool's broken-pool error and a wait for the first finished
-    futures.  Inline units are finished when submitted and the inline
-    pool never breaks, so ``jobs=1`` imports neither."""
-    if jobs == 1:
-        return (), lambda futures: (futures, ())
-    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-    return BrokenExecutor, partial(wait, return_when=FIRST_COMPLETED)
 
 
 def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
@@ -100,12 +83,19 @@ def run_units(units: Sequence[U], work: Callable[[U], Any], jobs: int,
         return
     attempts = [0] * len(units)
     queue = list(range(len(units)))  # heap of positions awaiting dispatch
-    flying: Dict[Future, int] = {}
+    flying: Dict[Any, int] = {}  # future -> position
     outcomes: Dict[int, tuple] = {}  # (result, failure) not yet settled
     horizon = REORDER_WINDOWS * jobs if ordered else len(units)
     commit_point = 0
     workers = min(jobs, len(units))
-    broken_pool, wait_first = _waiting(jobs)
+    if jobs == 1:
+        # Inline futures are done when submitted and the inline pool never
+        # breaks: a jobs=1 run needs nothing from concurrent.futures.
+        broken_pool, wait_first = (), lambda futures: (futures, ())
+    else:
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+        broken_pool = BrokenExecutor
+        wait_first = partial(wait, return_when=FIRST_COMPLETED)
 
     def settle(pos: int, result: Any, failure: Any) -> bool:
         """Fold one outcome; False means the unit was requeued."""

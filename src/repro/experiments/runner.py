@@ -30,7 +30,7 @@ from ..net.simulator import Simulator
 from ..obs.events import SessionClosed, TraceEvent
 from ..obs.metrics import (MetricsRegistry, PathSampler,
                            SessionMetricsCollector)
-from ..obs.trace_export import TraceMeta, TraceRecorder, dump_jsonl
+from ..obs.trace_export import Trace, TraceMeta, TraceRecorder, dump_jsonl
 from ..workloads.videos import video_asset
 from .configs import FileDownloadConfig, SessionConfig
 
@@ -210,7 +210,6 @@ def run_session(config: SessionConfig, check: bool = False,
                                          else None))
     if report is not None:
         from ..obs.report import session_report_html, write_report
-        from ..obs.trace_export import Trace
         write_report(report, session_report_html(
             Trace(meta=result.trace_meta, events=result.events or [])))
     if ledger is not None:

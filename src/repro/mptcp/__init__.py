@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "activity": "ActivityLog",
     "connection": "MptcpConnection PathController Transfer",
     "options": "SignalChannel",

@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "link": "CELLULAR WIFI Path cellular_path wifi_path",
     "simulator": "Event PeriodicProcess SimulationError Simulator",
     "tcp": "INITIAL_CWND TcpState",

@@ -43,7 +43,7 @@ their inputs — live and offline rendering are byte-identical).
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     "bus": "EventBus",
     "check": "ERROR INFO WARNING check_trace stock_checkers",
     "drift": "detect_drift drift_table gate_ok trend_document",

@@ -41,11 +41,7 @@ _event = dataclass(slots=True, init=False, repr=False, eq=False)
 
 @_event
 class TraceEvent:
-    """Base of every bus event: a simulated-clock timestamp.
-
-    Events are frozen: assigning or deleting a field raises
-    ``FrozenInstanceError``, as a frozen dataclass does.
-    """
+    """Base of every bus event: a simulated-clock timestamp."""
 
     time: float
 
@@ -55,7 +51,6 @@ class TraceEvent:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    # Pickling state, as a frozen slots dataclass has it.
     def __getstate__(self) -> List[Any]:
         return [getattr(self, name) for name in self.__match_args__]
 
@@ -332,41 +327,28 @@ EVENT_TYPES: Dict[str, type] = {
 }
 
 
-#: Globals of the generated code: ``_new``, each class by name, each
-#: field's slot setter as ``_set_<class>_<field>`` and each default as
-#: ``_default_<class>_<field>``.
+#: Globals of the generated code: ``_new``, the classes by name and each
+#: field's slot setter as ``_set_<class>_<field>``.
 _GENERATED: Dict[str, Any] = {"_new": object.__new__}
-
-#: What :func:`_generate` gives every event class.
-_METHODS = ("__init__", "__repr__", "__eq__", "__hash__")
 
 
 def _generate(classes: Tuple[type, ...]) -> Dict[type, Callable[..., Any]]:
-    """Give each class the methods a frozen dataclass has, from one
-    ``exec``, and return each class's fast constructor.
-
-    ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__`` give what
-    ``@dataclass(frozen=True)`` makes them give.  Fields are set through
-    the slot descriptors, past the frozen guard: routing each through
-    ``object.__setattr__`` roughly tripled construction cost.  A fast
-    constructor takes ``__init__``'s parameters and skips
-    ``type.__call__``; the transport builds one event per subflow per
-    activity bin.
+    """Give each class the ``__init__``, ``__repr__``, ``__eq__`` and
+    ``__hash__`` that ``@dataclass(frozen=True)`` would, from one
+    ``exec``; return each class's fast constructor, which skips
+    ``type.__call__`` (one event per subflow per activity bin is built).
+    Fields are set through the slot descriptors, past the frozen guard:
+    ``object.__setattr__`` per field tripled construction cost.
     """
     source = []
     for cls in classes:
-        name = cls.__name__
-        params = []
-        for spec in fields(cls):
-            setter = getattr(cls, spec.name).__set__
-            _GENERATED[f"_set_{name}_{spec.name}"] = setter
-            if spec.default is MISSING:
-                params.append(spec.name)
-            else:
-                _GENERATED[f"_default_{name}_{spec.name}"] = spec.default
-                params.append(f"{spec.name}=_default_{name}_{spec.name}")
+        name, names = cls.__name__, cls.__match_args__
         _GENERATED[name] = cls
-        names = cls.__match_args__
+        for field in names:
+            _GENERATED[f"_set_{name}_{field}"] = getattr(cls, field).__set__
+        # Defaults are JSON-representable values, so their repr is source.
+        params = [spec.name if spec.default is MISSING
+                  else f"{spec.name}={spec.default!r}" for spec in fields(cls)]
         own = "".join(f"self.{field}," for field in names)
         other = own.replace("self.", "other.")
         shown = ", ".join(f"{field}={{self.{field}!r}}" for field in names)
@@ -387,7 +369,7 @@ def _generate(classes: Tuple[type, ...]) -> Dict[type, Callable[..., Any]]:
     exec("".join(source), _GENERATED)
     ctors = {}
     for cls in classes:
-        for method in _METHODS:
+        for method in ("__init__", "__repr__", "__eq__", "__hash__"):
             function = _GENERATED.pop(cls.__name__ + method)
             function.__name__ = method
             function.__qualname__ = f"{cls.__qualname__}.{method}"
@@ -396,15 +378,9 @@ def _generate(classes: Tuple[type, ...]) -> Dict[type, Callable[..., Any]]:
     return ctors
 
 
-_FAST_CTORS = _generate((TraceEvent, *EVENT_TYPES.values()))
-
-
-def fast_ctor(cls: type) -> Callable[..., Any]:
-    """The generated fast constructor of an event class: ``cls(...)``
-    without ``type.__call__`` (see :func:`_generate`).  Parameters are
-    the fields in declaration order, with their defaults, so positional
-    and keyword calls bind exactly as ``cls(...)`` does."""
-    return _FAST_CTORS[cls]
+#: ``fast_ctor(cls)``: an event class's fast constructor, which binds
+#: positional and keyword arguments exactly as ``cls(...)`` does.
+fast_ctor = _generate((TraceEvent, *EVENT_TYPES.values())).__getitem__
 
 
 #: Per event class: its field names and those of its ``Mapping``-typed
@@ -568,15 +544,15 @@ def _event_from_record(record: Any) -> TraceEvent:
 
 #: Fast constructor for the hottest event on the bus (one per subflow per
 #: activity bin while a transfer is active).
-new_packet_sent = _FAST_CTORS[PacketSent]
+new_packet_sent = fast_ctor(PacketSent)
 
 #: Fast constructors for the per-chunk events (a few per transfer each).
-new_transfer_started = _FAST_CTORS[TransferStarted]
-new_transfer_completed = _FAST_CTORS[TransferCompleted]
-new_deadline_armed = _FAST_CTORS[DeadlineArmed]
-new_http_request_sent = _FAST_CTORS[HttpRequestSent]
-new_http_response_received = _FAST_CTORS[HttpResponseReceived]
-new_chunk_requested = _FAST_CTORS[ChunkRequested]
-new_mp_dash_armed = _FAST_CTORS[MpDashArmed]
-new_mp_dash_skipped = _FAST_CTORS[MpDashSkipped]
-new_chunk_downloaded = _FAST_CTORS[ChunkDownloaded]
+new_transfer_started = fast_ctor(TransferStarted)
+new_transfer_completed = fast_ctor(TransferCompleted)
+new_deadline_armed = fast_ctor(DeadlineArmed)
+new_http_request_sent = fast_ctor(HttpRequestSent)
+new_http_response_received = fast_ctor(HttpResponseReceived)
+new_chunk_requested = fast_ctor(ChunkRequested)
+new_mp_dash_armed = fast_ctor(MpDashArmed)
+new_mp_dash_skipped = fast_ctor(MpDashSkipped)
+new_chunk_downloaded = fast_ctor(ChunkDownloaded)

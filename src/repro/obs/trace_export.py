@@ -168,10 +168,7 @@ def loads_jsonl(text: str) -> Trace:
 
 def load_jsonl(path_or_file: Union[str, IO[str]]) -> Trace:
     """Read a JSONL trace from ``path_or_file`` (gunzipped for ``.gz``).
-
-    A damaged file raises ``ValueError`` with the reason alone; the
-    caller names the file, so the path appears once.
-    """
+    A ``ValueError`` gives the reason alone: the caller names the file."""
     if hasattr(path_or_file, "read"):
         return loads_jsonl(path_or_file.read())
     try:

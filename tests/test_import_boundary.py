@@ -198,7 +198,6 @@ for package in sys.argv[1:]:
     namespace = {}
     exec(f"from {package} import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names), package
-    assert set(names) <= set(dir(module)), package
     resolved[package] = {name: getattr(module, name) is namespace[name]
                          for name in names}
 print(json.dumps(resolved))

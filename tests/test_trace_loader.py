@@ -15,6 +15,7 @@ from repro.obs import (Trace, dumps_jsonl, load_jsonl, loads_jsonl,
 from repro.obs.events import (EVENT_TYPES, PacketSent, SessionClosed,
                               event_from_dict, events_from_dicts, fast_ctor,
                               mistyped_field)
+from repro.obs.recorder import load_capture
 from repro.obs.trace_export import TraceMeta, gzip_bytes
 
 #: A hypothesis strategy per field annotation used by the taxonomy.
@@ -195,10 +196,15 @@ def test_load_jsonl_raises_value_or_os_error(damaged, name):
 
 
 @pytest.mark.parametrize("name", ["truncated.jsonl.gz", "not-utf8.jsonl"])
-def test_decoding_errors_name_the_path(damaged, name):
-    with pytest.raises(ValueError) as error:
+def test_decoding_errors_leave_the_path_to_the_caller(damaged, name):
+    with pytest.raises(ValueError, match=r"^corrupt trace \(") as error:
         load_jsonl(damaged[name])
-    assert damaged[name] in str(error.value)
+    assert damaged[name] not in str(error.value)
+    root, artifact = os.path.split(damaged[name])
+    with pytest.raises(ValueError) as error:
+        load_capture(root, artifact)
+    assert str(error.value).startswith(f"{damaged[name]}: corrupt trace (")
+    assert str(error.value).count(damaged[name]) == 1
 
 
 def test_file_objects_and_text_raise_too(damaged):
