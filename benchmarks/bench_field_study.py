@@ -27,6 +27,14 @@ from repro.workloads import TABLE5_LOCATIONS, field_study_locations
 
 ALGORITHMS = ("festive", "bba")
 
+#: Bound on any single experiment's bitrate reduction: the far tail of
+#: Figure 10's CDF.  The paper leaves 82.65% of its experiments with no
+#: reduction and the rest at a 2.5% mean; here the worst run is 9.5%
+#: (restaurant, FESTIVE, duration-based deadlines).  A cellular path
+#: locked out at a zero estimate read 62.7% (bar, FESTIVE, rate-based),
+#: which no aggregate bound below caught.
+MAX_RUN_BITRATE_REDUCTION = 0.15
+
 
 def location_config(location, abr, video_seconds):
     wifi, lte = location.paths(duration=2 * video_seconds + 200)
@@ -120,6 +128,10 @@ def test_field_study(benchmark, emit):
     # Figure 10 shape: bitrate essentially untouched.
     assert no_reduction > 0.6
     assert mean_reduction < 0.08
+    worst = max(records, key=lambda r: r["bitrate_reduction"])
+    assert worst["bitrate_reduction"] <= MAX_RUN_BITRATE_REDUCTION, (
+        f"{worst['location']} {worst['abr']} {worst['scheme']}: bitrate "
+        f"reduction {pct(worst['bitrate_reduction'])}")
 
     # QoE: no stalls anywhere.
     assert all(r["stalls"] == 0 for r in records)
