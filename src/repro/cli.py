@@ -40,35 +40,25 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from .abr import abr_names
-from .analysis.metrics import SessionMetrics
-from .analysis.report import session_report
 from .core.deadlines import DEADLINE_MODES, RATE_BASED
-from .experiments import (BASELINE, DURATION, FileDownloadConfig, FleetConfig,
-                          RATE, SessionConfig, expand_grid, run_file_download,
-                          run_fleet, run_schemes, run_session, run_sweep)
+from .experiments.configs import (BASELINE, DURATION, RATE,
+                                  FileDownloadConfig, SessionConfig)
 from .experiments.tables import fleet_table, format_table, pct, sweep_table
-from .obs import (RecorderConfig, Trace, attributions_from_trace, check_trace,
-                  detect_drift, diff_traces, drift_table,
-                  dump_chrome_trace, dump_jsonl, gate_ok,
-                  history_report_html, load_jsonl,
-                  metrics_from_trace, registry_from_trace,
-                  render_attributions, render_span_tree,
-                  session_report_html,
-                  spans_from_trace, stock_checkers,
-                  summarize_attributions, trend_document,
-                  triage_report_html, write_report)
-from .obs.events import mistyped_field
-from .obs.ledger import ENTRY_KINDS, RunLedger
-from .obs.spans import spans_to_dicts
 from .workloads import (ARRIVAL_MODELS, VIDEO_LADDERS,
                         field_study_locations, video_names)
+
+# Each command imports the layers it runs.
+if TYPE_CHECKING:
+    from .analysis.metrics import SessionMetrics
+    from .obs.trace_export import Trace
 
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
+    from .obs.ledger import ENTRY_KINDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -397,7 +387,16 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
+def run_session(config: SessionConfig, **kwargs):
+    """``experiments.runner.run_session``, imported by the first command
+    that runs a session (a ``--load`` never does)."""
+    from .experiments.runner import run_session
+    return run_session(config, **kwargs)
+
+
 def cmd_stream(args: argparse.Namespace) -> int:
+    from .analysis.report import session_report
+
     result = run_session(_session_config(args), ledger=args.ledger)
     metrics = result.metrics
     # Human-oriented tables go to stderr (the stats/spans/check
@@ -423,6 +422,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .experiments.compare import run_schemes
+
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
@@ -510,6 +511,8 @@ def _progress(args: argparse.Namespace
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments.sweep import expand_grid, run_sweep
+
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
@@ -537,6 +540,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_download(args: argparse.Namespace) -> int:
+    from .experiments.runner import run_file_download
+
     result = run_file_download(FileDownloadConfig(
         size=args.size_mb * 1e6, deadline=args.deadline,
         mpdash=not args.no_mpdash, alpha=args.alpha,
@@ -572,6 +577,9 @@ def _load_trace(command: str, path: str, status: int) -> Trace:
     loader does not check field types, so the check runs here, once per
     trace named on the command line.
     """
+    from .obs.events import mistyped_field
+    from .obs.trace_export import load_jsonl
+
     try:
         trace = load_jsonl(path)
     except (OSError, ValueError) as exc:
@@ -621,6 +629,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--load`` to re-run the analyzer offline on an exported trace, and
     ``--diff`` to compare a second trace's metrics against the first.
     """
+    from .obs.trace_export import Trace, dump_jsonl, metrics_from_trace
+
     trace = None if args.load is None else _load_trace("trace", args.load, 1)
     other = None if args.diff is None else _load_trace("trace", args.diff, 1)
     if trace is not None:
@@ -675,6 +685,8 @@ def _session_config(args: argparse.Namespace, **overrides) -> SessionConfig:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """The standard metrics registry, live or rebuilt from a trace."""
+    from .obs.metrics import registry_from_trace
+
     if args.load is not None:
         trace = _load_trace("stats", args.load, 1)
         registry = registry_from_trace(trace)
@@ -692,6 +704,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_spans(args: argparse.Namespace) -> int:
     """The causal span tree, live or rebuilt from a trace."""
+    from .obs.spans import (dump_chrome_trace, render_span_tree,
+                            spans_from_trace, spans_to_dicts)
+
     if args.load is not None:
         trace = _load_trace("spans", args.load, 1)
         spans = spans_from_trace(trace)
@@ -718,6 +733,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     are reported but do not fail the check), 1 on ERROR violations, 2
     when a trace could not be loaded.
     """
+    from .obs.check import check_trace, stock_checkers
+
     checkers = stock_checkers(max_miss_rate=args.max_miss_rate,
                               max_stall_ratio=args.max_stall_ratio)
     if args.load is not None:
@@ -742,6 +759,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     for the same session.  Without it, one session is run (recording a
     trace and the metrics registry's path samples) and rendered directly.
     """
+    from .obs.report import session_report_html, write_report
+
     if args.load is not None:
         trace = _load_trace("report", args.load, 1)
         write_report(args.out, session_report_html(trace))
@@ -762,6 +781,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     bounded) campaign, 1 when the engine gave up on a shard, 2 on bad
     arguments or a checkpoint belonging to a different campaign.
     """
+    from .experiments.fleet import FleetConfig, run_fleet
+    from .obs.recorder import RecorderConfig
+
     try:
         config = FleetConfig(
             sessions=args.sessions, arrival=args.arrival,
@@ -831,6 +853,10 @@ def cmd_history(args: argparse.Namespace) -> int:
     on ERROR-severity drift).  Exit status: 0 clean, 1 gate failure,
     2 bad arguments or an unreadable ledger.
     """
+    from .obs.drift import detect_drift, drift_table, gate_ok, trend_document
+    from .obs.ledger import RunLedger
+    from .obs.report import history_report_html, write_report
+
     action = "gate" if args.gate_flag else args.action
     load = RunLedger(args.ledger).load()
     for warning in load.warnings:
@@ -993,6 +1019,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
     ``--fleet-key`` prefix is missing/ambiguous.
     """
     from .obs.recorder import rank_anomalies, triage_captures, triage_table
+    from .obs.report import triage_report_html, write_report
 
     try:
         root, manifest = _resolve_manifest(args.record_dir, args.fleet_key)
@@ -1049,6 +1076,10 @@ def cmd_why(args: argparse.Namespace) -> int:
     Exit status: 0 on successful attribution (even when there is
     nothing to explain), 2 on unloadable traces.
     """
+    from .obs.trace_export import Trace
+    from .obs.why import (attributions_from_trace, diff_traces,
+                          render_attributions, summarize_attributions)
+
     if args.diff is not None:
         path_a, path_b = args.diff
         trace_a = _load_trace("why", path_a, 2)

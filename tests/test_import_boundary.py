@@ -278,6 +278,19 @@ def test_the_fleet_loads_no_sweep():
             "concurrent.futures"} & loaded == set()
 
 
+#: What ``import repro.cli`` must not load: each command imports its own
+#: layers when it runs, so no command compiles another's views.
+OFF_THE_CLI = (["repro.obs." + name for name in
+                ("report", "why", "svg", "drift", "ledger", "recorder")]
+               + ["repro.experiments.sweep"])
+
+
+def test_import_cli_loads_no_view_ledger_recorder_or_sweep():
+    loaded = set(_loaded("repro.cli"))
+    assert "repro.cli" in loaded
+    assert sorted(loaded & set(OFF_THE_CLI)) == []
+
+
 def test_make_abr_imports_an_algorithm_when_first_named():
     loaded = _python('''
 import sys
