@@ -47,11 +47,6 @@ WARNING = "warning"
 ERROR = "error"
 SEVERITIES = (INFO, WARNING, ERROR)
 
-#: Events held to per-path (not global) time monotonicity — see
-#: :class:`MonotonicTimeChecker`.  Exact-class membership, matching the
-#: stream's publication semantics (events are never subclassed).
-_PER_PATH_EVENTS = frozenset((PacketSent, RadioStateChange))
-
 _INF = math.inf
 
 
@@ -95,6 +90,10 @@ class Checker:
 
     def __init__(self) -> None:
         self._monitor: Optional["InvariantMonitor"] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear the per-stream state; subclasses that keep any override."""
 
     def bind(self, monitor: Optional["InvariantMonitor"]) -> None:
         self._monitor = monitor
@@ -196,11 +195,7 @@ class InvariantMonitor:
                  bus: Optional[EventBus] = None):
         self.checkers: List[Checker] = (list(checkers) if checkers is not None
                                         else stock_checkers())
-        self.violations: List[Violation] = []
-        #: Stream index of the event currently being dispatched.
-        self.index = -1
-        self._last_time = 0.0
-        self._finished = False
+        self.reset()
         self._handlers: Dict[Type[TraceEvent],
                              List[Callable[[TraceEvent], None]]] = {}
         self._wildcard: List[Callable[[TraceEvent], None]] = []
@@ -222,6 +217,17 @@ class InvariantMonitor:
     def attach(self, bus: EventBus) -> "InvariantMonitor":
         bus.subscribe_all(self.observe)
         return self
+
+    def reset(self) -> None:
+        """Clear the verdicts and every checker's state for a new stream.
+        The checkers, their bound handlers and the dispatch table stay."""
+        self.violations: List[Violation] = []
+        #: Stream index of the event currently being dispatched.
+        self.index = -1
+        self._last_time = 0.0
+        self._finished = False
+        for checker in self.checkers:
+            checker.reset()
 
     # ------------------------------------------------------------------
     def observe(self, event: TraceEvent) -> None:
@@ -268,12 +274,12 @@ def check_trace(trace, checkers: Optional[Iterable[Checker]] = None
                 ) -> CheckReport:
     """Judge a loaded JSONL trace offline: identical verdicts to live.
 
-    Feeds the stream straight into a fresh monitor — with the monitor as
-    sole subscriber this is exactly a bus replay minus the dispatch
-    overhead, which matters to the flight recorder's per-session check —
-    and runs ``finish`` at the stream's ``SessionClosed`` (or the last
-    event time for truncated traces), exactly as the live monitor would.
-    The stock verdicts are computed once per trace; calls get a copy.
+    Feeds the stream straight into a monitor — with the monitor as sole
+    subscriber this is exactly a bus replay minus the dispatch overhead,
+    which matters to the flight recorder's per-session check — and runs
+    ``finish`` at the stream's ``SessionClosed`` (or the last event time
+    for truncated traces), exactly as the live monitor would.  The stock
+    verdicts are computed once per trace; calls get a copy.
     """
     if checkers is not None:
         return _judge(trace, checkers)
@@ -285,15 +291,31 @@ def _verdicts(trace) -> CheckReport:
     return trace.view(_judge)
 
 
+#: The stock battery every offline judge reuses, reset per trace (building
+#: thirteen checkers per fleet session cost a sixth of the judge).  A judge
+#: pops it (atomically), so a re-entered or concurrent one builds its own.
+_spare: List[InvariantMonitor] = []
+
+
 def _judge(trace, checkers: Optional[Iterable[Checker]] = None
            ) -> CheckReport:
-    monitor = InvariantMonitor(checkers)
+    if checkers is not None:
+        monitor = InvariantMonitor(checkers)
+    else:
+        try:
+            monitor = _spare.pop()
+        except IndexError:
+            monitor = InvariantMonitor()
     observe = monitor.observe
     for event in trace.events:
         observe(event)
     monitor.finish()
     report = monitor.report()
-    monitor.close()
+    if checkers is None and not _spare:
+        monitor.reset()
+        _spare.append(monitor)
+    else:
+        monitor.close()
     return report
 
 
@@ -313,41 +335,45 @@ class MonotonicTimeChecker(Checker):
 
     name = "monotonic-time"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._watermark = 0.0
-        self._per_path: Dict[Tuple[str, str], float] = {}
+        #: Per-path watermarks by exact class (events are never subclassed).
+        self._per_path: Dict[Type[TraceEvent], Dict[str, float]] = {
+            PacketSent: {}, RadioStateChange: {}}
 
     def subscriptions(self):
         return {None: self._on_event}
 
     def _on_event(self, event: TraceEvent) -> None:
-        cls = event.__class__
+        # Hot paths first: this handler sees every event of every checked
+        # session, and almost all of them just advance a watermark.
         time = event.time
-        # Hot path first: this handler sees every event of every checked
-        # session, and almost all of them just advance the watermark.
-        if self._watermark <= time < _INF \
-                and cls not in _PER_PATH_EVENTS:
-            self._watermark = time
+        marks = self._per_path.get(event.__class__)
+        if marks is None:
+            if self._watermark <= time < _INF:
+                self._watermark = time
+                return
+        elif marks.get(event.path, 0.0) <= time < _INF:
+            marks[event.path] = time
             return
+        name = type(event).__name__
         if not math.isfinite(time) or time < 0.0:
-            self.violation(0.0, f"{type(event).__name__} has illegal "
-                           f"timestamp {time!r}", value=time)
+            self.violation(0.0, f"{name} has illegal timestamp {time!r}",
+                           value=time)
             return
-        if cls in _PER_PATH_EVENTS:
-            key = (type(event).__name__, event.path)
-            previous = self._per_path.get(key, 0.0)
+        if marks is not None:
+            previous = marks.get(event.path, 0.0)
             if time < previous - 1e-9:
                 self.violation(
-                    time, f"{key[0]} on path {event.path!r} went backwards: "
+                    time, f"{name} on path {event.path!r} went backwards: "
                     f"{time:.6f} < {previous:.6f}",
                     path=event.path, previous=previous)
             else:
-                self._per_path[key] = time
+                marks[event.path] = time
             return
         if time < self._watermark - 1e-9:
             self.violation(
-                time, f"{type(event).__name__} went backwards: "
+                time, f"{name} went backwards: "
                 f"{time:.6f} < {self._watermark:.6f}",
                 previous=self._watermark)
         else:
@@ -367,8 +393,7 @@ class DeadlineLifecycleChecker(Checker):
 
     name = "deadline-lifecycle"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._pending = False
         self._pending_event = -1
         self._active: Optional[int] = None  # bound transfer id
@@ -449,8 +474,7 @@ class PathControlChecker(Checker):
 
     name = "path-control"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._armed = False
         self._active: Optional[int] = None
         self._requested: Dict[str, bool] = {}
@@ -530,8 +554,7 @@ class ByteConservationChecker(Checker):
     REL = 1e-3
     ABS = 1.0  # bytes
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._delivered = 0.0     # sum of PacketSent bytes
         self._completed = 0.0     # sum of TransferCompleted sizes
         self._open: Set[Tuple[int, int]] = set()  # (conn, transfer)
@@ -591,8 +614,7 @@ class StallPairingChecker(Checker):
 
     name = "stall-pairing"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._open: Optional[float] = None
         self._open_event = -1
 
@@ -627,8 +649,7 @@ class HttpPairingChecker(Checker):
 
     name = "http-pairing"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._outstanding: Dict[int, Tuple[str, float, int]] = {}
 
     def subscriptions(self):
@@ -705,8 +726,7 @@ class RadioStateChecker(Checker):
               (RADIO_TAIL, RADIO_IDLE), (RADIO_TAIL, RADIO_ACTIVE)}
     _STATES = (RADIO_ACTIVE, RADIO_TAIL, RADIO_IDLE)
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._state: Dict[str, str] = {}
 
     def subscriptions(self):
@@ -733,8 +753,7 @@ class TransferLifecycleChecker(Checker):
 
     name = "transfer-lifecycle"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         # (conn, transfer) -> (start time, size, stream index)
         self._open: Dict[Tuple[int, int], Tuple[float, float, int]] = {}
         self._active_per_conn: Dict[int, int] = {}
@@ -796,8 +815,7 @@ class SubflowStateChecker(Checker):
 
     name = "subflow-state"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._effective: Dict[Tuple[int, str], bool] = {}
 
     def subscriptions(self):
@@ -822,8 +840,7 @@ class ChunkSanityChecker(Checker):
 
     name = "chunk-sanity"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
         self._last_index: Optional[int] = None
 
     def subscriptions(self):
@@ -887,6 +904,8 @@ class DeadlineBudgetChecker(Checker):
             raise ValueError(
                 f"max_miss_rate must be in [0, 1]: {max_miss_rate!r}")
         self.max_miss_rate = max_miss_rate
+
+    def reset(self) -> None:
         self._activations = 0
         self._misses = 0
 
@@ -926,6 +945,8 @@ class StallBudgetChecker(Checker):
             raise ValueError(
                 f"max_stall_ratio must be in [0, 1]: {max_stall_ratio!r}")
         self.max_stall_ratio = max_stall_ratio
+
+    def reset(self) -> None:
         self._stall_time = 0.0
         self._open: Optional[float] = None
 

@@ -88,9 +88,20 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
-#: ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` without
-#: building an encoder per line.
-_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _line_encoder() -> Callable[[Any], str]:
+    """``json.dumps(record, sort_keys=True, separators=(",", ":"))`` through
+    one C encoder (``encode`` builds one per call) without the cycle markers
+    (a record is a tree of plain values); else the pure-Python encoder."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    chunks = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        ":", ",", True, False, True)
+    return lambda record: "".join(chunks(record, 0))
+
+
+_dump_line = _line_encoder()
 
 
 def dumps_jsonl(events: Iterable[TraceEvent], meta: TraceMeta) -> str:
