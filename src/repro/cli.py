@@ -42,6 +42,9 @@ import sys
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable, List, Optional
 
+# Each command calls its layers through these packages' lazy exports (or
+# imports them itself), so it loads only what it runs.
+from . import analysis, experiments, obs
 from .abr import abr_names
 from .core.deadlines import DEADLINE_MODES, RATE_BASED
 from .experiments.configs import (BASELINE, DURATION, RATE,
@@ -50,7 +53,6 @@ from .experiments.tables import fleet_table, format_table, pct, sweep_table
 from .workloads import (ARRIVAL_MODELS, VIDEO_LADDERS,
                         field_study_locations, video_names)
 
-# Each command imports the layers it runs.
 if TYPE_CHECKING:
     from .analysis.metrics import SessionMetrics
     from .obs.trace_export import Trace
@@ -58,7 +60,6 @@ if TYPE_CHECKING:
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
-    from .obs.ledger import ENTRY_KINDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shorthand for the gate action (exit 1 on "
                               "ERROR-severity drift)")
     history.add_argument("--kind", default=None,
-                         choices=ENTRY_KINDS,
+                         choices=("session", "sweep", "fleet"),
                          help="restrict to entries of this kind")
     history.add_argument("--last", type=_positive_int, default=None,
                          metavar="N",
@@ -387,17 +388,9 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def run_session(config: SessionConfig, **kwargs):
-    """``experiments.runner.run_session``, imported by the first command
-    that runs a session (a ``--load`` never does)."""
-    from .experiments.runner import run_session
-    return run_session(config, **kwargs)
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
-    from .analysis.report import session_report
-
-    result = run_session(_session_config(args), ledger=args.ledger)
+    result = experiments.run_session(_session_config(args),
+                                     ledger=args.ledger)
     metrics = result.metrics
     # Human-oriented tables go to stderr (the stats/spans/check
     # convention): stdout stays machine-parseable for every command.
@@ -417,19 +410,17 @@ def cmd_stream(args: argparse.Namespace) -> int:
         file=sys.stderr)
     if args.visualize:
         print(file=sys.stderr)
-        print(session_report(result), file=sys.stderr)
+        print(analysis.session_report(result), file=sys.stderr)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .experiments.compare import run_schemes
-
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
         lte_rtt_ms=args.lte_rtt, video_duration=args.duration)
-    comparison = run_schemes(base, jobs=args.jobs,
-                             cache_dir=args.cache_dir)
+    comparison = experiments.run_schemes(base, jobs=args.jobs,
+                                         cache_dir=args.cache_dir)
     rows = []
     for scheme in (BASELINE, DURATION, RATE):
         metrics = comparison.results[scheme].metrics
@@ -511,8 +502,6 @@ def _progress(args: argparse.Namespace
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments.sweep import expand_grid, run_sweep
-
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
@@ -523,14 +512,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if "scheme" in grid:
                 raise ValueError("--schemes conflicts with --grid scheme=")
             grid["scheme"] = [s.strip() for s in args.schemes.split(",")]
-        configs = expand_grid(base, grid)
+        configs = experiments.expand_grid(base, grid)
     except ValueError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
 
-    result = run_sweep(configs, jobs=args.jobs, cache_dir=args.cache_dir,
-                       timeout=args.timeout, retries=args.retries,
-                       progress=_progress(args), ledger=args.ledger)
+    result = experiments.run_sweep(
+        configs, jobs=args.jobs, cache_dir=args.cache_dir,
+        timeout=args.timeout, retries=args.retries,
+        progress=_progress(args), ledger=args.ledger)
     if args.json:
         print(json.dumps(_sweep_report(result), sort_keys=True))
     else:
@@ -540,9 +530,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_download(args: argparse.Namespace) -> int:
-    from .experiments.runner import run_file_download
-
-    result = run_file_download(FileDownloadConfig(
+    result = experiments.run_file_download(FileDownloadConfig(
         size=args.size_mb * 1e6, deadline=args.deadline,
         mpdash=not args.no_mpdash, alpha=args.alpha,
         wifi_mbps=args.wifi, lte_mbps=args.lte,
@@ -578,10 +566,9 @@ def _load_trace(command: str, path: str, status: int) -> Trace:
     trace named on the command line.
     """
     from .obs.events import mistyped_field
-    from .obs.trace_export import load_jsonl
 
     try:
-        trace = load_jsonl(path)
+        trace = obs.load_jsonl(path)
     except (OSError, ValueError) as exc:
         print(f"repro {command}: cannot load {path}: {exc}",
               file=sys.stderr)
@@ -629,24 +616,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--load`` to re-run the analyzer offline on an exported trace, and
     ``--diff`` to compare a second trace's metrics against the first.
     """
-    from .obs.trace_export import Trace, dump_jsonl, metrics_from_trace
-
     trace = None if args.load is None else _load_trace("trace", args.load, 1)
     other = None if args.diff is None else _load_trace("trace", args.diff, 1)
     if trace is not None:
-        summary = _trace_summary(args.load, trace, metrics_from_trace(trace))
+        summary = _trace_summary(args.load, trace,
+                                 obs.metrics_from_trace(trace))
         if args.out is not None:  # only once every input is accepted
-            dump_jsonl(args.out, trace.events, trace.meta)
+            obs.dump_jsonl(args.out, trace.events, trace.meta)
     else:
-        result = run_session(_session_config(args, record_trace=True))
+        result = experiments.run_session(
+            _session_config(args, record_trace=True))
         if args.out is not None:
             result.export_trace(args.out)
-        trace = Trace(meta=result.trace_meta, events=result.events)
+        trace = obs.Trace(meta=result.trace_meta, events=result.events)
         summary = _trace_summary("live", trace, result.metrics)
 
     if other is not None:
         other_summary = _trace_summary(args.diff, other,
-                                       metrics_from_trace(other))
+                                       obs.metrics_from_trace(other))
         scalars = ("energy_total", "stall_count", "total_stall_time",
                    "quality_switches", "mean_bitrate", "session_duration",
                    "chunk_count")
@@ -685,15 +672,14 @@ def _session_config(args: argparse.Namespace, **overrides) -> SessionConfig:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """The standard metrics registry, live or rebuilt from a trace."""
-    from .obs.metrics import registry_from_trace
-
     if args.load is not None:
         trace = _load_trace("stats", args.load, 1)
-        registry = registry_from_trace(trace)
+        registry = obs.registry_from_trace(trace)
         print(f"registry rebuilt from {args.load} "
               f"({len(trace.events)} events)", file=sys.stderr)
     else:
-        result = run_session(_session_config(args, collect_metrics=True))
+        result = experiments.run_session(
+            _session_config(args, collect_metrics=True))
         registry = result.metrics_registry
     if args.json:
         print(json.dumps(registry.to_dict(), sort_keys=True))
@@ -704,25 +690,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_spans(args: argparse.Namespace) -> int:
     """The causal span tree, live or rebuilt from a trace."""
-    from .obs.spans import (dump_chrome_trace, render_span_tree,
-                            spans_from_trace, spans_to_dicts)
-
     if args.load is not None:
         trace = _load_trace("spans", args.load, 1)
-        spans = spans_from_trace(trace)
+        spans = obs.spans_from_trace(trace)
         print(f"spans rebuilt from {args.load} "
               f"({len(trace.events)} events)", file=sys.stderr)
     else:
-        result = run_session(_session_config(args, collect_spans=True))
+        result = experiments.run_session(
+            _session_config(args, collect_spans=True))
         spans = result.spans
     if args.chrome is not None:
-        dump_chrome_trace(args.chrome, spans)
+        obs.dump_chrome_trace(args.chrome, spans)
         print(f"chrome trace written to {args.chrome} "
               f"(open in Perfetto or chrome://tracing)", file=sys.stderr)
     if args.json:
+        from .obs.spans import spans_to_dicts
         print(json.dumps(spans_to_dicts(spans), sort_keys=True))
     else:
-        print(render_span_tree(spans, max_spans=args.limit))
+        print(obs.render_span_tree(spans, max_spans=args.limit))
     return 0
 
 
@@ -733,16 +718,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     are reported but do not fail the check), 1 on ERROR violations, 2
     when a trace could not be loaded.
     """
-    from .obs.check import check_trace, stock_checkers
-
-    checkers = stock_checkers(max_miss_rate=args.max_miss_rate,
-                              max_stall_ratio=args.max_stall_ratio)
+    checkers = obs.stock_checkers(max_miss_rate=args.max_miss_rate,
+                                  max_stall_ratio=args.max_stall_ratio)
     if args.load is not None:
         trace = _load_trace("check", args.load, 2)
-        report = check_trace(trace, checkers)
+        report = obs.check_trace(trace, checkers)
         print(f"checked {args.load} offline", file=sys.stderr)
     else:
-        result = run_session(_session_config(args), checkers=checkers)
+        result = experiments.run_session(_session_config(args),
+                                         checkers=checkers)
         report = result.check_report
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
@@ -759,17 +743,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     for the same session.  Without it, one session is run (recording a
     trace and the metrics registry's path samples) and rendered directly.
     """
-    from .obs.report import session_report_html, write_report
-
     if args.load is not None:
         trace = _load_trace("report", args.load, 1)
-        write_report(args.out, session_report_html(trace))
+        obs.write_report(args.out, obs.session_report_html(trace))
         print(f"session report written to {args.out} "
               f"(from {args.load}, {len(trace.events)} events)",
               file=sys.stderr)
     else:
-        run_session(_session_config(args, collect_metrics=True),
-                    report=args.out)
+        experiments.run_session(_session_config(args, collect_metrics=True),
+                                report=args.out)
         print(f"session report written to {args.out}", file=sys.stderr)
     return 0
 
@@ -781,11 +763,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     bounded) campaign, 1 when the engine gave up on a shard, 2 on bad
     arguments or a checkpoint belonging to a different campaign.
     """
-    from .experiments.fleet import FleetConfig, run_fleet
-    from .obs.recorder import RecorderConfig
-
     try:
-        config = FleetConfig(
+        config = experiments.FleetConfig(
             sessions=args.sessions, arrival=args.arrival,
             horizon=args.horizon, seed=args.seed, video=args.video,
             abr=args.abr, scheme=args.scheme,
@@ -795,7 +774,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             fault_session=args.fault_session)
         recorder = None
         if args.record_dir is not None:
-            recorder = RecorderConfig(
+            recorder = obs.RecorderConfig(
                 artifact_dir=args.record_dir,
                 head_every=args.record_head_every,
                 miss_threshold=args.record_miss_threshold,
@@ -806,7 +785,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        result = run_fleet(
+        result = experiments.run_fleet(
             config, jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every, resume=args.resume,
             stop_after=args.stop_after, retries=args.retries,
@@ -853,11 +832,9 @@ def cmd_history(args: argparse.Namespace) -> int:
     on ERROR-severity drift).  Exit status: 0 clean, 1 gate failure,
     2 bad arguments or an unreadable ledger.
     """
-    from .obs.drift import detect_drift, drift_table, gate_ok, trend_document
-    from .obs.ledger import RunLedger
-    from .obs.report import history_report_html, write_report
-
     action = "gate" if args.gate_flag else args.action
+    from .obs.ledger import RunLedger
+
     load = RunLedger(args.ledger).load()
     for warning in load.warnings:
         print(f"repro history: warning: {warning}", file=sys.stderr)
@@ -945,29 +922,29 @@ def cmd_history(args: argparse.Namespace) -> int:
                       file=sys.stderr)
         return 0
 
-    findings = detect_drift(entries)
+    findings = obs.detect_drift(entries)
     if action == "trend":
-        document = trend_document(entries, findings)
+        document = obs.trend_document(entries, findings)
         if args.json:
             print(json.dumps(document, sort_keys=True))
         if args.html is not None:
-            write_report(args.html, history_report_html(
+            obs.write_report(args.html, obs.history_report_html(
                 entries, findings=findings, warnings=load.warnings))
             print(f"history report written to {args.html}",
                   file=sys.stderr)
         if not args.json:
-            print(drift_table(findings), file=sys.stderr)
+            print(obs.drift_table(findings), file=sys.stderr)
         return 0
 
     # action == "gate"
     if args.json:
         print(json.dumps(
-            {"entries": len(entries), "gate_ok": gate_ok(findings),
+            {"entries": len(entries), "gate_ok": obs.gate_ok(findings),
              "findings": [f.to_dict() for f in findings]},
             sort_keys=True))
     else:
-        print(drift_table(findings), file=sys.stderr)
-    if not gate_ok(findings):
+        print(obs.drift_table(findings), file=sys.stderr)
+    if not obs.gate_ok(findings):
         print(f"repro history: DRIFT GATE FAILED "
               f"({sum(1 for f in findings if f.severity == 'error')} "
               f"error-severity finding(s))", file=sys.stderr)
@@ -1019,7 +996,6 @@ def cmd_triage(args: argparse.Namespace) -> int:
     ``--fleet-key`` prefix is missing/ambiguous.
     """
     from .obs.recorder import rank_anomalies, triage_captures, triage_table
-    from .obs.report import triage_report_html, write_report
 
     try:
         root, manifest = _resolve_manifest(args.record_dir, args.fleet_key)
@@ -1057,7 +1033,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
     if args.html is not None:
         links = {index: t["report"] for index, t in triaged.items()
                  if t["report"]}
-        write_report(args.html, triage_report_html(
+        obs.write_report(args.html, obs.triage_report_html(
             ranked, fleet_key=manifest.get("fleet_key", ""),
             links=links, replays=replays))
         print(f"triage report written to {args.html} "
@@ -1076,15 +1052,11 @@ def cmd_why(args: argparse.Namespace) -> int:
     Exit status: 0 on successful attribution (even when there is
     nothing to explain), 2 on unloadable traces.
     """
-    from .obs.trace_export import Trace
-    from .obs.why import (attributions_from_trace, diff_traces,
-                          render_attributions, summarize_attributions)
-
     if args.diff is not None:
         path_a, path_b = args.diff
         trace_a = _load_trace("why", path_a, 2)
         trace_b = _load_trace("why", path_b, 2)
-        diff = diff_traces(trace_a, trace_b)
+        diff = obs.diff_traces(trace_a, trace_b)
         if args.json:
             print(json.dumps(diff.to_dict(), sort_keys=True))
         else:
@@ -1094,23 +1066,23 @@ def cmd_why(args: argparse.Namespace) -> int:
         return 0
 
     if args.load is not None:
-        attributions = attributions_from_trace(
+        attributions = obs.attributions_from_trace(
             _load_trace("why", args.load, 2))
         print(f"attributing {args.load} offline", file=sys.stderr)
     else:
         # The sampler rides along so the network rules (bandwidth-drop,
         # queue-buildup, estimator-drift) have per-path evidence.
-        result = run_session(_session_config(
+        result = experiments.run_session(_session_config(
             args, record_trace=True, collect_metrics=True))
-        attributions = attributions_from_trace(Trace(
+        attributions = obs.attributions_from_trace(obs.Trace(
             meta=result.trace_meta, events=list(result.events)))
     if args.json:
         print(json.dumps(
             {"attributions": [a.to_dict() for a in attributions],
-             "summary": summarize_attributions(attributions)},
+             "summary": obs.summarize_attributions(attributions)},
             sort_keys=True))
     else:
-        print(render_attributions(attributions, top=args.top),
+        print(obs.render_attributions(attributions, top=args.top),
               file=sys.stderr)
     return 0
 

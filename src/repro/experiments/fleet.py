@@ -377,16 +377,12 @@ def save_checkpoint(path: str, key: str, shards_done: int, sessions: int,
                "registry": registry.to_dict()}
     if recorder_state is not None:
         payload["recorder"] = recorder_state
-    # ``json.dumps(payload, sort_keys=True)`` (the C encoder), with the body
-    # serialized once: split where "sha256" sorts in, the digest between.
-    head = json.dumps({name: value for name, value in payload.items()
-                       if name < "sha256"}, sort_keys=True)[:-1]
-    tail = json.dumps({name: value for name, value in payload.items()
-                       if name > "sha256"}, sort_keys=True)[1:]
-    digest = hashlib.sha256(f"{head}, {tail}".encode("utf-8")).hexdigest()
+    payload["sha256"] = _checkpoint_digest(payload)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(f'{head}, "sha256": "{digest}", {tail}')
+        # ``json.dumps`` runs the C encoder; ``json.dump`` streams the
+        # same text through the pure-Python one, several times slower.
+        handle.write(json.dumps(payload, sort_keys=True))
     os.replace(tmp, path)
 
 

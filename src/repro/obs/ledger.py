@@ -48,6 +48,8 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
+from .recorder import qoe_proxy
+
 #: Schema version stamped into every entry; loads skip (with a warning)
 #: entries written by a future schema.
 LEDGER_SCHEMA = 1
@@ -248,8 +250,6 @@ def peak_rss_kb() -> Optional[int]:
 def session_entry(result: Any, label: str = "",
                   wall_clock: Optional[float] = None) -> LedgerEntry:
     """Build the ledger entry for one finished ``run_session`` result."""
-    from .recorder import qoe_proxy
-
     m = result.metrics
     stats = result.scheduler_stats
     metrics: Dict[str, float] = {
@@ -285,8 +285,6 @@ def sweep_entry(result: Any, label: str = "") -> LedgerEntry:
     The key hashes the sorted set of run config keys, so "the same
     grid" maps to the same series regardless of run order.
     """
-    from .recorder import qoe_proxy
-
     keys = sorted({run.config_key for run in result.runs})
     key = hashlib.sha256(
         canonical_json(keys).encode("utf-8")).hexdigest()[:24]

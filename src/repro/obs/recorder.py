@@ -303,8 +303,7 @@ class ShardRecorder:
     def _write(self, index: int, events: List[Any], meta: Any) -> str:
         """Serialize and atomically write one deterministic gzip
         artifact; returns the path relative to the recorder root."""
-        if not self.stats["bytes_written"]:  # this shard's first capture
-            os.makedirs(self.directory, exist_ok=True)
+        os.makedirs(self.directory, exist_ok=True)
         blob = gzip_bytes(dumps_jsonl(events, meta).encode("utf-8"))
         final = os.path.join(self.directory, artifact_name(index))
         tmp = f"{final}.tmp.{os.getpid()}"

@@ -90,14 +90,17 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 def _line_encoder() -> Callable[[Any], str]:
     """``json.dumps(record, sort_keys=True, separators=(",", ":"))`` through
-    one C encoder (``encode`` builds one per call) without the cycle markers
-    (a record is a tree of plain values); else the pure-Python encoder."""
+    one C encoder without the cycle markers (a record is a tree of plain
+    values).  ``encode`` builds a new one per call, so it serves only where
+    the private constructor is missing or takes other arguments than the
+    nine it takes on CPython 3.10-3.13."""
     encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    if json.encoder.c_make_encoder is None:
+    try:
+        chunks = json.encoder.c_make_encoder(
+            None, encoder.default, json.encoder.encode_basestring_ascii,
+            None, ":", ",", True, False, True)
+    except TypeError:
         return encoder.encode
-    chunks = json.encoder.c_make_encoder(
-        None, encoder.default, json.encoder.encode_basestring_ascii, None,
-        ":", ",", True, False, True)
     return lambda record: "".join(chunks(record, 0))
 
 

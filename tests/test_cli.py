@@ -38,6 +38,15 @@ class TestParser:
         assert args.size_mb == 7.0
         assert args.deadline == 12.0
 
+    def test_history_kind_choices_are_the_ledger_kinds(self):
+        # The parser spells them out so that no command loads the ledger.
+        from repro.obs.ledger import ENTRY_KINDS
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        kind, = [action for action in commands["history"]._actions
+                 if action.dest == "kind"]
+        assert tuple(kind.choices) == ENTRY_KINDS
+
 
 class TestCommands:
     def test_videos_lists_table3(self, capsys):
@@ -289,7 +298,7 @@ class TestSessionConfigFromArgs:
             built.append(config)
             raise self.Built
 
-        monkeypatch.setattr("repro.cli.run_session", capture)
+        monkeypatch.setattr("repro.experiments.run_session", capture)
         for argv in ([command], [command] + flag):
             with pytest.raises(self.Built):
                 main(argv)

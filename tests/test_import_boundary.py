@@ -291,6 +291,27 @@ def test_import_cli_loads_no_view_ledger_recorder_or_sweep():
     assert sorted(loaded & set(OFF_THE_CLI)) == []
 
 
+CHECK_LOAD = '''
+import contextlib
+import io
+import json
+import sys
+
+from repro.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(["check", "--load", sys.argv[1], "--json"])
+print(json.dumps([status, sorted(sys.modules)]))
+'''
+
+
+def test_check_load_loads_no_view_ledger_recorder_or_sweep(recorded):
+    status, loaded = json.loads(_python(CHECK_LOAD, recorded))
+    assert status == 0
+    assert "repro.obs.check" in loaded
+    assert sorted(set(loaded) & set(OFF_THE_CLI)) == []
+
+
 def test_make_abr_imports_an_algorithm_when_first_named():
     loaded = _python('''
 import sys

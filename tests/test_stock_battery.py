@@ -5,8 +5,8 @@ triage and the read-side views) reuses one :class:`InvariantMonitor`,
 reset between traces.  These tests hold the reused battery to a freshly
 built one over whole fleet campaigns and a ``trace_views``-shaped corpus,
 keep the pre-fast-path :class:`MonotonicTimeChecker` handler as an
-oracle, and pin the capture line encoder and the checkpoint file to the
-plain ``json.dumps`` text they replace.
+oracle, pin the capture line encoder to the plain ``json.dumps`` text
+it replaces, and pin the checkpoint file to ``json.dumps`` of its body.
 """
 
 import hashlib
@@ -287,18 +287,28 @@ def test_dump_line_without_the_c_encoder_is_plain_json_dumps(record):
     assert _PURE_PYTHON_LINE(record) == _reference(record)
 
 
-def _pure_python_line():
+def _line_encoder_with(c_make_encoder):
+    """``_line_encoder()`` built while ``json.encoder.c_make_encoder`` is
+    ``c_make_encoder``."""
     import json.encoder
 
     saved = json.encoder.c_make_encoder
-    json.encoder.c_make_encoder = None
+    json.encoder.c_make_encoder = c_make_encoder
     try:
         return _line_encoder()
     finally:
         json.encoder.c_make_encoder = saved
 
 
-_PURE_PYTHON_LINE = _pure_python_line()
+_PURE_PYTHON_LINE = _line_encoder_with(None)
+
+
+def test_dump_line_falls_back_where_the_c_constructor_changed():
+    def other_signature(markers, default, encoder):
+        raise AssertionError("a nine-argument call cannot reach this")
+
+    record = {"b": [1.5, math.nan], "a": {"é": None}}
+    assert _line_encoder_with(other_signature)(record) == _reference(record)
 
 
 def test_dump_line_names_the_special_floats_and_escapes_non_ascii():
@@ -312,7 +322,7 @@ def test_dump_line_names_the_special_floats_and_escapes_non_ascii():
 @pytest.mark.parametrize("recorder_state", [
     None, {"stats": {"sessions": 3}, "records": [
         {"index": 1, "error": 'x "sha256": "y", "shards_done": 9'}]}])
-def test_checkpoint_file_is_the_digest_spliced_into_the_sorted_body(
+def test_checkpoint_file_is_the_sorted_body_with_its_digest(
         tmp_path, recorder_state):
     registry = MetricsRegistry()
     registry.counter("repro_fleet_sessions_total").inc(3)

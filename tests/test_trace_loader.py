@@ -426,7 +426,7 @@ def test_cli_reraises_what_a_well_typed_trace_does_not_explain(
     def broken(trace):
         raise TypeError("a bug in the view")
 
-    monkeypatch.setattr("repro.obs.metrics.registry_from_trace", broken)
+    monkeypatch.setattr("repro.obs.registry_from_trace", broken)
     with pytest.raises(TypeError, match="a bug in the view"):
         main(["stats", "--load", str(path)])
 
